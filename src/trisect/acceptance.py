@@ -7,10 +7,8 @@ or frozen regression fixtures recorded below.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,9 +254,7 @@ def criterion_5():
                 return False, f"{tname}: slide on stabilize(cp2) changed the bracket", 1.0
             count += 1
     # float backend spot checks at 1e-9 relative tolerance
-    from .cli import _float_triplet
-
-    tf = _float_triplet(hopf.kashaev_triplet(3))
+    tf = hopf.float_triplet(hopf.kashaev_triplet(3))
     d = cp2()
     basef = _bracket(d, tf)
     worst = 0.0
@@ -436,7 +432,6 @@ CRITERIA = [
 
 def run_all(only: set[int] | None = None) -> list[CriterionResult]:
     jobs = [(num, name, fn) for num, name, fn in CRITERIA if only is None or num in only]
-    workers = max(1, int(os.environ.get("TRISECT_THREADS", "1")))
 
     def run(job):
         num, name, fn = job
@@ -447,7 +442,4 @@ def run_all(only: set[int] | None = None) -> list[CriterionResult]:
             ok, detail, residual = False, f"exception: {exc!r}", float("nan")
         return CriterionResult(num, name, ok, detail, residual, time.time() - t0)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, jobs))
     return [run(j) for j in jobs]

@@ -55,14 +55,14 @@ def parse_triplet(spec: str, backend: str = "exact") -> hopf.HopfTriplet:
     else:
         raise TrisectError(f"unknown triplet spec {spec!r}; use kashaev:n=3, group:C=Z/2,B=Z/3, or file:PATH")
     if backend == "float":
-        t = _float_triplet(t)
+        t = hopf.float_triplet(t)
     return t
 
 
 def _triplet_from_json(data: dict) -> hopf.HopfTriplet:
     algebras = {k: hopf.algebra_from_json(data[k], name=k) for k in ("A", "B", "C")}
 
-    def mat(key, rows_alg, cols_alg):
+    def mat(key):
         out = {}
         for i, row in enumerate(data[key]):
             for j, v in enumerate(row):
@@ -76,42 +76,10 @@ def _triplet_from_json(data: dict) -> hopf.HopfTriplet:
         algebras["A"],
         algebras["B"],
         algebras["C"],
-        mat("tau_AB", "A", "B"),
-        mat("tau_BC", "B", "C"),
-        mat("tau_CA", "C", "A"),
+        mat("tau_AB"),
+        mat("tau_BC"),
+        mat("tau_CA"),
         allow_weak=any(a.weak for a in algebras.values()),
-    )
-
-
-def _float_vec(v):
-    return {k: to_complex(x) for k, x in v.items()}
-
-
-def _float_algebra(h: hopf.HopfAlgebra) -> hopf.HopfAlgebra:
-    return hopf.HopfAlgebra(
-        h.name,
-        h.basis,
-        {k: _float_vec(v) for k, v in h.mult.items()},
-        _float_vec(h.unit),
-        {i: {jk: to_complex(c) for jk, c in row.items()} for i, row in h.comult.items()},
-        _float_vec(h.counit),
-        {i: _float_vec(v) for i, v in h.antipode.items()},
-        h.weak,
-        h.dual_irreps,
-    )
-
-
-def _float_triplet(t: hopf.HopfTriplet) -> hopf.HopfTriplet:
-    return hopf.HopfTriplet(
-        t.name + " (float)",
-        _float_algebra(t.A),
-        _float_algebra(t.B),
-        _float_algebra(t.C),
-        {k: to_complex(v) for k, v in t.tau_AB.items()},
-        {k: to_complex(v) for k, v in t.tau_BC.items()},
-        {k: to_complex(v) for k, v in t.tau_CA.items()},
-        t.allow_weak,
-        None if t.default_integrals is None else {s: _float_vec(v) for s, v in t.default_integrals.items()},
     )
 
 

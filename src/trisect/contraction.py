@@ -1,15 +1,20 @@
 """Sparse tensor-network contraction with a greedy pairwise order.
 
-Tensors are dicts from index tuples to scalars; every wire name appears on
-exactly two nodes.  The greedy order repeatedly contracts the pair of
-connected nodes whose result has the smallest dense size (product of the
-remaining wire dimensions), with a deterministic tie break on node names.
-The cap bounds that dense size estimate, not the sparse storage actually
-used.
+Tensors are dicts from index tuples to scalars.  A wire that appears on two
+nodes is summed over; a wire on exactly one node is open and must be listed
+in ``open_wires``.  The network factorizes over connected components.  Inside
+one component the greedy order repeatedly contracts the pair of connected
+nodes whose result has the smallest dense size (product of the remaining
+wire dimensions, open wires included), with a deterministic tie break on
+node names.  The components' results are then multiplied together as an
+outer product over the open wires.  The cap bounds the dense size of every
+pairwise result and of the final tensor, not the sparse storage actually
+used.  Only exact zeros are dropped from the sparse storage.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ResourceExceeded
@@ -58,7 +63,7 @@ def _contract_pair(a: Node, b: Node, dims) -> Node:
             cur = out.get(k)
             term = val * bval
             new = term if cur is None else cur + term
-            if is_zero(new, tol=0.0 if isinstance(new, Cyc) else 1e-14):
+            if is_zero(new, tol=0.0):
                 out.pop(k, None)
             else:
                 out[k] = new
@@ -94,15 +99,28 @@ def _components(nodes: list[Node]) -> list[list[Node]]:
     return comps
 
 
-def contract_network(nodes: list[Node], dims: dict[str, int], cap: int = 10_000_000):
-    """Contract to a scalar; factorizes over connected components."""
-    total = ONE
+def contract_network(nodes: list[Node], dims: dict[str, int], cap: int = 10_000_000,
+                     open_wires: Sequence[str] = ()):
+    """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
+
+    The tensor is a sparse dict keyed by index tuples in the order of
+    ``open_wires``.
+    """
+    size = _dense_size(open_wires, dims)
+    if size > cap:
+        raise ResourceExceeded(size, cap)
+    out = Node("1", (), {(): ONE})
     for comp in _components(nodes):
-        total = total * _contract_component(comp, dims, cap)
-    return total
+        out = _contract_pair(out, _contract_component(comp, dims, cap), dims)
+    if sorted(out.wires) != sorted(open_wires):
+        raise AssertionError(f"open wires {out.wires}, expected {tuple(open_wires)}")
+    if not open_wires:
+        return out.data.get((), ONE * 0)
+    pos = [out.wires.index(w) for w in open_wires]
+    return {tuple(key[p] for p in pos): val for key, val in out.data.items()}
 
 
-def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int):
+def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int) -> Node:
     nodes = sorted(nodes, key=lambda n: n.name)
     while len(nodes) > 1:
         best = None
@@ -123,7 +141,4 @@ def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int):
             raise ResourceExceeded(cost, cap)
         merged = _contract_pair(nodes[i], nodes[j], dims)
         nodes = [n for k, n in enumerate(nodes) if k not in (i, j)] + [merged]
-    final = nodes[0]
-    if final.wires:
-        raise AssertionError(f"dangling wires {final.wires}")
-    return final.data.get((), ONE * 0)
+    return nodes[0]

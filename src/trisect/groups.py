@@ -185,14 +185,6 @@ def dihedral(n: int) -> Group:
     """Dihedral group of order 2n (rotations r^k, reflections sr^k)."""
     labels = tuple(f"r{k}" for k in range(n)) + tuple(f"s{k}" for k in range(n))
 
-    def mul(a: int, b: int) -> int:
-        fa, ka = divmod(a, n)[0], a % n
-        fb, kb = divmod(b, n)[0], b % n
-        if fa == 0:
-            return fb * n + ((kb + ka) % n if fb == 0 else (kb - ka) % n)
-        return (1 - fb) * n + ((ka - kb) % n if fb else (ka + kb) % n)
-
-    # recompute via permutation composition to avoid sign slips
     def as_perm(a: int):
         f, k = divmod(a, n)
         if f == 0:

@@ -5,6 +5,12 @@ is the expansion of e_i e_j, ``comult[i]`` the expansion of the coproduct of
 e_i, and so on.  Scalars are exact cyclotomics (or complex for the float
 backend).  Group algebras use group elements as basis, function algebras
 delta functions, weak crossed products the triples from the group action.
+
+The checkers state each identity once, as a pair of small networks over the
+structure tensors, and contract both sides with ``contraction.contract_network``.
+The open wires of a side are the identity's free indices.  The two sides are
+compared exactly, one basis element of the first open wire at a time; the
+residual reported for an identity is the largest |lhs - rhs| over all indices.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .contraction import Node, contract_network
 from .errors import MissingIrreps, NonSemisimple, TrisectError
 from .groups import GSet, Group, opposite, product
-from .scalars import Cyc, is_zero
+from .scalars import Cyc, is_zero, to_complex
 
 Vec = dict[int, object]          # sparse vector: basis index -> scalar
 Mat = dict[tuple[int, int], object]
@@ -23,16 +30,10 @@ Mat = dict[tuple[int, int], object]
 def _acc(dst: dict, key, val) -> None:
     cur = dst.get(key)
     new = val if cur is None else cur + val
-    if is_zero(new, tol=0.0 if isinstance(new, Cyc) else 1e-15):
+    if is_zero(new, tol=0.0):
         dst.pop(key, None)
     else:
         dst[key] = new
-
-
-def _scale(v: dict, s) -> dict:
-    if is_zero(s, tol=0.0 if isinstance(s, Cyc) else 1e-15):
-        return {}
-    return {k: s * x for k, x in v.items()}
 
 
 ONE = Cyc.rational(1)
@@ -135,272 +136,139 @@ class HopfAlgebra:
                 return False
         return True
 
-    # -- weak source/target maps ----------------------------------------
-    def source_map(self, v: Vec) -> Vec:
-        """eps_s(h) = eps(h 1_(2)) 1_(1)."""
-        out: Vec = {}
-        unit_cop = self.coproduct(self.unit)
-        for (u1, u2), cu in unit_cop.items():
-            for i, a in v.items():
-                for k, c in self.product_basis(i, u2).items():
-                    e = self.counit.get(k)
-                    if e is not None:
-                        _acc(out, u1, a * cu * c * e)
-        return out
-
-    def target_map(self, v: Vec) -> Vec:
-        """eps_t(h) = eps(1_(1) h) 1_(2)."""
-        out: Vec = {}
-        unit_cop = self.coproduct(self.unit)
-        for (u1, u2), cu in unit_cop.items():
-            for i, a in v.items():
-                for k, c in self.product_basis(u1, i).items():
-                    e = self.counit.get(k)
-                    if e is not None:
-                        _acc(out, u2, a * cu * c * e)
-        return out
-
     def __str__(self) -> str:
         return f"{self.name} (dim {self.dim}{', weak' if self.weak else ''})"
 
 
-def _residual(diff_terms) -> float:
+# ---------------------------------------------------------------------------
+# identities as pairs of networks
+#
+# A network is written as comma-separated terms "T w1 w2 ...": structure tensor
+# T with its axes on the named wires.  A wire on two terms is summed over; the
+# open wires are listed separately, in a fixed order shared by both sides.  The
+# tensors of one algebra, from ``_tensors``, with their axes in order:
+#   M a b o   product, e_a e_b = sum_o M[a, b, o] e_o
+#   D a x y   coproduct, Delta(e_a) = sum D[a, x, y] e_x (x) e_y
+#   e a       counit          u o    unit
+#   S a o     antipode        I a o  identity
+# A pairing check adds T (the pairing) and suffixes 1 and 2 for its two
+# algebras; the triplet check suffixes A, B and C and adds the pairings TAB,
+# TBC and TCA; an integral check adds L (the integral).
+
+Tensors = dict[str, tuple[dict, tuple[int, ...]]]
+
+
+def _tensors(h: HopfAlgebra, suffix: str = "") -> Tensors:
+    n = h.dim
+    return {
+        "M" + suffix: ({(i, j, k): c for (i, j), v in h.mult.items() for k, c in v.items()}, (n, n, n)),
+        "D" + suffix: ({(i, j, k): c for i, v in h.comult.items() for (j, k), c in v.items()}, (n, n, n)),
+        "e" + suffix: ({(i,): c for i, c in h.counit.items()}, (n,)),
+        "u" + suffix: ({(i,): c for i, c in h.unit.items()}, (n,)),
+        "S" + suffix: ({(i, j): c for i, v in h.antipode.items() for j, c in v.items()}, (n, n)),
+        "I" + suffix: ({(i, i): ONE for i in range(n)}, (n, n)),
+    }
+
+
+def _network(tensors: Tensors, spec: str) -> tuple[list[Node], dict[str, int]]:
+    nodes: list[Node] = []
+    dims: dict[str, int] = {}
+    for pos, term in enumerate(t for t in spec.split(",") if t.strip()):
+        name, *wires = term.split()
+        data, shape = tensors[name]
+        if len(wires) != len(shape):
+            raise ValueError(f"{name} has {len(shape)} axes, got wires {wires}")
+        for w, d in zip(wires, shape):
+            if dims.setdefault(w, d) != d:
+                raise ValueError(f"wire {w} joins axes of dimensions {dims[w]} and {d}")
+        nodes.append(Node(f"{name}{pos}", tuple(wires), data))
+    return nodes, dims
+
+
+def _slices(nodes: list[Node], wire: str) -> dict[int, list[Node]]:
+    """The network once per basis element on ``wire``, the node carrying it cut down to that element."""
+    k = next(k for k, n in enumerate(nodes) if wire in n.wires)
+    node, pos = nodes[k], nodes[k].wires.index(wire)
+    parts: dict[int, dict] = {}
+    for key, val in node.data.items():
+        parts.setdefault(key[pos], {})[key] = val
+    return {i: nodes[:k] + [Node(node.name, node.wires, part)] + nodes[k + 1:] for i, part in parts.items()}
+
+
+def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
+    """max |lhs - rhs| over every index of the open wires ``out``, compared exactly.
+
+    The sides are compared one basis element of the first open wire at a
+    time, so neither is ever built as a whole tensor over all open wires.
+    """
+    sides = [_network(tensors, spec) for spec in (lhs, rhs)]
+    wires = out.split()
+    cuts = [_slices(nodes, wires[0]) if wires else {0: nodes} for nodes, _ in sides]
+    zero = ONE * 0
     worst = 0.0
-    for x in diff_terms:
-        if isinstance(x, Cyc):
-            if not x.is_zero():
-                worst = max(worst, abs(x.to_complex()))
-        else:
-            worst = max(worst, abs(x))
+    for i in cuts[0].keys() | cuts[1].keys():
+        # a side with no entries at this basis element is zero there
+        a, b = (contract_network(cut[i], dims, open_wires=wires) if i in cut else {}
+                for cut, (_, dims) in zip(cuts, sides))
+        if not wires:
+            a, b = {(): a}, {(): b}
+        for key in a.keys() | b.keys():
+            diff = a.get(key, zero) - b.get(key, zero)
+            if not is_zero(diff, tol=0.0):
+                worst = max(worst, abs(to_complex(diff)))
     return worst
 
 
-def _vec_residual(a: Vec, b: Vec) -> float:
-    keys = set(a) | set(b)
-    zero = ONE * 0
-    return _residual(a.get(k, zero) - b.get(k, zero) for k in keys)
+def _residuals(tensors: Tensors, identities) -> dict[str, float]:
+    """Residual by key; a key's residual is the largest over its network pairs."""
+    return {key: max(_residual(tensors, *pair) for pair in pairs) for key, pairs in identities}
 
 
-# ---------------------------------------------------------------------------
-# axiom checking
+# m(S x id)Delta and m(id x S)Delta
+_S_ID = "D i a b, S a x, M x b o"
+_ID_S = "D i a b, S b y, M a y o"
+
+# (residual key, [(open wires, lhs, rhs), ...])
+_AXIOMS = [
+    ("associativity", [("i j k o", "M i j t, M t k o", "M j k t, M i t o")]),
+    ("unitality", [("i o", "u x, M x i o", "I i o"), ("i o", "u x, M i x o", "I i o")]),
+    ("coassociativity", [("i p q r", "D i t r, D t p q", "D i p t, D t q r")]),
+    ("counitality", [("i o", "D i o b, e b", "I i o"), ("i o", "D i a o, e a", "I i o")]),
+    ("comultiplicativity", [("i j x y", "M i j t, D t x y", "D i a b, D j c d, M a c x, M b d y")]),
+]
+_STRONG_AXIOMS = [
+    ("unit_counit_compat", [
+        ("i j", "M i j t, e t", "e i, e j"),
+        ("x y", "u t, D t x y", "u x, u y"),
+        ("", "u t, e t", ""),
+    ]),
+    ("antipode", [("i o", _S_ID, "e i, u o"), ("i o", _ID_S, "e i, u o")]),
+    ("antipode_involutive", [("i o", "S i t, S t o", "I i o")]),
+]
+_WEAK_AXIOMS = [
+    # (Delta x id)Delta(1) = (Delta(1) x 1)(1 x Delta(1)) = (1 x Delta(1))(Delta(1) x 1)
+    ("weak_unit_coproduct", [
+        ("p q r", "u t, D t s r, D s p q", "u t, D t p b, u s, D s x r, M b x q"),
+        ("p q r", "u t, D t s r, D s p q", "u t, D t a r, u s, D s p y, M a y q"),
+    ]),
+    # eps(ghk) = eps(g h1) eps(h2 k) = eps(g h2) eps(h1 k)
+    ("weak_counit_product", [
+        ("g i k", "M g i m, M m k t, e t", "D i a b, M g a x, e x, M b k y, e y"),
+        ("g i k", "M g i m, M m k t, e t", "D i a b, M g b x, e x, M a k y, e y"),
+    ]),
+    # h1 S(h2) = eps_t(h) = eps(1_(1) h) 1_(2), S(h1) h2 = eps_s(h) = eps(h 1_(2)) 1_(1),
+    # S(h1) h2 S(h3) = S(h)
+    ("weak_antipode", [
+        ("i o", _ID_S, "u t, D t p o, M p i k, e k"),
+        ("i o", _S_ID, "u t, D t o q, M i q k, e k"),
+        ("i o", "D i a r, D r b c, S a x, M x b m, S c y, M m y o", "S i o"),
+    ]),
+]
 
 
 def check_hopf_axioms(h: HopfAlgebra) -> dict[str, float]:
-    return check_weak_axioms(h) if h.weak else check_strong_axioms(h)
-
-
-def check_strong_axioms(h: HopfAlgebra) -> dict[str, float]:
-    n = h.dim
-    rep = check_strong_axioms_core(h)
-
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs: dict = {}
-            for k, c in h.product_basis(i, j).items():
-                for (a, b), c2 in h.comult.get(k, {}).items():
-                    _acc(lhs, (a, b), _mul2(c, c2))
-            rhs: dict = {}
-            for (a1, a2), c1 in h.comult.get(i, {}).items():
-                for (b1, b2), c2 in h.comult.get(j, {}).items():
-                    c12 = _mul2(c1, c2)
-                    for x, cx in h.product_basis(a1, b1).items():
-                        for y, cy in h.product_basis(a2, b2).items():
-                            _acc(rhs, (x, y), _mul2(c12, _mul2(cx, cy)))
-            worst = max(worst, _vec_residual(lhs, rhs))
-    rep["comultiplicativity"] = worst
-
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = h.counit_of(h.product_basis(i, j))
-            rhs = (h.counit.get(i, ONE * 0)) * (h.counit.get(j, ONE * 0))
-            worst = max(worst, _residual([lhs - rhs]))
-    unit_cop = h.coproduct(h.unit)
-    target = {}
-    for i, a in h.unit.items():
-        for j, b in h.unit.items():
-            _acc(target, (i, j), a * b)
-    worst = max(worst, _vec_residual(unit_cop, target))
-    worst = max(worst, _residual([h.counit_of(h.unit) - ONE]))
-    rep["unit_counit_compat"] = worst
-
-    worst = 0.0
-    for i in range(n):
-        lhs: Vec = {}
-        rhs: Vec = {}
-        for (a, b), c in h.comult.get(i, {}).items():
-            sa = h.antipode.get(a, {})
-            sb = h.antipode.get(b, {})
-            for x, cx in sa.items():
-                for k, ck in h.product_basis(x, b).items():
-                    _acc(lhs, k, c * cx * ck)
-            for y, cy in sb.items():
-                for k, ck in h.product_basis(a, y).items():
-                    _acc(rhs, k, c * cy * ck)
-        eta_eps = _scale(h.unit, h.counit.get(i, ONE * 0))
-        worst = max(worst, _vec_residual(lhs, eta_eps))
-        worst = max(worst, _vec_residual(rhs, eta_eps))
-    rep["antipode"] = worst
-
-    rep["antipode_involutive"] = 0.0 if h.antipode_involutive() else 1.0
-    return rep
-
-
-def check_weak_axioms(h: HopfAlgebra) -> dict[str, float]:
-    n = h.dim
-    rep: dict[str, float] = {}
-    strong = check_strong_axioms_core(h)
-    rep.update(strong)
-
-    # Delta(hk) = Delta(h) Delta(k), with no unit compatibility required
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs: dict = {}
-            for k, c in h.product_basis(i, j).items():
-                for ab, c2 in h.comult.get(k, {}).items():
-                    _acc(lhs, ab, _mul2(c, c2))
-            rhs: dict = {}
-            for (a1, a2), c1 in h.comult.get(i, {}).items():
-                for (b1, b2), c2 in h.comult.get(j, {}).items():
-                    c12 = _mul2(c1, c2)
-                    for x, cx in h.product_basis(a1, b1).items():
-                        for y, cy in h.product_basis(a2, b2).items():
-                            _acc(rhs, (x, y), _mul2(c12, _mul2(cx, cy)))
-            worst = max(worst, _vec_residual(lhs, rhs))
-    rep["comultiplicativity"] = worst
-
-    # (Delta x id) Delta(1) = (Delta(1) x 1)(1 x Delta(1)) = (1 x Delta(1))(Delta(1) x 1)
-    unit_cop = h.coproduct(h.unit)
-    lhs3: dict = {}
-    for (a, b), c in unit_cop.items():
-        for (x, y), c2 in h.comult.get(a, {}).items():
-            _acc(lhs3, (x, y, b), c * c2)
-    perm1: dict = {}
-    perm2: dict = {}
-    for (a, b), c in unit_cop.items():
-        for (x, y), c2 in unit_cop.items():
-            cc = c * c2
-            # (a x b x 1)(1 x x x y) and (1 x a x b)(x x y x 1)
-            for m, cm in h.product_basis(b, x).items():
-                _acc(perm1, (a, m, y), cc * cm)
-            for m, cm in h.product_basis(a, y).items():
-                _acc(perm2, (x, m, b), cc * cm)
-    rep["weak_unit_coproduct"] = max(_vec_residual(lhs3, perm1), _vec_residual(lhs3, perm2))
-
-    # eps(ghk) = eps(g h1) eps(h2 k) = eps(g h2) eps(h1 k)
-    worst = 0.0
-    zero = ONE * 0
-    for g in range(n):
-        for i in range(n):
-            ghs = {k: c for k, c in h.product_basis(g, i).items()}
-            for k in range(n):
-                lhs = zero
-                for m, c in ghs.items():
-                    for t, c2 in h.product_basis(m, k).items():
-                        e = h.counit.get(t)
-                        if e is not None:
-                            lhs = lhs + _mul2(c, _mul2(c2, e))
-                r1 = zero
-                r2 = zero
-                for (h1, h2), c in h.comult.get(i, {}).items():
-                    e1 = h.counit_of(h.product_basis(g, h1))
-                    e2 = h.counit_of(h.product_basis(h2, k))
-                    r1 = r1 + _mul2(c, _mul2(e1, e2))
-                    e1b = h.counit_of(h.product_basis(g, h2))
-                    e2b = h.counit_of(h.product_basis(h1, k))
-                    r2 = r2 + _mul2(c, _mul2(e1b, e2b))
-                worst = max(worst, _residual([lhs - r1, lhs - r2]))
-    rep["weak_counit_product"] = worst
-
-    # antipode conditions
-    worst = 0.0
-    unit_cop = h.coproduct(h.unit)
-    for i in range(n):
-        m_id_s: Vec = {}
-        m_s_id: Vec = {}
-        s_three: Vec = {}
-        for (a, b), c in h.comult.get(i, {}).items():
-            for y, cy in h.antipode.get(b, {}).items():
-                for k, ck in h.product_basis(a, y).items():
-                    _acc(m_id_s, k, c * cy * ck)
-            for x, cx in h.antipode.get(a, {}).items():
-                for k, ck in h.product_basis(x, b).items():
-                    _acc(m_s_id, k, c * cx * ck)
-        rhs1: Vec = {}  # (eps x id)(Delta(1)(h x 1))
-        rhs2: Vec = {}  # (id x eps)((1 x h) Delta(1))
-        for (u1, u2), cu in unit_cop.items():
-            for k, ck in h.product_basis(u1, i).items():
-                e = h.counit.get(k)
-                if e is not None:
-                    _acc(rhs1, u2, cu * ck * e)
-            for k, ck in h.product_basis(i, u2).items():
-                e = h.counit.get(k)
-                if e is not None:
-                    _acc(rhs2, u1, cu * ck * e)
-        worst = max(worst, _vec_residual(m_id_s, rhs1))
-        worst = max(worst, _vec_residual(m_s_id, rhs2))
-        for key, c in h.iterated_coproduct({i: ONE}, 3).items():
-            h1, h2, h3 = key
-            for x, cx in h.antipode.get(h1, {}).items():
-                for y, cy in h.antipode.get(h3, {}).items():
-                    for m, cm in h.product_basis(x, h2).items():
-                        for t, ct in h.product_basis(m, y).items():
-                            _acc(s_three, t, c * cx * cy * cm * ct)
-        worst = max(worst, _vec_residual(s_three, h.antipode.get(i, {})))
-    rep["weak_antipode"] = worst
-    return rep
-
-
-def check_strong_axioms_core(h: HopfAlgebra) -> dict[str, float]:
-    """Associativity, unitality, coassociativity, counitality only."""
-    full = {}
-    n = h.dim
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs: Vec = {}
-                for l, c in h.product_basis(i, j).items():
-                    for m, c2 in h.product_basis(l, k).items():
-                        _acc(lhs, m, _mul2(c, c2))
-                rhs: Vec = {}
-                for l, c in h.product_basis(j, k).items():
-                    for m, c2 in h.product_basis(i, l).items():
-                        _acc(rhs, m, _mul2(c, c2))
-                worst = max(worst, _vec_residual(lhs, rhs))
-    full["associativity"] = worst
-    worst = 0.0
-    for i in range(n):
-        worst = max(worst, _vec_residual(h.product(h.unit, {i: ONE}), {i: ONE}))
-        worst = max(worst, _vec_residual(h.product({i: ONE}, h.unit), {i: ONE}))
-    full["unitality"] = worst
-    worst = 0.0
-    for i in range(n):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (a, b), c in h.comult.get(i, {}).items():
-            for (x, y), c2 in h.comult.get(a, {}).items():
-                _acc(lhs, (x, y, b), c * c2)
-            for (x, y), c2 in h.comult.get(b, {}).items():
-                _acc(rhs, (a, x, y), c * c2)
-        worst = max(worst, _vec_residual(lhs, rhs))
-    full["coassociativity"] = worst
-    worst = 0.0
-    for i in range(n):
-        left: Vec = {}
-        right: Vec = {}
-        for (a, b), c in h.comult.get(i, {}).items():
-            eb, ea = h.counit.get(b), h.counit.get(a)
-            if eb is not None:
-                _acc(left, a, c * eb)
-            if ea is not None:
-                _acc(right, b, c * ea)
-        worst = max(worst, _vec_residual(left, {i: ONE}))
-        worst = max(worst, _vec_residual(right, {i: ONE}))
-    full["counitality"] = worst
-    return full
+    """Residuals of the Hopf axioms, or of the weak Hopf axioms when ``h.weak``."""
+    return _residuals(_tensors(h), _AXIOMS + (_WEAK_AXIOMS if h.weak else _STRONG_AXIOMS))
 
 
 # ---------------------------------------------------------------------------
@@ -520,78 +388,32 @@ def convolution_inverse(tau: Mat, a: HopfAlgebra) -> Mat:
     return out
 
 
-def check_skew_pairing(tau: Mat, a: HopfAlgebra, b: HopfAlgebra, with_convolution: bool = True) -> dict[str, float]:
+# tau(xy, k) = tau(x, k1) tau(y, k2), tau(i, jk) = tau(i2, j) tau(i1, k),
+# tau(i, 1) = eps(i), tau(1, j) = eps(j)
+_PAIRING = [
+    ("mult_left", [("i j k", "M1 i j l, T l k", "D2 k p q, T i p, T j q")]),
+    ("mult_right", [("i j k", "M2 j k l, T i l", "D1 i p q, T q j, T p k")]),
+    ("counit_left", [("i", "u2 j, T i j", "e1 i")]),
+    ("counit_right", [("j", "u1 i, T i j", "e2 j")]),
+]
+# tau * tau^-1 = tau^-1 * tau = eps (x) eps, with tau^-1(x, y) = tau(S(x), y)
+_CONVOLUTION = [
+    ("convolution_inverse", [
+        ("i j", "D1 i p q, D2 j r s, T p r, S1 q k, T k s", "e1 i, e2 j"),
+        ("i j", "D1 i p q, D2 j r s, S1 p k, T k r, T q s", "e1 i, e2 j"),
+    ]),
+]
+
+
+def check_skew_pairing(tau: Mat, a: HopfAlgebra, b: HopfAlgebra) -> dict[str, float]:
     """The four defining identities plus (for strong pairs) the convolution identity.
 
     The strong convolution identity fails for genuinely weak pairings, where
     inverses are relative to the source and target counits, so it is skipped
     when either algebra is weak.
     """
-    zero = ONE * 0
-    rep: dict[str, float] = {}
-
-    def t(i, j):
-        return tau.get((i, j), zero)
-
-    worst = 0.0
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod = a.product_basis(i, j)
-            for k in range(b.dim):
-                lhs = zero
-                for l, c in prod.items():
-                    lhs = lhs + c * t(l, k)
-                rhs = zero
-                for (p, q), c in b.comult.get(k, {}).items():
-                    rhs = rhs + c * t(i, p) * t(j, q)
-                worst = max(worst, _residual([lhs - rhs]))
-    rep["mult_left"] = worst
-
-    worst = 0.0
-    for j in range(b.dim):
-        for k in range(b.dim):
-            prod = b.product_basis(j, k)
-            for i in range(a.dim):
-                lhs = zero
-                for l, c in prod.items():
-                    lhs = lhs + c * t(i, l)
-                rhs = zero
-                for (p, q), c in a.comult.get(i, {}).items():
-                    rhs = rhs + c * t(q, j) * t(p, k)
-                worst = max(worst, _residual([lhs - rhs]))
-    rep["mult_right"] = worst
-
-    worst = 0.0
-    for i in range(a.dim):
-        lhs = zero
-        for j, cu in b.unit.items():
-            lhs = lhs + cu * t(i, j)
-        worst = max(worst, _residual([lhs - a.counit.get(i, zero)]))
-    rep["counit_left"] = worst
-    worst = 0.0
-    for j in range(b.dim):
-        lhs = zero
-        for i, cu in a.unit.items():
-            lhs = lhs + cu * t(i, j)
-        worst = max(worst, _residual([lhs - b.counit.get(j, zero)]))
-    rep["counit_right"] = worst
-
-    if with_convolution and not (a.weak or b.weak):
-        tinv = convolution_inverse(tau, a)
-        worst = 0.0
-        for i in range(a.dim):
-            for j in range(b.dim):
-                s1 = zero
-                s2 = zero
-                for (a1, a2), ca in a.comult.get(i, {}).items():
-                    for (b1, b2), cb in b.comult.get(j, {}).items():
-                        cc = ca * cb
-                        s1 = s1 + cc * t(a1, b1) * tinv.get((a2, b2), zero)
-                        s2 = s2 + cc * tinv.get((a1, b1), zero) * t(a2, b2)
-                target = a.counit.get(i, zero) * b.counit.get(j, zero)
-                worst = max(worst, _residual([s1 - target, s2 - target]))
-        rep["convolution_inverse"] = worst
-    return rep
+    tensors = {**_tensors(a, "1"), **_tensors(b, "2"), "T": (tau, (a.dim, b.dim))}
+    return _residuals(tensors, _PAIRING + ([] if a.weak or b.weak else _CONVOLUTION))
 
 
 def generalized_double(a: HopfAlgebra, b: HopfAlgebra, tau: Mat, name: str | None = None) -> HopfAlgebra:
@@ -692,6 +514,16 @@ class HopfTriplet:
         return {("A", "B"): self.tau_AB, ("B", "C"): self.tau_BC, ("C", "A"): self.tau_CA}[slots]
 
 
+# tau_AB(a1, b2) tau_BC(b1, c2) tau_CA(c1, a2) = tau_AB(a2, b1) tau_BC(b2, c1) tau_CA(c2, a1)
+_CYCLIC = [
+    ("cyclic", [(
+        "i j k",
+        "DA i a b, DB j c d, DC k e f, TAB a d, TBC c f, TCA e b",
+        "DA i a b, DB j c d, DC k e f, TAB b c, TBC d e, TCA f a",
+    )]),
+]
+
+
 def check_triplet(t: HopfTriplet) -> dict[str, float]:
     """Residuals of the three skew pairings and the cyclic compatibility identity."""
     rep: dict[str, float] = {}
@@ -703,36 +535,15 @@ def check_triplet(t: HopfTriplet) -> dict[str, float]:
         sub = check_skew_pairing(tau, x, y)
         for k, v in sub.items():
             rep[f"{tag}.{k}"] = v
-    zero = ONE * 0
-    worst = 0.0
-    for i in range(t.A.dim):
-        aco = t.A.comult.get(i, {})
-        for j in range(t.B.dim):
-            bco = t.B.comult.get(j, {})
-            for k in range(t.C.dim):
-                cco = t.C.comult.get(k, {})
-                lhs = zero
-                rhs = zero
-                for (a1, a2), ca in aco.items():
-                    for (b1, b2), cb in bco.items():
-                        w1 = t.tau_AB.get((a1, b2))
-                        w1r = t.tau_AB.get((a2, b1))
-                        if w1 is None and w1r is None:
-                            continue
-                        for (c1, c2), cc in cco.items():
-                            f = ca * cb * cc
-                            if w1 is not None:
-                                w2 = t.tau_BC.get((b1, c2))
-                                w3 = t.tau_CA.get((c1, a2))
-                                if w2 is not None and w3 is not None:
-                                    lhs = lhs + f * w1 * w2 * w3
-                            if w1r is not None:
-                                w2r = t.tau_BC.get((b2, c1))
-                                w3r = t.tau_CA.get((c2, a1))
-                                if w2r is not None and w3r is not None:
-                                    rhs = rhs + f * w1r * w2r * w3r
-                worst = max(worst, _residual([lhs - rhs]))
-    rep["cyclic"] = worst
+    tensors = {
+        **_tensors(t.A, "A"),
+        **_tensors(t.B, "B"),
+        **_tensors(t.C, "C"),
+        "TAB": (t.tau_AB, (t.A.dim, t.B.dim)),
+        "TBC": (t.tau_BC, (t.B.dim, t.C.dim)),
+        "TCA": (t.tau_CA, (t.C.dim, t.A.dim)),
+    }
+    rep.update(_residuals(tensors, _CYCLIC))
     return rep
 
 
@@ -796,24 +607,22 @@ def compute_integral(h: HopfAlgebra) -> Vec:
     return ell
 
 
+# h l = eps(h) l and l h = eps(h) l; for weak algebras h l = eps_t(h) l and
+# l h = l eps_s(h), with eps_t and eps_s as in the weak antipode axioms
+_INTEGRAL = [
+    ("left_integral", [("i o", "M i l o, L l", "e i, L o")]),
+    ("right_integral", [("i o", "M l i o, L l", "e i, L o")]),
+]
+_WEAK_INTEGRAL = [
+    ("left_integral", [("i o", "M i l o, L l", "u t, D t p q, M p i k, e k, M q l o, L l")]),
+    ("right_integral", [("i o", "M l i o, L l", "u t, D t p q, M i q k, e k, L l, M l p o")]),
+]
+_ANTIPODE_FIXES = [("antipode_fixes", [("o", "L l, S l o", "L o")])]
+
+
 def check_integral(h: HopfAlgebra, ell: Vec) -> dict[str, float]:
-    worst_l = 0.0
-    worst_r = 0.0
-    for i in range(h.dim):
-        left = h.product({i: ONE}, ell)
-        right = h.product(ell, {i: ONE})
-        if h.weak:
-            target_l = h.product(h.target_map({i: ONE}), ell)
-            target_r = h.product(ell, h.source_map({i: ONE}))
-        else:
-            e = h.counit.get(i, ONE * 0)
-            target_l = _scale(ell, e)
-            target_r = target_l
-        worst_l = max(worst_l, _vec_residual(left, target_l))
-        worst_r = max(worst_r, _vec_residual(right, target_r))
-    rep = {"left_integral": worst_l, "right_integral": worst_r}
-    rep["antipode_fixes"] = _vec_residual(h.antipode_vec(ell), ell)
-    return rep
+    tensors = {**_tensors(h), "L": ({(i,): c for i, c in ell.items()}, (h.dim,))}
+    return _residuals(tensors, (_WEAK_INTEGRAL if h.weak else _INTEGRAL) + _ANTIPODE_FIXES)
 
 
 def canonical_dual_integral(h: HopfAlgebra, irreps: list[Rep]) -> Vec:
@@ -1070,6 +879,44 @@ def weak_simple_reps(mset: GSet, stabilizer_irreps: dict | None = None) -> list[
                         _acc(target, (row0 + r, col0 + s), cval)
             reps.append(Rep(f"O{m1},{m2};{psi.name}", dim, mats))
     return reps
+
+
+# ---------------------------------------------------------------------------
+# the float backend
+
+
+def _float_vec(v):
+    return {k: to_complex(x) for k, x in v.items()}
+
+
+def float_algebra(h: HopfAlgebra) -> HopfAlgebra:
+    """The same algebra with every structure constant as a complex number."""
+    return HopfAlgebra(
+        h.name,
+        h.basis,
+        {k: _float_vec(v) for k, v in h.mult.items()},
+        _float_vec(h.unit),
+        {i: {jk: to_complex(c) for jk, c in row.items()} for i, row in h.comult.items()},
+        _float_vec(h.counit),
+        {i: _float_vec(v) for i, v in h.antipode.items()},
+        h.weak,
+        h.dual_irreps,
+    )
+
+
+def float_triplet(t: HopfTriplet) -> HopfTriplet:
+    """The same triplet on the float backend: algebras, pairings and integrals as complex numbers."""
+    return HopfTriplet(
+        t.name + " (float)",
+        float_algebra(t.A),
+        float_algebra(t.B),
+        float_algebra(t.C),
+        {k: to_complex(v) for k, v in t.tau_AB.items()},
+        {k: to_complex(v) for k, v in t.tau_BC.items()},
+        {k: to_complex(v) for k, v in t.tau_CA.items()},
+        t.allow_weak,
+        None if t.default_integrals is None else {s: _float_vec(v) for s, v in t.default_integrals.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

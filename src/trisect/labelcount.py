@@ -229,10 +229,6 @@ def iter_region_labellings(e: EmbeddedDiagram, curve_labels: dict[str, int], cfg
 
     if all(per_comp):
         yield from combine(0, {})
-    elif not any(per_comp):
-        return
-    else:
-        return
 
 
 def count_admissible(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None = None) -> int:

@@ -28,8 +28,7 @@ def test_injected_perturbation_fails_named_criterion(monkeypatch):
     assert not ok and "fixture" in detail
 
 
-def test_run_all_subset_and_threads(monkeypatch):
-    monkeypatch.setenv("TRISECT_THREADS", "2")
+def test_run_all_subset():
     results = acceptance.run_all({10})
     assert len(results) == 1 and results[0].ok
     assert "criterion 10" in results[0].line()

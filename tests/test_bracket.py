@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from trisect import bracket, hopf, moves
@@ -121,6 +123,20 @@ def test_resource_cap():
     with pytest.raises(ResourceExceeded) as exc:
         trisection_bracket(cp2(), cfg)
     assert exc.value.cost > 3
+
+
+def test_float_backend_keeps_small_values():
+    # a genus-10 slide with every integral scaled by 1e-3: the bracket is about
+    # 4.3e-77, far below any fixed threshold for dropping small entries
+    d = cp2()
+    while d.genus < 10:
+        d = moves.stabilize(d)
+    d = moves.handle_slide(d, "b1", "b3", 0, 0, 1)
+    t = hopf.kashaev_triplet(5)
+    exact = trisection_bracket(d, BracketConfig(t, integral_scale=dict.fromkeys("ABC", Cyc.rational(Fraction(1, 1000)))))
+    approx = trisection_bracket(d, BracketConfig(hopf.float_triplet(t), integral_scale=dict.fromkeys("ABC", 1e-3)))
+    assert abs(exact.to_complex()) > 1e-78
+    assert abs(approx - exact.to_complex()) <= 1e-9 * abs(exact.to_complex())
 
 
 def test_missing_irreps_for_rep_backend():

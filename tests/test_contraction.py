@@ -1,0 +1,99 @@
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trisect.contraction import Node, contract_network
+from trisect.errors import ResourceExceeded
+from trisect.scalars import Cyc
+
+ONE = Cyc.rational(1)
+ZERO = Cyc.rational(0)
+VALUES = [Cyc.rational(q) for q in (-2, -1, 1, 3)] + [Cyc.zeta(3), ONE + Cyc.zeta(4)]
+
+
+def random_network(rng: random.Random, prefix: str) -> tuple[list[Node], dict[str, int]]:
+    """Up to three nodes and three wires; a wire sits on two nodes or on one (open)."""
+    count = rng.randint(1, 3)
+    node_wires: list[list[str]] = [[] for _ in range(count)]
+    dims = {}
+    for w in range(rng.randint(1, 3)):
+        name = f"{prefix}{w}"
+        dims[name] = rng.randint(1, 3)
+        owners = rng.sample(range(count), 2) if count > 1 and rng.random() < 0.6 else [rng.randrange(count)]
+        for k in owners:
+            node_wires[k].append(name)
+    nodes = []
+    for k, wires in enumerate(node_wires):
+        keys = itertools.product(*(range(dims[w]) for w in wires))
+        data = {key: rng.choice(VALUES) for key in keys if rng.random() < 0.7}
+        nodes.append(Node(f"{prefix}n{k}", tuple(wires), data))
+    return nodes, dims
+
+
+def brute_force(nodes: list[Node], dims: dict[str, int], open_wires: list[str]) -> dict:
+    """Sum of node products over every assignment of every wire."""
+    wires = sorted(dims)
+    out: dict = {}
+    for values in itertools.product(*(range(dims[w]) for w in wires)):
+        at = dict(zip(wires, values))
+        term = ONE
+        for n in nodes:
+            v = n.data.get(tuple(at[w] for w in n.wires))
+            if v is None:
+                break
+            term = term * v
+        else:
+            key = tuple(at[w] for w in open_wires)
+            out[key] = out.get(key, ZERO) + term
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_open_wire_contraction_matches_brute_force(seed):
+    rng = random.Random(seed)
+    # two networks on disjoint wires: at least two connected components
+    nodes_p, dims_p = random_network(rng, "p")
+    nodes_q, dims_q = random_network(rng, "q")
+    nodes, dims = nodes_p + nodes_q, {**dims_p, **dims_q}
+    ends = [w for n in nodes for w in n.wires]
+    open_wires = [w for w in sorted(dims) if ends.count(w) == 1]
+    rng.shuffle(open_wires)
+    want = brute_force(nodes, dims, open_wires)
+    got = contract_network(nodes, dims, open_wires=open_wires)
+    if open_wires:
+        assert got == want
+    else:
+        assert got == want.get((), ZERO)
+
+
+def test_open_wires_follow_the_requested_order():
+    m = Node("m", ("a", "b"), {(0, 1): ONE, (1, 0): Cyc.rational(2)})
+    v = Node("v", ("c",), {(1,): Cyc.rational(3)})
+    dims = {"a": 2, "b": 2, "c": 2}
+    assert contract_network([m, v], dims, open_wires=("a", "b", "c")) == {
+        (0, 1, 1): Cyc.rational(3), (1, 0, 1): Cyc.rational(6),
+    }
+    assert contract_network([m, v], dims, open_wires=("c", "b", "a")) == {
+        (1, 1, 0): Cyc.rational(3), (1, 0, 1): Cyc.rational(6),
+    }
+
+
+def test_unlisted_open_wire_is_rejected():
+    nodes = [Node("m", ("a", "b"), {(0, 0): ONE}), Node("v", ("a",), {(0,): ONE})]
+    with pytest.raises(AssertionError):
+        contract_network(nodes, {"a": 1, "b": 1})
+
+
+def test_cap_bounds_the_open_wires():
+    nodes = [Node("u", ("a",), {(0,): ONE}), Node("v", ("b",), {(0,): ONE})]
+    with pytest.raises(ResourceExceeded):
+        contract_network(nodes, {"a": 3, "b": 3}, cap=8, open_wires=("a", "b"))
+
+
+def test_float_values_are_never_dropped_for_being_small():
+    nodes = [Node("u", ("a",), {(0,): 1e-10 + 0j}), Node("v", ("a",), {(0,): 1e-10 + 0j})]
+    assert contract_network(nodes, {"a": 1}) == pytest.approx(1e-20)

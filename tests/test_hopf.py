@@ -4,10 +4,11 @@ import pytest
 
 from trisect import hopf
 from trisect.errors import MissingIrreps, NonSemisimple
-from trisect.groups import cyclic, symmetric
+from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc
 
 ONE = Cyc.rational(1)
+TWO = Cyc.rational(2)
 
 
 @pytest.mark.parametrize("g", [cyclic(2), cyclic(5), symmetric(3)])
@@ -17,11 +18,132 @@ def test_group_and_function_algebra_axioms(g):
         assert max(rep.values()) == 0.0, (h.name, rep)
 
 
+def _weak_action():
+    return coset_gset(product(cyclic(2), opposite(cyclic(2))), [3])  # |M| = 2
+
+
+def _weak_pair():
+    return hopf.weak_hopf_from_action(_weak_action())
+
+
+# (residual key, change): each change breaks an algebra so that the key reads
+# nonzero, in the checker's key order; the strong ones apply to C[Z/3], the
+# weak ones to either algebra of the |M| = 2 weak pair
+STRONG_BREAKS = [
+    ("associativity", lambda h: h.mult.update({(1, 1): {2: TWO}})),
+    ("unitality", lambda h: setattr(h, "unit", {1: ONE})),
+    ("coassociativity", lambda h: h.comult.update({1: {(1, 1): ONE, (2, 2): ONE}})),
+    ("counitality", lambda h: h.counit.update({1: TWO})),
+    ("comultiplicativity", lambda h: h.comult.update({1: {(1, 2): ONE}})),
+    ("unit_counit_compat", lambda h: h.counit.update({1: TWO})),
+    ("unit_counit_compat", lambda h: h.comult.update({0: {(0, 0): ONE, (1, 2): ONE}})),
+    ("unit_counit_compat", lambda h: h.counit.update({0: TWO})),
+    ("antipode", lambda h: h.antipode.update({1: {2: TWO}})),
+    ("antipode_involutive", lambda h: h.antipode.update({1: {1: ONE}})),
+]
+WEAK_BREAKS = [
+    ("associativity", lambda h: h.mult.update({min(h.mult): {0: TWO}})),
+    ("unitality", lambda h: h.mult.update({min(h.mult): {0: TWO}})),
+    ("coassociativity", lambda h: h.comult.update({5: {(b, a): c for (a, b), c in h.comult[5].items()}})),
+    ("counitality", lambda h: h.counit.update({min(h.counit): TWO})),
+    ("comultiplicativity", lambda h: h.mult.update({min(h.mult): {0: TWO}})),
+    ("weak_unit_coproduct", lambda h: h.unit.update({min(h.unit): TWO})),
+    ("weak_counit_product", lambda h: h.counit.update({min(h.counit): TWO})),
+    ("weak_antipode", lambda h: h.antipode.update({1: {1: ONE}})),
+]
+
+
+def _broken_axiom_reports():
+    """(key, check_hopf_axioms report) for every break."""
+    for key, change in STRONG_BREAKS:
+        h = hopf.group_algebra(cyclic(3))
+        change(h)
+        yield key, hopf.check_hopf_axioms(h)
+    for pick in (0, 1):
+        for key, change in WEAK_BREAKS:
+            h = _weak_pair()[pick]
+            change(h)
+            yield key, hopf.check_hopf_axioms(h)
+
+
+def _broken_pairing_reports():
+    """(keys that must read nonzero, check_skew_pairing report)."""
+    t = hopf.kashaev_triplet(3)
+    bad = dict(t.tau_CA)
+    bad[(1, 2)] = bad[(1, 2)] + 1
+    yield ["mult_left", "mult_right", "counit_left", "counit_right", "convolution_inverse"], \
+        hopf.check_skew_pairing(bad, t.C, t.A)
+
+
+def _broken_triplet_reports():
+    """(keys that must read nonzero, check_triplet report); a pairing gains 1 at one entry."""
+    for make, slot, key in (
+        (lambda: hopf.kashaev_triplet(3), "tau_AB", (1, 2)),
+        (lambda: hopf.kashaev_triplet(3), "tau_BC", (1, 2)),
+        (lambda: hopf.kashaev_triplet(3), "tau_CA", (1, 2)),
+        # the Kashaev breaks leave the cyclic identity and one counit identity intact
+        (lambda: hopf.weak_triplet(cyclic(2), cyclic(2), _weak_action()), "tau_AB", None),
+        (lambda: hopf.weak_triplet(cyclic(2), cyclic(2), _weak_action()), "tau_BC", None),
+        (lambda: hopf.weak_triplet(cyclic(2), cyclic(2), _weak_action()), "tau_CA", None),
+    ):
+        t = make()
+        tau = dict(getattr(t, slot))
+        key = key or min(tau)
+        tau[key] = tau.get(key, ONE * 0) + 1
+        setattr(t, slot, tau)
+        tag = slot[len("tau_"):]
+        yield [f"{tag}.mult_left", f"{tag}.mult_right"], hopf.check_triplet(t)
+
+
+def _broken_integral_reports():
+    """(keys that must read nonzero, check_integral report)."""
+    h = hopf.group_algebra(symmetric(3))
+    ell = hopf.compute_integral(h)
+    ell[3] = TWO
+    yield ["left_integral", "right_integral", "antipode_fixes"], hopf.check_integral(h, ell)
+    cross, vec = _weak_pair()
+    lam, ell = hopf.weak_integrals_from_action(_weak_action())
+    for alg, integral in ((cross, lam), (vec, ell)):
+        bad = dict(integral)
+        bad[min(bad)] = TWO
+        yield ["left_integral", "right_integral"], hopf.check_integral(alg, bad)
+        alg.antipode[min(integral)] = {next(i for i in range(alg.dim) if i not in integral): ONE}
+        yield ["antipode_fixes"], hopf.check_integral(alg, integral)
+
+
+def _nonzero_keys(reports) -> set[str]:
+    return {key for _, rep in reports for key, v in rep.items() if v > 0}
+
+
 def test_perturbed_tensor_reports_nonzero_residual():
-    h = hopf.group_algebra(cyclic(3))
-    h.mult[(1, 1)] = {2: Cyc.rational(2)}  # break associativity/antipode
-    rep = hopf.check_hopf_axioms(h)
-    assert max(rep.values()) > 0
+    # every residual key must read nonzero for some broken input: a network that
+    # compares a tensor with itself would pass for ever
+    for breaks, h in ((STRONG_BREAKS, hopf.group_algebra(cyclic(3))), (WEAK_BREAKS, _weak_pair()[0])):
+        assert list(dict.fromkeys(key for key, _ in breaks)) == list(hopf.check_hopf_axioms(h))
+    for key, rep in _broken_axiom_reports():
+        assert rep[key] > 0, (key, rep)
+
+
+def test_every_network_pair_reads_nonzero_on_a_broken_input(monkeypatch):
+    # a key's residual is the largest over its network pairs, so one pair that
+    # compares a tensor with itself would hide behind the others
+    seen = set()
+    residual = hopf._residual
+
+    def record(tensors, *pair):
+        value = residual(tensors, *pair)
+        if value > 0:
+            seen.add(pair)
+        return value
+
+    monkeypatch.setattr(hopf, "_residual", record)
+    for reports in (_broken_axiom_reports(), _broken_pairing_reports(),
+                    _broken_triplet_reports(), _broken_integral_reports()):
+        list(reports)
+    tables = (hopf._AXIOMS, hopf._STRONG_AXIOMS, hopf._WEAK_AXIOMS, hopf._PAIRING, hopf._CONVOLUTION,
+              hopf._CYCLIC, hopf._INTEGRAL, hopf._WEAK_INTEGRAL, hopf._ANTIPODE_FIXES)
+    missing = [(key, pair) for table in tables for key, pairs in table for pair in pairs if pair not in seen]
+    assert not missing
 
 
 def test_dual_of_group_algebra_is_function_algebra():
@@ -119,11 +241,22 @@ def test_group_triplet_bc_pairing_trivial():
 
 
 def test_perturbed_pairing_fails_checks():
-    t = hopf.kashaev_triplet(3)
-    bad = dict(t.tau_CA)
-    bad[(1, 2)] = bad[(1, 2)] + 1
-    rep = hopf.check_skew_pairing(bad, t.C, t.A)
-    assert max(rep.values()) > 0
+    for keys, rep in _broken_pairing_reports():
+        assert list(rep) == keys
+        assert min(rep.values()) > 0, rep
+
+
+def test_perturbed_triplet_fails_checks():
+    reports = list(_broken_triplet_reports())
+    for keys, rep in reports:
+        assert all(rep[key] > 0 for key in keys), (keys, rep)
+    assert _nonzero_keys(reports) == set(hopf.check_triplet(hopf.kashaev_triplet(3)))
+
+
+def test_perturbed_integral_fails_checks():
+    for keys, rep in _broken_integral_reports():
+        assert list(rep) == ["left_integral", "right_integral", "antipode_fixes"]
+        assert all(rep[key] > 0 for key in keys), (keys, rep)
 
 
 def test_trivial_double_is_tensor_product():
