@@ -133,7 +133,8 @@ def test_float_backend_keeps_small_values():
         d = moves.stabilize(d)
     d = moves.handle_slide(d, "b1", "b3", 0, 0, 1)
     t = hopf.kashaev_triplet(5)
-    exact = trisection_bracket(d, BracketConfig(t, integral_scale=dict.fromkeys("ABC", Cyc.rational(Fraction(1, 1000)))))
+    milli = Cyc.rational(Fraction(1, 1000))
+    exact = trisection_bracket(d, BracketConfig(t, integral_scale=dict.fromkeys("ABC", milli)))
     approx = trisection_bracket(d, BracketConfig(hopf.float_triplet(t), integral_scale=dict.fromkeys("ABC", 1e-3)))
     assert abs(exact.to_complex()) > 1e-78
     assert abs(approx - exact.to_complex()) <= 1e-9 * abs(exact.to_complex())
