@@ -99,7 +99,7 @@ def _components(nodes: list[Node]) -> list[list[Node]]:
     return comps
 
 
-def contract_network(nodes: list[Node], dims: dict[str, int], cap: int = 10_000_000,
+def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_000_000,
                      open_wires: Sequence[str] = ()):
     """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
 
@@ -109,9 +109,12 @@ def contract_network(nodes: list[Node], dims: dict[str, int], cap: int = 10_000_
     size = _dense_size(open_wires, dims)
     if size > cap:
         raise ResourceExceeded(size, cap)
-    out = Node("1", (), {(): ONE})
+    out = None
     for comp in _components(nodes):
-        out = _contract_pair(out, _contract_component(comp, dims, cap), dims)
+        part = _contract_component(comp, dims, cap)
+        out = part if out is None else _contract_pair(out, part, dims)
+    if out is None:
+        out = Node("1", (), {(): ONE})
     if sorted(out.wires) != sorted(open_wires):
         raise AssertionError(f"open wires {out.wires}, expected {tuple(open_wires)}")
     if not open_wires:

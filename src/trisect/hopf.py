@@ -15,6 +15,7 @@ residual reported for an identity is the largest |lhs - rhs| over all indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,13 +187,29 @@ def _network(tensors: Tensors, spec: str) -> tuple[list[Node], dict[str, int]]:
 
 
 def _slices(nodes: list[Node], wire: str) -> dict[int, list[Node]]:
-    """The network once per basis element on ``wire``, the node carrying it cut down to that element."""
+    """The network once per basis element on ``wire``, with that wire cut out.
+
+    The node carrying ``wire`` keeps only its entries at that basis element,
+    and drops the wire, so the greedy order sees the slice's true dense size.
+    """
     k = next(k for k, n in enumerate(nodes) if wire in n.wires)
     node, pos = nodes[k], nodes[k].wires.index(wire)
+    wires = node.wires[:pos] + node.wires[pos + 1:]
     parts: dict[int, dict] = {}
     for key, val in node.data.items():
-        parts.setdefault(key[pos], {})[key] = val
-    return {i: nodes[:k] + [Node(node.name, node.wires, part)] + nodes[k + 1:] for i, part in parts.items()}
+        parts.setdefault(key[pos], {})[key[:pos] + key[pos + 1:]] = val
+    return {i: nodes[:k] + [Node(node.name, wires, part)] + nodes[k + 1:] for i, part in parts.items()}
+
+
+def _tensor(nodes: list[Node] | None, dims: dict[str, int], wires: list[str]) -> dict:
+    """The network contracted over ``wires``; ``None``, a slice with no entries, is zero.
+
+    The checks are polynomial in the dimension, so no cap applies to them.
+    """
+    if nodes is None:
+        return {}
+    t = contract_network(nodes, dims, cap=math.inf, open_wires=wires)
+    return t if wires else {(): t}
 
 
 def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
@@ -202,16 +219,12 @@ def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
     time, so neither is ever built as a whole tensor over all open wires.
     """
     sides = [_network(tensors, spec) for spec in (lhs, rhs)]
-    wires = out.split()
-    cuts = [_slices(nodes, wires[0]) if wires else {0: nodes} for nodes, _ in sides]
+    cut, *rest = out.split() or [None]
+    cuts = [_slices(nodes, cut) if cut else {0: nodes} for nodes, _ in sides]
     zero = ONE * 0
     worst = 0.0
     for i in cuts[0].keys() | cuts[1].keys():
-        # a side with no entries at this basis element is zero there
-        a, b = (contract_network(cut[i], dims, open_wires=wires) if i in cut else {}
-                for cut, (_, dims) in zip(cuts, sides))
-        if not wires:
-            a, b = {(): a}, {(): b}
+        a, b = (_tensor(part.get(i), dims, rest) for part, (_, dims) in zip(cuts, sides))
         for key in a.keys() | b.keys():
             diff = a.get(key, zero) - b.get(key, zero)
             if not is_zero(diff, tol=0.0):

@@ -18,6 +18,12 @@ def test_group_and_function_algebra_axioms(g):
         assert max(rep.values()) == 0.0, (h.name, rep)
 
 
+def test_axioms_of_a_large_algebra_are_not_capped():
+    # associativity has four open wires: 64^4 exceeds the contraction's default cap
+    rep = hopf.check_hopf_axioms(hopf.group_algebra(cyclic(64)))
+    assert list(rep.values()) == [0.0] * 8, rep
+
+
 def _weak_action():
     return coset_gset(product(cyclic(2), opposite(cyclic(2))), [3])  # |M| = 2
 
