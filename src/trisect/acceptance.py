@@ -285,7 +285,12 @@ def criterion_6():
 
 def criterion_7():
     """Element and representation backends agree; rescaling scales by z^g."""
-    diagrams = {"s4": standard_s4(), "cp2": cp2(), "stab(cp2)": moves.stabilize(cp2())}
+    slid = cp2()
+    while slid.genus < 7:
+        slid = moves.stabilize(slid)
+    # sliding one handle's blue curve over another's merges two components
+    slid = moves.handle_slide(slid, "b1", "b3", 0, 0, 1)
+    diagrams = {"s4": standard_s4(), "cp2": cp2(), "stab(cp2)": moves.stabilize(cp2()), "slide(genus 7)": slid}
     n = 0
     for tname, t in _move_triplets().items():
         for dname, d in diagrams.items():

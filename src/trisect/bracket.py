@@ -1,32 +1,30 @@
 """Diagram evaluation against a Hopf triplet, two independent ways.
 
-The element backend expands each curve's integral by iterated coproducts and
-contracts crossings with the pairing matrices (or their convolution inverses
-at negative crossings).  The representation backend sums over labellings of
-curves by irreducibles of the dual algebras, tracing the ordered crossing
-operators.  With the default integrals (counit dim on each algebra) the two
-agree exactly; rescaling an integral by z scales either bracket by z^genus.
+Both backends contract one tensor network: a node per crossing, holding the
+pairing matrix (its convolution inverse at a negative crossing), and the
+nodes of each curve.  The element backend expands each curve's integral by
+iterated coproducts.  The representation backend traces each curve's ordered
+crossing operators in the sum of the irreducibles of the dual algebra, block
+rho weighted by dim(rho); the network is linear in each curve's nodes, so
+this is the sum over all labellings of curves by irreducibles.  With the
+default integrals (counit dim on each algebra) the two agree exactly;
+rescaling an integral by z scales either bracket by z^genus.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .contraction import Node, contract_network
 from .diagram import BLUE, GREEN, PAIR_FIRST, RED, TrisectionDiagram, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
-from .hopf import HopfTriplet, Rep, compute_integral, convolution_inverse
+from .hopf import HopfTriplet, compute_integral, convolution_inverse
 from .scalars import Cyc, is_zero, to_complex
 
 ONE = Cyc.rational(1)
 
 COLOR_SLOT = {RED: "A", BLUE: "B", GREEN: "C"}
-PAIR_OF = {
-    frozenset((RED, BLUE)): ("A", "B"),
-    frozenset((BLUE, GREEN)): ("B", "C"),
-    frozenset((GREEN, RED)): ("C", "A"),
-}
 
 
 @dataclass
@@ -34,7 +32,6 @@ class BracketConfig:
     triplet: HopfTriplet
     integrals: dict[str, dict] | None = None
     evaluator: str = "element"  # "element" | "rep"
-    rep_sets: dict[str, list[Rep]] | None = None
     contraction_cap: int = 10_000_000
     integral_scale: dict[str, object] = field(default_factory=dict)
 
@@ -52,20 +49,6 @@ class BracketConfig:
             vec = ints[slot]
             z = self.integral_scale.get(slot)
             out[slot] = {k: z * v for k, v in vec.items()} if z is not None else dict(vec)
-        return out
-
-    def resolved_rep_sets(self) -> dict[str, list[Rep]]:
-        out = {}
-        for slot in "ABC":
-            if self.rep_sets and slot in self.rep_sets:
-                out[slot] = self.rep_sets[slot]
-            else:
-                alg = self.triplet.algebra(slot)
-                if alg.dual_irreps is None:
-                    raise MissingIrreps(
-                        f"no representations known for the dual of {alg.name}; supply rep_sets"
-                    )
-                out[slot] = alg.dual_irreps
         return out
 
 
@@ -96,49 +79,20 @@ def trisection_bracket(d: TrisectionDiagram, cfg: BracketConfig):
     rep = validate(d)
     if not rep.ok:
         raise TrisectError(f"invalid diagram: {rep}")
-    if cfg.evaluator == "element":
-        return _element_bracket(d, cfg)
-    if cfg.evaluator == "rep":
-        return _rep_bracket(d, cfg)
-    raise TrisectError(f"unknown evaluator {cfg.evaluator!r}")
-
-
-def _element_bracket(d: TrisectionDiagram, cfg: BracketConfig):
-    t = cfg.triplet
-    integrals = cfg.resolved_integrals()
+    if cfg.evaluator not in _CURVE_NODES:
+        raise TrisectError(f"unknown evaluator {cfg.evaluator!r}")
+    # curve_nodes(curve, nodes, dims) appends the curve's nodes, which end on
+    # its slot wires s:<curve>:<visit>, with the dimensions of the wires it
+    # adds, and returns the scalar factor the curve contributes besides them
+    curve_nodes = _CURVE_NODES[cfg.evaluator](cfg)
     mats = _crossing_matrices(cfg)
     nodes: list[Node] = []
     dims: dict[str, int] = {}
     total = ONE
     for curve in d.curves:
-        slot = COLOR_SLOT[curve.color]
-        alg = t.algebra(slot)
-        ell = integrals[slot]
-        n = len(curve.visits)
-        if n == 0:
-            total = total * alg.counit_of(ell)
-            continue
-        slot_wires = [f"s:{curve.id}:{i}" for i in range(n)]
-        for w in slot_wires:
-            dims[w] = alg.dim
-        if n == 1:
-            nodes.append(Node(f"l:{curve.id}", (slot_wires[0],), {(i,): c for i, c in ell.items()}))
-            continue
-        # expand the integral through a chain of coproduct nodes; wire k feeds
-        # slot k and passes the remainder on, the last remainder is slot n-1
-        prev = f"t:{curve.id}:in"
-        dims[prev] = alg.dim
-        nodes.append(Node(f"l:{curve.id}", (prev,), {(i,): c for i, c in ell.items()}))
-        delta = {
-            (i, j, k): c
-            for i, row in alg.comult.items()
-            for (j, k), c in row.items()
-        }
-        for k in range(n - 1):
-            out_wire = slot_wires[-1] if k == n - 2 else f"t:{curve.id}:{k}"
-            dims[out_wire] = alg.dim
-            nodes.append(Node(f"d:{curve.id}:{k}", (prev, slot_wires[k], out_wire), dict(delta)))
-            prev = out_wire
+        alg_dim = cfg.triplet.algebra(COLOR_SLOT[curve.color]).dim
+        dims.update((f"s:{curve.id}:{i}", alg_dim) for i in range(len(curve.visits)))
+        total = total * curve_nodes(curve, nodes, dims)
     for x in d.crossings:
         (sl1, w1), (sl2, w2) = _crossing_slot_wires(d, x)
         tau = mats[(sl1, sl2, x.sign)]
@@ -148,86 +102,77 @@ def _element_bracket(d: TrisectionDiagram, cfg: BracketConfig):
     return total * contract_network(nodes, dims, cfg.contraction_cap)
 
 
-def _rep_bracket(d: TrisectionDiagram, cfg: BracketConfig):
+def _element_curves(cfg: BracketConfig):
+    """Each curve's integral, expanded onto its visits by a chain of coproduct nodes."""
+    t = cfg.triplet
+    integrals = cfg.resolved_integrals()
+    deltas = {
+        slot: {(i, j, k): c for i, row in t.algebra(slot).comult.items() for (j, k), c in row.items()}
+        for slot in "ABC"
+    }
+
+    def curve_nodes(curve, nodes, dims):
+        slot = COLOR_SLOT[curve.color]
+        alg, ell, n = t.algebra(slot), integrals[slot], len(curve.visits)
+        if n == 0:
+            return alg.counit_of(ell)
+        # wire k of the chain feeds slot k and passes the remainder on; the
+        # last remainder is slot n-1, and a one-visit integral sits on slot 0
+        prev = f"s:{curve.id}:0" if n == 1 else f"t:{curve.id}:in"
+        dims[prev] = alg.dim
+        nodes.append(Node(f"l:{curve.id}", (prev,), {(i,): c for i, c in ell.items()}))
+        for k in range(n - 1):
+            out = f"s:{curve.id}:{n - 1}" if k == n - 2 else f"t:{curve.id}:{k}"
+            dims[out] = alg.dim
+            nodes.append(Node(f"d:{curve.id}:{k}", (prev, f"s:{curve.id}:{k}", out), deltas[slot]))
+            prev = out
+        return ONE
+
+    return curve_nodes
+
+
+def _rep_curves(cfg: BracketConfig):
+    """Each curve's trace of its ordered visits in the sum of the dual irreducibles.
+
+    Basis element x acts block-diagonally on the direct sum of the
+    irreducibles rho of the dual algebra.  A curve with n visits is a ring of
+    n operator nodes closed by a diagonal node that weights block rho by
+    dim(rho): sum_rho dim(rho) tr(rho(x_0) ... rho(x_{n-1})).  A curve with no
+    visits reads sum_rho dim(rho)^2.  Every curve carries its slot's integral
+    scale.
+    """
     t = cfg.triplet
     if any(t.algebra(s).weak for s in "ABC"):
         raise TrisectError("the representation backend supports strong triplets only")
-    rep_sets = cfg.resolved_rep_sets()
-    mats = _crossing_matrices(cfg)
-    total = ONE
-    for comp in d.components():
-        total = total * _rep_component(d, comp, cfg, rep_sets, mats)
-    return total
+    modules = {}
+    for slot in "ABC":
+        irreps = t.algebra(slot).dual_irreps
+        if irreps is None:
+            raise MissingIrreps(f"no representations known for the dual of {t.algebra(slot).name}")
+        ops, weight, size = {}, {}, 0
+        for r in irreps:
+            ops.update({(x, size + a, size + b): c for x, m in enumerate(r.mats) for (a, b), c in m.items()})
+            weight.update({(a, a): Cyc.rational(r.dim) for a in range(size, size + r.dim)})
+            size += r.dim
+        modules[slot] = (ops, weight, size, sum(r.dim * r.dim for r in irreps))
 
-
-def _rep_component(d, comp, cfg, rep_sets, mats):
-    import itertools
-
-    t = cfg.triplet
-    curves = [d.curve(cid) for cid in comp]
-    choices = [range(len(rep_sets[COLOR_SLOT[c.color]])) for c in curves]
-    scale = ONE
-    for c in curves:
-        z = cfg.integral_scale.get(COLOR_SLOT[c.color])
-        if z is not None:
-            scale = scale * z
-    acc = None
-    for pick in itertools.product(*choices):
-        term = _rep_labelling_value(d, curves, pick, cfg, rep_sets, mats)
-        acc = term if acc is None else acc + term
-    acc = ONE * 0 if acc is None else acc
-    return scale * acc
-
-
-def _rep_labelling_value(d, curves, pick, cfg, rep_sets, mats):
-    nodes: list[Node] = []
-    dims: dict[str, int] = {}
-    weight = ONE
-    for curve, ridx in zip(curves, pick):
+    def curve_nodes(curve, nodes, dims):
         slot = COLOR_SLOT[curve.color]
-        rep = rep_sets[slot][ridx]
-        weight = weight * rep.dim
-        n = len(curve.visits)
-        alg_dim = cfg.triplet.algebra(slot).dim
+        ops, weight, size, dim_squares = modules[slot]
+        z, n = cfg.integral_scale.get(slot, ONE), len(curve.visits)
         if n == 0:
-            # identity endomorphism: dim(V) from the trace
-            weight = weight * rep.dim
-            continue
-        if n == 1:
-            w = f"s:{curve.id}:0"
-            dims[w] = alg_dim
-            data = {}
-            for x in range(alg_dim):
-                tr = None
-                for r in range(rep.dim):
-                    c = rep.mats[x].get((r, r))
-                    if c is not None:
-                        tr = c if tr is None else tr + c
-                if tr is not None and not is_zero(tr):
-                    data[(x,)] = tr
-            nodes.append(Node(f"r:{curve.id}", (w,), data))
-            continue
+            return z * dim_squares
+        ring = [f"r:{curve.id}:{k}" for k in range(n + 1)]
+        dims.update((w, size) for w in ring)
         for k in range(n):
-            w = f"s:{curve.id}:{k}"
-            dims[w] = alg_dim
-            rw_in = f"r:{curve.id}:{k}"
-            rw_out = f"r:{curve.id}:{(k + 1) % n}"
-            dims[rw_in] = rep.dim
-            dims[rw_out] = rep.dim
-            data = {}
-            for x in range(alg_dim):
-                for (a, b), c in rep.mats[x].items():
-                    data[(x, a, b)] = c
-            nodes.append(Node(f"o:{curve.id}:{k}", (w, rw_in, rw_out), data))
-    for x in d.crossings:
-        if not any(x.id in c.visits for c in curves):
-            continue
-        (sl1, w1), (sl2, w2) = _crossing_slot_wires(d, x)
-        tau = mats[(sl1, sl2, x.sign)]
-        nodes.append(Node(f"x:{x.id}", (w1, w2), {(i, j): c for (i, j), c in tau.items()}))
-    if not nodes:
-        return weight
-    return weight * contract_network(nodes, dims, cfg.contraction_cap)
+            nodes.append(Node(f"o:{curve.id}:{k}", (f"s:{curve.id}:{k}", ring[k], ring[k + 1]), ops))
+        nodes.append(Node(f"w:{curve.id}", (ring[n], ring[0]), weight))
+        return z
+
+    return curve_nodes
+
+
+_CURVE_NODES = {"element": _element_curves, "rep": _rep_curves}
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +298,8 @@ def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram,
 
 def cross_check(d: TrisectionDiagram, cfg: BracketConfig, tol: float = 1e-9) -> CheckReport:
     """Element vs representation backend under the same normalization."""
-    elem_cfg = BracketConfig(
-        cfg.triplet, cfg.integrals, "element", cfg.rep_sets, cfg.contraction_cap, cfg.integral_scale
-    )
-    rep_cfg = BracketConfig(
-        cfg.triplet, cfg.integrals, "rep", cfg.rep_sets, cfg.contraction_cap, cfg.integral_scale
-    )
-    be = trisection_bracket(d, elem_cfg)
-    br = trisection_bracket(d, rep_cfg)
+    be = trisection_bracket(d, replace(cfg, evaluator="element"))
+    br = trisection_bracket(d, replace(cfg, evaluator="rep"))
     ok = _eq_scalar(be, br, tol)
     details = {"element": str(be), "rep": str(br)}
     if not ok and not is_zero(br):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import DiagramParseError, TrisectError
 
@@ -49,25 +50,34 @@ class TrisectionDiagram:
     crossings: tuple[Crossing, ...]
     declared_k: int | None = None
 
+    # the instance is frozen, so each index is built once, on first lookup;
+    # with duplicate ids (an invalid diagram) the first one wins, as in a scan
+    @cached_property
+    def _curve_index(self) -> dict[str, Curve]:
+        return {c.id: c for c in reversed(self.curves)}
+
+    @cached_property
+    def _crossing_index(self) -> dict[str, Crossing]:
+        return {x.id: x for x in reversed(self.crossings)}
+
     def curve(self, cid: str) -> Curve:
-        for c in self.curves:
-            if c.id == cid:
-                return c
-        raise TrisectError(f"no curve {cid!r}")
+        c = self._curve_index.get(cid)
+        if c is None:
+            raise TrisectError(f"no curve {cid!r}")
+        return c
 
     def crossing(self, xid: str) -> Crossing:
-        for x in self.crossings:
-            if x.id == xid:
-                return x
-        raise TrisectError(f"no crossing {xid!r}")
+        x = self._crossing_index.get(xid)
+        if x is None:
+            raise TrisectError(f"no crossing {xid!r}")
+        return x
 
     def has_curve(self, cid: str) -> bool:
-        return any(c.id == cid for c in self.curves)
+        return cid in self._curve_index
 
     def end_on(self, xid: str, cid: str) -> tuple[str, int]:
         """The (partner curve, partner index) of crossing xid seen from curve cid."""
-        x = self.crossing(xid)
-        (c1, i1), (c2, i2) = x.ends
+        (c1, i1), (c2, i2) = self.crossing(xid).ends
         if c1 == cid:
             return c2, i2
         if c2 == cid:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import TrisectError
 from .scalars import Cyc
@@ -39,11 +40,15 @@ class Group:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
+    @cached_property
+    def _inverses(self) -> tuple[int | None, ...]:
+        return tuple(next((j for j, k in enumerate(row) if k == 0), None) for row in self.table)
+
     def inverse(self, i: int) -> int:
-        for j in range(self.order):
-            if self.table[i][j] == 0:
-                return j
-        raise TrisectError(f"group {self.name}: {self.labels[i]} has no inverse")
+        j = self._inverses[i]
+        if j is None:
+            raise TrisectError(f"group {self.name}: {self.labels[i]} has no inverse")
+        return j
 
     def element_order(self, i: int) -> int:
         k, g = 1, i

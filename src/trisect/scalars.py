@@ -17,6 +17,7 @@ Rat = Fraction
 
 _cyclo_cache: dict[int, list[Fraction]] = {}
 _reduce_cache: dict[int, list[tuple[Fraction, ...]]] = {}
+_trace_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -67,6 +68,20 @@ def _reduction_rows(n: int) -> list[tuple[Fraction, ...]]:
         cur = nxt
     _reduce_cache[n] = rows
     return rows
+
+
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Entry k: the trace of z^k over Q(z), divided by the degree.
+
+    The trace is the sum of the conjugates z^(jk), gcd(j, n) = 1; it is
+    rational, so it is the first coordinate of their sum.
+    """
+    if n not in _trace_cache:
+        rows = _reduction_rows(n)
+        units = [j for j in range(n) if gcd(j, n) == 1]
+        d = len(rows[0])
+        _trace_cache[n] = tuple(sum(rows[j * k % n][0] for j in units) / len(units) for k in range(d))
+    return _trace_cache[n]
 
 
 class Cyc:
@@ -249,9 +264,10 @@ class Cyc:
         return a.coords == b.coords
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.coords[0])
-        return hash((self.level, self.coords))
+        # the trace divided by the degree does not change when a value is
+        # promoted to a higher level, so equal values hash equal; on a
+        # rational it is the rational itself, as ``== q`` requires
+        return hash(sum(c * w for c, w in zip(self.coords, _trace_weights(self.level)) if c))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

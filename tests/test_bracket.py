@@ -1,9 +1,16 @@
+import dataclasses
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trisect import bracket, hopf, moves
 from trisect.bracket import BracketConfig, cross_check, invariant, trisection_bracket
+from trisect.contraction import Node, contract_network
 from trisect.diagram import Crossing, Curve, TrisectionDiagram, connected_sum, cp2, standard_s4
 from trisect.errors import MissingIrreps, ResourceExceeded, StabilizationObstruction, TrisectError
 from trisect.groups import cyclic, symmetric
@@ -165,3 +172,119 @@ def test_weak_triplet_bracket_counts_labellings_on_connected_patterns():
     m = coset_gset(k, [3])
     t = hopf.weak_triplet(c, b, m)
     assert trisection_bracket(cp2(), BracketConfig(t)) == Cyc.rational(m.size)
+
+
+# ---------------------------------------------------------------------------
+# the representation backend against a sum over labellings
+
+
+def _rep_bracket_by_labellings(d, cfg, cap=4096):
+    """Sum over every labelling of each component's curves by dual irreducibles.
+
+    The slow path the one-network representation backend replaces: one
+    contraction per labelling, weighted by dim(rho) for every curve and by
+    dim(rho) once more for a curve with no visits, as the trace of the
+    identity.  It raises ResourceExceeded when a component has more than
+    ``cap`` labellings.
+    """
+    t = cfg.triplet
+    mats = bracket._crossing_matrices(cfg)
+    total = ONE
+    for comp in d.components():
+        curves = [d.curve(cid) for cid in comp]
+        choices = [t.algebra(bracket.COLOR_SLOT[c.color]).dual_irreps for c in curves]
+        count = math.prod(len(reps) for reps in choices)
+        if count > cap:
+            raise ResourceExceeded(count, cap)
+        acc = ONE * 0
+        for pick in itertools.product(*choices):
+            weight, nodes, dims = ONE, [], {}
+            for curve, rho in zip(curves, pick):
+                slot = bracket.COLOR_SLOT[curve.color]
+                weight = weight * cfg.integral_scale.get(slot, ONE) * rho.dim
+                n = len(curve.visits)
+                if n == 0:
+                    weight = weight * rho.dim
+                    continue
+                wires = [f"s:{curve.id}:{k}" for k in range(n)]
+                dims.update(dict.fromkeys(wires, t.algebra(slot).dim))
+                if n == 1:
+                    traces = {(x,): sum((m.get((a, a), ONE * 0) for a in range(rho.dim)), ONE * 0)
+                              for x, m in enumerate(rho.mats)}
+                    nodes.append(Node(f"r:{curve.id}", (wires[0],), traces))
+                    continue
+                ring = [f"r:{curve.id}:{k}" for k in range(n)]
+                dims.update(dict.fromkeys(ring, rho.dim))
+                data = {(x, a, b): c for x, m in enumerate(rho.mats) for (a, b), c in m.items()}
+                for k in range(n):
+                    nodes.append(Node(f"o:{curve.id}:{k}", (wires[k], ring[k], ring[(k + 1) % n]), data))
+            for x in d.crossings:
+                if x.ends[0][0] in comp:
+                    (sl1, w1), (sl2, w2) = bracket._crossing_slot_wires(d, x)
+                    nodes.append(Node(f"x:{x.id}", (w1, w2), mats[(sl1, sl2, x.sign)]))
+            acc = acc + weight * (contract_network(nodes, dims) if nodes else ONE)
+        total = total * acc
+    return total
+
+
+def _with_a_block_of_dimension_two(t):
+    """The triplet with A's first two dual characters replaced by one 2x2 block.
+
+    rho(x) = [[chi0(x), 1], [x, chi1(x)]] is no representation, so the
+    bracket is no longer the element bracket; but both rep paths sum
+    dim(rho) tr(rho(x_0) ... rho(x_{n-1})) over whatever matrices the algebra
+    lists, and these do not commute, so the order of the visits matters.
+    """
+    chi0, chi1, *rest = t.A.dual_irreps
+    mats = []
+    for x, (m0, m1) in enumerate(zip(chi0.mats, chi1.mats)):
+        entries = {
+            (0, 0): m0.get((0, 0), ONE * 0), (0, 1): ONE,
+            (1, 0): Cyc.rational(x), (1, 1): m1.get((0, 0), ONE * 0),
+        }
+        mats.append({k: v for k, v in entries.items() if not v.is_zero()})
+    block = hopf.Rep("rho2", 2, mats)
+    return dataclasses.replace(t, A=dataclasses.replace(t.A, dual_irreps=[block, *rest]))
+
+
+_EMPTY = TrisectionDiagram(
+    1, "closed", (Curve("r", "red", ()), Curve("b", "blue", ()), Curve("g", "green", ())), ()
+)
+_K2, _K3 = hopf.kashaev_triplet(2), hopf.kashaev_triplet(3)
+_GROUP = hopf.group_triplet(cyclic(2), cyclic(3))
+# (base diagram, triplet): cp2 has two-visit curves, s4 one-visit curves and
+# three components, and _EMPTY curves with no visits; the pairs keep every
+# component at no more than 4096 labellings, whatever the moves merge
+_CASES = (
+    (cp2(), _K2), (cp2(), _K3), (cp2(), _GROUP),
+    (standard_s4(), _K2), (connected_sum(cp2(), standard_s4()), _K2),
+    (connected_sum(cp2(), _EMPTY), _K3), (_EMPTY, _GROUP),
+)
+_SCALES = ({}, {"B": Cyc.rational(Fraction(3, 2))}, {"A": ONE + Cyc.zeta(3), "C": Cyc.rational(2)})
+
+
+@settings(max_examples=40, deadline=None)
+# cp2 under kashaev:n=3 after one move, with a red curve of four visits: a
+# ring that multiplied its operators in the reverse order reads differently
+@example(1, True, {}, 4, 1)
+@given(
+    st.sampled_from(range(len(_CASES))),
+    st.booleans(),
+    st.sampled_from(_SCALES),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+)
+def test_rep_backend_matches_the_sum_over_labellings(case, block, scale, seed, steps):
+    d, t = _CASES[case]
+    rng = random.Random(seed)
+    for _ in range(steps):
+        _, d = moves.random_move(d, rng, max_visits=3)
+    cfg = BracketConfig(t, evaluator="rep", integral_scale=scale)
+    got = trisection_bracket(d, cfg)
+    if block:
+        # a 2x2 block: the one network against the enumeration only
+        cfg = BracketConfig(_with_a_block_of_dimension_two(t), evaluator="rep", integral_scale=scale)
+        assert trisection_bracket(d, cfg) == _rep_bracket_by_labellings(d, cfg)
+    else:
+        assert got == _rep_bracket_by_labellings(d, cfg)
+        assert got == trisection_bracket(d, BracketConfig(t, integral_scale=scale))

@@ -90,6 +90,23 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
 
 
+def test_equal_values_hash_equal():
+    # the product sits at level 12, zeta(3) at level 3
+    a = Cyc.zeta(3) * Cyc.zeta(4) * Cyc.zeta(4, 3)
+    assert a == Cyc.zeta(3) and a.level == 12
+    assert len({a, Cyc.zeta(3)}) == 1
+    assert hash(Cyc.rational(Fraction(3, 2))) == hash(Fraction(3, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomics(), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12]))
+def test_promotion_keeps_the_hash(a, m):
+    # multiplying by zeta(m) and its inverse promotes a to the lcm level
+    b = a * Cyc.zeta(m) * Cyc.zeta(m, -1)
+    assert b == a
+    assert hash(b) == hash(a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(cyclotomics())
 def test_embedding_consistency(a):
