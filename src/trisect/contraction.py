@@ -41,32 +41,46 @@ def _contract_pair(a: Node, b: Node, dims) -> Node:
     shared = [w for w in a.wires if w in b.wires]
     keep_a = [w for w in a.wires if w not in shared]
     keep_b = [w for w in b.wires if w not in shared]
-    pos_sh_a = [a.wires.index(w) for w in shared]
-    pos_keep_a = [a.wires.index(w) for w in keep_a]
-    pos_sh_b = [b.wires.index(w) for w in shared]
-    pos_keep_b = [b.wires.index(w) for w in keep_b]
+    # bucket the smaller operand by its shared indices and scan the larger one;
+    # keys stay keep_a + keep_b and every product stays a-value * b-value
+    bucket_a = len(a.data) < len(b.data)
+    small, large = (a, b) if bucket_a else (b, a)
+    pos_sh_s = [small.wires.index(w) for w in shared]
+    pos_keep_s = [small.wires.index(w) for w in (keep_a if bucket_a else keep_b)]
+    pos_sh_l = [large.wires.index(w) for w in shared]
+    pos_keep_l = [large.wires.index(w) for w in (keep_b if bucket_a else keep_a)]
 
     buckets: dict[tuple, list] = {}
-    for key, val in b.data.items():
-        sh = tuple(key[p] for p in pos_sh_b)
-        buckets.setdefault(sh, []).append((tuple(key[p] for p in pos_keep_b), val))
+    for key, val in small.data.items():
+        sh = tuple([key[p] for p in pos_sh_s])
+        buckets.setdefault(sh, []).append((tuple([key[p] for p in pos_keep_s]), val))
 
     out: dict[tuple[int, ...], object] = {}
-    for key, val in a.data.items():
-        sh = tuple(key[p] for p in pos_sh_a)
-        hits = buckets.get(sh)
+    for key, val in large.data.items():
+        hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
         if not hits:
             continue
-        left = tuple(key[p] for p in pos_keep_a)
-        for right, bval in hits:
-            k = left + right
-            cur = out.get(k)
-            term = val * bval
-            new = term if cur is None else cur + term
-            if is_zero(new, tol=0.0):
-                out.pop(k, None)
-            else:
-                out[k] = new
+        mine = tuple([key[p] for p in pos_keep_l])
+        if bucket_a:
+            for left, aval in hits:
+                k = left + mine
+                cur = out.get(k)
+                term = aval * val
+                new = term if cur is None else cur + term
+                if is_zero(new, tol=0.0):
+                    out.pop(k, None)
+                else:
+                    out[k] = new
+        else:
+            for right, bval in hits:
+                k = mine + right
+                cur = out.get(k)
+                term = val * bval
+                new = term if cur is None else cur + term
+                if is_zero(new, tol=0.0):
+                    out.pop(k, None)
+                else:
+                    out[k] = new
     return Node(f"({a.name}*{b.name})", tuple(keep_a + keep_b), out)
 
 

@@ -30,8 +30,8 @@ class MissingIrreps(TrisectError):
 
 
 class ResourceExceeded(TrisectError):
-    def __init__(self, cost: int, cap: int) -> None:
-        super().__init__(f"contraction needs an intermediate of {cost} entries (cap {cap})")
+    def __init__(self, cost: int, cap: float, what: str = "entries in a contraction intermediate") -> None:
+        super().__init__(f"needs {cost} {what} (cap {cap})")
         self.cost = cost
         self.cap = cap
 

@@ -4,22 +4,38 @@ Green and blue curves carry group elements, regions carry points of a finite
 transitive C x B^op set; a labelling is admissible when region labels
 transform across segments by the curve labels and the signed ordered product
 along every red curve is trivial.  The count, suitably normalized, is a
-4-manifold invariant; the region-based evaluation with explicit simple
-representations serves as an independent oracle for the averaged count.
+4-manifold invariant.
+
+Each count is one contraction of a network with integer entries: copy chains
+carry every green or blue label to its red crossings (and, for
+``count_admissible``, to its segments), a chain of multiplications in
+K = C x B^op along each red curve is pinned at the identity at both ends, and
+one node per green or blue segment relates the points of M on its two sides.
+The depth-first enumeration (``iter_curve_labellings`` with ``red_product``,
+and ``iter_region_labellings``) is kept as the oracle the tests compare the
+network with.  The region-based evaluation with explicit simple
+representations is an independent oracle for the averaged count; it
+enumerates every labelling and is capped.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .bracket import BracketConfig, CheckReport, InvariantValue, invariant
+from .contraction import Node, contract_network
 from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, validate_embedded
-from .errors import TrisectError
+from .errors import ResourceExceeded, TrisectError
 from .groups import GSet, Group, opposite, point_gset, product
 from .hopf import Rep, group_triplet, weak_simple_reps
 from .scalars import Cyc, is_zero
 
 ONE = Cyc.rational(1)
+
+# the most labellings the brute-force oracles enumerate (about 10 s of work)
+BRUTE_FORCE_CAP = 100_000
 
 
 @dataclass
@@ -93,7 +109,8 @@ def iter_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig):
     """Depth-first enumeration of green/blue labellings satisfying condition (ii).
 
     Red products are pruned as soon as all partner curves of a red curve are
-    labelled.
+    labelled.  Exponential in the genus; the counts no longer use it, the
+    tests compare them with it.
     """
     greens = sorted(c.id for c in d.curves_of_color(GREEN))
     blues = sorted(c.id for c in d.curves_of_color(BLUE))
@@ -133,7 +150,7 @@ def iter_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig):
 
 def count_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig) -> int:
     """Number of green/blue labellings with trivial red products (the |M|=1 count)."""
-    return sum(1 for _ in iter_curve_labellings(d, cfg))
+    return _count(*_curve_network(d, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +255,9 @@ def count_admissible(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | 
         raise TrisectError(f"invalid embedded diagram: {rep}")
     if e.base.kind == "disc" and boundary_label is None:
         raise TrisectError("a disc diagram needs a boundary label")
-    total = 0
-    for labels in iter_curve_labellings(e.base, cfg):
-        total += sum(1 for _ in iter_region_labellings(e, labels, cfg, boundary_label))
-    return total
+    if boundary_label is not None and not 0 <= boundary_label < cfg.msize:
+        raise TrisectError(f"boundary label {boundary_label} is not a point of M")
+    return _count(*_admissible_network(e, cfg, boundary_label))
 
 
 def averaged_evaluation(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None = None) -> Cyc:
@@ -249,6 +265,141 @@ def averaged_evaluation(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int
     r = len(e.base.curves_of_color(RED))
     count = count_admissible(e, cfg, boundary_label)
     return Cyc.rational(count * (cfg.b_group.order * cfg.c_group.order) ** r)
+
+
+# ---------------------------------------------------------------------------
+# the counts as one integer tensor network
+#
+# Every label is a variable: the label of a green or blue curve, the running
+# product in K before each crossing of a red curve, the point of M on a
+# region.  Each node is 1 exactly where its variables satisfy one condition
+# and 0 elsewhere, so the contraction sums 1 over the admissible labellings.
+# The crossing factors are stated here again, apart from red_product, so that
+# the enumeration above stays an independent oracle for the network.
+
+
+def _label(cid: str) -> str:
+    return f"label:{cid}"
+
+
+def _region(rid: str) -> str:
+    return f"region:{rid}"
+
+
+def _acc(rid: str, j: int) -> str:
+    return f"acc:{rid}:{j}"
+
+
+def _factors(d: TrisectionDiagram, xid: str, partner: str, cfg: WeakConfig) -> list[int]:
+    """The factor in K of each label of ``partner`` at crossing ``xid``."""
+    color = d.curve(partner).color
+    positive = d.crossing(xid).sign == 1
+    if color == GREEN:
+        c = cfg.c_group
+        return [cfg.k_of_c(c.inverse(x) if positive else x) for x in range(c.order)]
+    if color == BLUE:
+        b = cfg.b_group
+        return [cfg.k_of_b(x if positive else b.inverse(x)) for x in range(b.order)]
+    raise TrisectError("red curves may not cross red curves")
+
+
+def _curve_network(d: TrisectionDiagram, cfg: WeakConfig) -> tuple[list[Node], dict[str, int]]:
+    """Condition (ii): a chain of multiplications in K along each red curve.
+
+    Node j maps (acc_j, label) to acc_j * factor(label); one-entry nodes pin
+    acc_0 and acc_n at the identity.  A crossing-free red curve is trivial.
+    Every green and blue label is a variable, used or not.
+    """
+    dims = {_label(c.id): cfg.c_group.order for c in d.curves_of_color(GREEN)}
+    dims |= {_label(c.id): cfg.b_group.order for c in d.curves_of_color(BLUE)}
+    table = cfg.k_group.table
+    accs = range(cfg.k_group.order)
+    one = cfg.k_group.identity
+    nodes = []
+    for lam in d.curves_of_color(RED):
+        n = len(lam.visits)
+        if n == 0:
+            continue
+        acc = [_acc(lam.id, j) for j in range(n + 1)]
+        dims |= dict.fromkeys(acc, cfg.k_group.order)
+        for j, xid in enumerate(lam.visits):
+            partner, _ = d.end_on(xid, lam.id)
+            factors = _factors(d, xid, partner, cfg)
+            data = {(a, x, table[a][f]): 1 for a in accs for x, f in enumerate(factors)}
+            nodes.append(Node(f"red:{lam.id}:{j}", (acc[j], _label(partner), acc[j + 1]), data))
+        nodes.append(Node(f"pin:{acc[0]}", (acc[0],), {(one,): 1}))
+        nodes.append(Node(f"pin:{acc[n]}", (acc[n],), {(one,): 1}))
+    return nodes, dims
+
+
+def _region_nodes(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None) -> list[Node]:
+    """Condition (i): one node per green or blue segment, nonzero where m_left = label . m_right."""
+    nodes = []
+    for c in e.base.curves:
+        if c.color == RED:
+            continue
+        if c.color == GREEN:
+            acts = [[cfg.act_c(x, m) for m in range(cfg.msize)] for x in range(cfg.c_group.order)]
+        else:
+            acts = [[cfg.act_b(m, x) for m in range(cfg.msize)] for x in range(cfg.b_group.order)]
+        for seg in range(e.n_segments(c.id)):
+            left, right = e.sides(c.id, seg)
+            if left == right:
+                wires = (_region(left), _label(c.id))
+                data = {(m, x): 1 for x, row in enumerate(acts) for m, to in enumerate(row) if to == m}
+            else:
+                wires = (_region(left), _label(c.id), _region(right))
+                data = {(to, x, m): 1 for x, row in enumerate(acts) for m, to in enumerate(row)}
+            nodes.append(Node(f"seg:{c.id}:{seg}", wires, data))
+    if boundary_label is not None and e.boundary_region is not None:
+        region = _region(e.boundary_region)
+        nodes.append(Node(f"pin:{region}", (region,), {(boundary_label,): 1}))
+    return nodes
+
+
+def _admissible_network(e: EmbeddedDiagram, cfg: WeakConfig,
+                        boundary_label: int | None) -> tuple[list[Node], dict[str, int]]:
+    nodes, dims = _curve_network(e.base, cfg)
+    nodes += _region_nodes(e, cfg, boundary_label)
+    return nodes, dims | dict.fromkeys(map(_region, e.regions), cfg.msize)
+
+
+def _count(nodes: list[Node], dims: dict[str, int]) -> int:
+    """Contract the nodes once, each variable shared among its nodes by a copy chain.
+
+    The engine sums a wire where its two nodes meet, so a variable on k > 2
+    nodes becomes a chain of k - 2 three-wire copy nodes; one on a single node
+    is summed by an all-ones node, and one on no node contributes its
+    dimension.
+    """
+    users: dict[str, list[int]] = {}
+    for i, node in enumerate(nodes):
+        for w in node.wires:
+            users.setdefault(w, []).append(i)
+    factor = math.prod(dim for var, dim in dims.items() if var not in users)
+    wires = [list(node.wires) for node in nodes]
+    all_dims = dict(dims)
+    copies = []
+    for var, at in users.items():
+        dim = dims[var]
+        if len(at) == 1:
+            copies.append(Node(f"sum:{var}", (var,), {(x,): 1 for x in range(dim)}))
+            continue
+        # the chain's links run var, var~1, ..., var~(k-2); the first and last
+        # users take its two ends, user j in between meets copy node j
+        links = [var] + [f"{var}~{j}" for j in range(1, len(at) - 1)]
+        diagonal = {(x, x, x): 1 for x in range(dim)}
+        for j in range(1, len(at) - 1):
+            end = f"{var}#{j}"
+            copies.append(Node(f"copy:{var}:{j}", (links[j - 1], end, links[j]), diagonal))
+            w = wires[at[j]]
+            w[w.index(var)] = end
+            all_dims[end] = all_dims[links[j]] = dim
+        w = wires[at[-1]]
+        w[w.index(var)] = links[-1]
+    network = [Node(node.name, tuple(w), node.data) for node, w in zip(nodes, wires)] + copies
+    value = contract_network(network, all_dims)
+    return factor * (value if isinstance(value, int) else int(value.as_fraction()))
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +474,19 @@ def brute_force_evaluation(
     return ONE * 0 if total is None else total
 
 
-def _all_region_labellings(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None):
-    import itertools
+def _check_enumeration(count: int) -> None:
+    if count > BRUTE_FORCE_CAP:
+        raise ResourceExceeded(count, BRUTE_FORCE_CAP, "labellings to enumerate")
 
+
+def _all_region_labellings(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None):
     regions = sorted(e.regions)
-    for combo in itertools.product(range(cfg.msize), repeat=len(regions)):
-        assign = dict(zip(regions, combo))
-        if boundary_label is not None and assign.get(e.boundary_region) != boundary_label:
-            continue
-        yield assign
+    _check_enumeration(cfg.msize ** len(regions))
+    combos = itertools.product(range(cfg.msize), repeat=len(regions))
+    assigns = (dict(zip(regions, combo)) for combo in combos)
+    if boundary_label is None:
+        return assigns
+    return (assign for assign in assigns if assign.get(e.boundary_region) == boundary_label)
 
 
 def _rep_matrix_of(rep: Rep, indices: list[int], msz: int, ksz: int) -> dict:
@@ -370,12 +525,12 @@ def averaged_by_brute_force(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label:
     Independent oracle for ``averaged_evaluation``: no admissibility shortcut
     is taken anywhere.
     """
-    import itertools
-
     reps = cfg.simple_reps()
     greens = sorted(c.id for c in e.base.curves_of_color(GREEN))
     blues = sorted(c.id for c in e.base.curves_of_color(BLUE))
     reds = sorted(c.id for c in e.base.curves_of_color(RED))
+    _check_enumeration(cfg.c_group.order ** len(greens) * cfg.b_group.order ** len(blues)
+                       * len(reps) ** len(reds) * cfg.msize ** len(e.regions))
     total = None
     for gl in itertools.product(range(cfg.c_group.order), repeat=len(greens)):
         for bl in itertools.product(range(cfg.b_group.order), repeat=len(blues)):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -97,3 +98,46 @@ def test_cap_bounds_the_open_wires():
 def test_float_values_are_never_dropped_for_being_small():
     nodes = [Node("u", ("a",), {(0,): 1e-10 + 0j}), Node("v", ("a",), {(0,): 1e-10 + 0j})]
     assert contract_network(nodes, {"a": 1}) == pytest.approx(1e-20)
+
+
+class Word:
+    """A formal sum of words: its product records the order of the factors."""
+
+    def __init__(self, *words):
+        self.terms = Counter(words)
+
+    def __mul__(self, other):
+        out = Word()
+        for x, m in self.terms.items():
+            for y, n in other.terms.items():
+                out.terms[x + y] += m * n
+        return out
+
+    def __add__(self, other):
+        out = Word()
+        out.terms = self.terms + other.terms
+        return out
+
+    def __abs__(self):
+        return sum(self.terms.values())
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+
+@pytest.mark.parametrize("larger_first", [True, False])
+def test_pair_keeps_wire_and_operand_order_whichever_operand_is_larger(larger_first):
+    # the engine buckets the operand with fewer entries; "a" comes first by name
+    full = [(x, y) for x in range(3) for y in range(2)]
+    a_keys = full if larger_first else [(0, 0), (2, 1)]
+    b_keys = [(0, 0), (1, 2)] if larger_first else [(s, j) for j, s in full]
+    a = Node("a", ("i", "s"), {(i, s): Word(f"a{i}{s}") for i, s in a_keys})
+    b = Node("b", ("s", "j"), {(s, j): Word(f"b{s}{j}") for s, j in b_keys})
+    got = contract_network([b, a], {"i": 3, "s": 2, "j": 3}, open_wires=("i", "j"))
+    want: dict = {}
+    for i, s in a_keys:
+        for s2, j in b_keys:
+            if s == s2:
+                want.setdefault((i, j), Word()).terms[f"a{i}{s}b{s}{j}"] += 1
+    assert len(a.data) > len(b.data) if larger_first else len(a.data) < len(b.data)
+    assert got == want

@@ -1,11 +1,14 @@
+import math
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisect import labelcount as lc
 from trisect import moves
+from trisect.contraction import Node
 from trisect.diagram import (
     Crossing,
     Curve,
@@ -16,8 +19,8 @@ from trisect.diagram import (
     standard_s4_disc,
     standard_s4_embedded,
 )
-from trisect.errors import TrisectError
-from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
+from trisect.errors import ResourceExceeded, TrisectError
+from trisect.groups import coset_gset, cyclic, opposite, product, regular_gset, symmetric
 from trisect.scalars import Cyc
 
 
@@ -172,3 +175,139 @@ def test_nonabelian_counting_works():
     cfg = lc.WeakConfig(symmetric(3), cyclic(2))
     assert lc.count_curve_labellings(standard_s4(), cfg) == 12  # b_1, c_2 free
     assert lc.coincidence_check(standard_s4(), cfg).ok
+
+
+# point and coset configurations; S3 as C or as B makes K non-abelian
+def _coset(c, b, gens):
+    return lc.WeakConfig(c, b, coset_gset(product(c, opposite(b)), gens))
+
+
+_CONFIGS = (
+    cfg_point(2, 3),
+    lc.WeakConfig(symmetric(3), cyclic(2)),
+    lc.WeakConfig(cyclic(3), symmetric(3)),
+    cfg_m2(),
+    _coset(cyclic(2), symmetric(3), [1]),
+    _coset(symmetric(3), cyclic(3), [3]),
+)
+
+
+def _one_red_through_three_and_three():
+    """One red curve crossing three green curves, then three blue ones.
+
+    A chain multiplied in reverse order, or in B instead of B^op, accepts a
+    different set of labellings here.  On the catalog diagrams under random
+    moves it accepted the same set in each of 300 seeded move sequences.
+    """
+    curves = [Curve("r", "red", ("x1", "x2", "x3", "y1", "y2", "y3"))]
+    curves += [Curve(f"g{i}", "green", (f"x{i}",)) for i in (1, 2, 3)]
+    curves += [Curve(f"b{i}", "blue", (f"y{i}",)) for i in (1, 2, 3)]
+    crossings = [Crossing(f"x{i}", 1, (("r", i - 1), (f"g{i}", 0))) for i in (1, 2, 3)]
+    crossings += [Crossing(f"y{i}", -1, (("r", i + 2), (f"b{i}", 0))) for i in (1, 2, 3)]
+    return TrisectionDiagram(3, "closed", tuple(curves), tuple(crossings))
+
+
+_BASES = (cp2(), standard_s4(), moves.stabilize(cp2()), _one_red_through_three_and_three())
+
+
+def _check_space(d, cfg, cap=200_000):
+    """Cap the depth-first search the network count replaced by its search space."""
+    space = math.prod(
+        cfg.c_group.order if c.color == "green" else cfg.b_group.order for c in d.curves if c.color != "red"
+    )
+    if space > cap:
+        raise ResourceExceeded(space, cap, "labellings to enumerate")
+
+
+def _weights(dims, seed):
+    """A random positive weight for every value of every curve and region label."""
+    rng = random.Random(seed)
+    labels = sorted(var for var in dims if var.startswith(("label:", "region:")))
+    return {var: [rng.randint(1, 1000) for _ in range(dims[var])] for var in labels}
+
+
+def _weighted_by_network(nodes, dims, weights):
+    """The network's sum over labellings of the product of the weights of their values.
+
+    Weights tell apart two sets of labellings of the same size.  A chain
+    multiplied in reverse order accepts exactly the inverses of the right
+    labellings, so its plain count is always right.
+    """
+    extra = [Node(f"weight:{var}", (var,), {(x,): w for x, w in enumerate(ws)}) for var, ws in weights.items()]
+    return lc._count(nodes + extra, dims)
+
+
+def _weight(weights, labels, name):
+    return math.prod(weights[name(key)][value] for key, value in labels.items())
+
+
+@settings(max_examples=100, deadline=None)
+@example(1, 3, 0, 0)  # S3 x Z/2: a reversed chain or no inverse at a sign reads differently
+@example(2, 3, 0, 0)  # Z/3 x S3: so does B in place of B^op
+@given(
+    st.sampled_from(range(len(_CONFIGS))),
+    st.sampled_from(range(len(_BASES))),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 8),
+)
+def test_network_count_matches_the_depth_first_search(config, base, seed, steps):
+    cfg, d = _CONFIGS[config], _BASES[base]
+    rng = random.Random(seed)
+    for _ in range(steps):
+        _, d = moves.random_move(d, rng, max_visits=4)
+    _check_space(d, cfg)
+    found = list(lc.iter_curve_labellings(d, cfg))
+    assert lc.count_curve_labellings(d, cfg) == len(found)
+    nodes, dims = lc._curve_network(d, cfg)
+    weights = _weights(dims, seed)
+    want = sum(_weight(weights, labels, lc._label) for labels in found)
+    assert _weighted_by_network(nodes, dims, weights) == want
+
+
+@pytest.mark.parametrize("config", range(len(_CONFIGS)))
+def test_count_admissible_matches_the_enumeration(config):
+    cfg = _CONFIGS[config]
+    disc = standard_s4_disc()
+    cases = [(standard_s4_embedded(), None), (cp2_embedded(), None)] + [(disc, m) for m in range(cfg.msize)]
+    for e, m in cases:
+        found = [
+            (labels, regions)
+            for labels in lc.iter_curve_labellings(e.base, cfg)
+            for regions in lc.iter_region_labellings(e, labels, cfg, m)
+        ]
+        assert lc.count_admissible(e, cfg, boundary_label=m) == len(found)
+        nodes, dims = lc._admissible_network(e, cfg, m)
+        weights = _weights(dims, config)
+        want = sum(
+            _weight(weights, labels, lc._label) * _weight(weights, regions, lc._region)
+            for labels, regions in found
+        )
+        assert _weighted_by_network(nodes, dims, weights) == want
+    with pytest.raises(TrisectError):
+        lc.count_admissible(disc, cfg, boundary_label=cfg.msize)
+
+
+def test_genus_ten_count_runs_through_the_network():
+    # the depth-first search does not finish this case
+    d = cp2()
+    while d.genus < 10:
+        d = moves.stabilize(d)
+    cfg = lc.WeakConfig(symmetric(4), symmetric(3))
+    start = time.perf_counter()
+    assert lc.count_curve_labellings(d, cfg) == 144**3
+    assert time.perf_counter() - start < 1.0
+
+
+def test_brute_force_oracles_are_capped_up_front():
+    # 3^3 green and 3^3 blue labellings times 9^3 red representations
+    cfg = lc.WeakConfig(cyclic(3), cyclic(3))
+    start = time.perf_counter()
+    with pytest.raises(ResourceExceeded, match="labellings to enumerate") as exc:
+        lc.averaged_by_brute_force(standard_s4_embedded(), cfg)
+    assert exc.value.cost == 3**3 * 3**3 * 9**3 > lc.BRUTE_FORCE_CAP
+    # 18^4 region labellings of the four regions
+    big = lc.WeakConfig(cyclic(3), cyclic(6), regular_gset(product(cyclic(3), opposite(cyclic(6)))))
+    with pytest.raises(ResourceExceeded, match="labellings to enumerate") as exc:
+        lc.brute_force_evaluation(standard_s4_embedded(), big, {}, {})
+    assert exc.value.cost == 18**4
+    assert time.perf_counter() - start < 1.0
