@@ -9,14 +9,23 @@ rho weighted by dim(rho); the network is linear in each curve's nodes, so
 this is the sum over all labellings of curves by irreducibles.  With the
 default integrals (counit dim on each algebra) the two agree exactly;
 rescaling an integral by z scales either bracket by z^genus.
+
+Nothing in the structure tensors depends on the diagram.  A ``BracketConfig``
+builds them on first use and keeps them: the curve-node builder with its
+resolved integrals and coproduct tensors (or the representation modules),
+the six crossing tensors, which every crossing node shares, and the standard
+S^4 bracket that ``invariant`` divides by.  They are ``contraction.Tensor``s,
+so each pairwise step looks up the entries that meet its smaller operand
+through an index instead of scanning the whole tensor.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .contraction import Node, contract_network
+from .contraction import Node, Tensor, contract_network
 from .diagram import BLUE, GREEN, PAIR_FIRST, RED, TrisectionDiagram, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
 from .hopf import HopfTriplet, compute_integral, convolution_inverse
@@ -27,8 +36,16 @@ ONE = Cyc.rational(1)
 COLOR_SLOT = {RED: "A", BLUE: "B", GREEN: "C"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class BracketConfig:
+    """What to evaluate diagrams against, and what is prepared once for it.
+
+    Nothing in the curve-node builder, the crossing tensors or the standard
+    S^4 bracket depends on the diagram, so each is built on first use and
+    kept on the config; reuse one config for many diagrams.  A config is
+    frozen: ``dataclasses.replace`` makes a new one, with its own cache.
+    """
+
     triplet: HopfTriplet
     integrals: dict[str, dict] | None = None
     evaluator: str = "element"  # "element" | "rep"
@@ -51,15 +68,28 @@ class BracketConfig:
             out[slot] = {k: z * v for k, v in vec.items()} if z is not None else dict(vec)
         return out
 
+    @cached_property
+    def curve_nodes(self):
+        """The evaluator's builder of each curve's nodes; see ``trisection_bracket``."""
+        if self.evaluator not in _CURVE_NODES:
+            raise TrisectError(f"unknown evaluator {self.evaluator!r}")
+        return _CURVE_NODES[self.evaluator](self)
 
-def _crossing_matrices(cfg: BracketConfig) -> dict[tuple[str, str, int], dict]:
-    t = cfg.triplet
-    mats = {}
-    for slots in (("A", "B"), ("B", "C"), ("C", "A")):
-        tau = t.pairing(slots)
-        mats[(slots[0], slots[1], 1)] = tau
-        mats[(slots[0], slots[1], -1)] = convolution_inverse(tau, t.algebra(slots[0]))
-    return mats
+    @cached_property
+    def crossing_tensors(self) -> dict[tuple[str, str, int], Tensor]:
+        """The pairing matrix of each slot pair by sign, its convolution inverse at -1."""
+        t = self.triplet
+        mats = {}
+        for slots in (("A", "B"), ("B", "C"), ("C", "A")):
+            tau = t.pairing(slots)
+            mats[(slots[0], slots[1], 1)] = Tensor(tau)
+            mats[(slots[0], slots[1], -1)] = Tensor(convolution_inverse(tau, t.algebra(slots[0])))
+        return mats
+
+    @cached_property
+    def s4_bracket(self):
+        """The bracket of the standard S^4 diagram, which ``invariant`` divides by."""
+        return trisection_bracket(standard_s4(), self)
 
 
 def _crossing_slot_wires(d: TrisectionDiagram, x) -> tuple[tuple[str, str], tuple[str, str]]:
@@ -79,13 +109,11 @@ def trisection_bracket(d: TrisectionDiagram, cfg: BracketConfig):
     rep = validate(d)
     if not rep.ok:
         raise TrisectError(f"invalid diagram: {rep}")
-    if cfg.evaluator not in _CURVE_NODES:
-        raise TrisectError(f"unknown evaluator {cfg.evaluator!r}")
     # curve_nodes(curve, nodes, dims) appends the curve's nodes, which end on
     # its slot wires s:<curve>:<visit>, with the dimensions of the wires it
     # adds, and returns the scalar factor the curve contributes besides them
-    curve_nodes = _CURVE_NODES[cfg.evaluator](cfg)
-    mats = _crossing_matrices(cfg)
+    curve_nodes = cfg.curve_nodes
+    mats = cfg.crossing_tensors
     nodes: list[Node] = []
     dims: dict[str, int] = {}
     total = ONE
@@ -95,8 +123,7 @@ def trisection_bracket(d: TrisectionDiagram, cfg: BracketConfig):
         total = total * curve_nodes(curve, nodes, dims)
     for x in d.crossings:
         (sl1, w1), (sl2, w2) = _crossing_slot_wires(d, x)
-        tau = mats[(sl1, sl2, x.sign)]
-        nodes.append(Node(f"x:{x.id}", (w1, w2), {(i, j): c for (i, j), c in tau.items()}))
+        nodes.append(Node(f"x:{x.id}", (w1, w2), mats[(sl1, sl2, x.sign)]))
     if not nodes:
         return total
     return total * contract_network(nodes, dims, cfg.contraction_cap)
@@ -106,25 +133,26 @@ def _element_curves(cfg: BracketConfig):
     """Each curve's integral, expanded onto its visits by a chain of coproduct nodes."""
     t = cfg.triplet
     integrals = cfg.resolved_integrals()
-    deltas = {
-        slot: {(i, j, k): c for i, row in t.algebra(slot).comult.items() for (j, k), c in row.items()}
-        for slot in "ABC"
-    }
+    slots = {}
+    for slot in "ABC":
+        alg, ell = t.algebra(slot), integrals[slot]
+        delta = Tensor({(i, j, k): c for i, row in alg.comult.items() for (j, k), c in row.items()})
+        slots[slot] = (alg.dim, alg.counit_of(ell), Tensor({(i,): c for i, c in ell.items()}), delta)
 
     def curve_nodes(curve, nodes, dims):
-        slot = COLOR_SLOT[curve.color]
-        alg, ell, n = t.algebra(slot), integrals[slot], len(curve.visits)
+        dim, counit, ell, delta = slots[COLOR_SLOT[curve.color]]
+        n = len(curve.visits)
         if n == 0:
-            return alg.counit_of(ell)
+            return counit
         # wire k of the chain feeds slot k and passes the remainder on; the
         # last remainder is slot n-1, and a one-visit integral sits on slot 0
         prev = f"s:{curve.id}:0" if n == 1 else f"t:{curve.id}:in"
-        dims[prev] = alg.dim
-        nodes.append(Node(f"l:{curve.id}", (prev,), {(i,): c for i, c in ell.items()}))
+        dims[prev] = dim
+        nodes.append(Node(f"l:{curve.id}", (prev,), ell))
         for k in range(n - 1):
             out = f"s:{curve.id}:{n - 1}" if k == n - 2 else f"t:{curve.id}:{k}"
-            dims[out] = alg.dim
-            nodes.append(Node(f"d:{curve.id}:{k}", (prev, f"s:{curve.id}:{k}", out), deltas[slot]))
+            dims[out] = dim
+            nodes.append(Node(f"d:{curve.id}:{k}", (prev, f"s:{curve.id}:{k}", out), delta))
             prev = out
         return ONE
 
@@ -154,12 +182,14 @@ def _rep_curves(cfg: BracketConfig):
             ops.update({(x, size + a, size + b): c for x, m in enumerate(r.mats) for (a, b), c in m.items()})
             weight.update({(a, a): Cyc.rational(r.dim) for a in range(size, size + r.dim)})
             size += r.dim
-        modules[slot] = (ops, weight, size, sum(r.dim * r.dim for r in irreps))
+        modules[slot] = (Tensor(ops), Tensor(weight), size, sum(r.dim * r.dim for r in irreps))
+    # the builder is kept on the config, so it holds no reference back to it
+    scale = cfg.integral_scale
 
     def curve_nodes(curve, nodes, dims):
         slot = COLOR_SLOT[curve.color]
         ops, weight, size, dim_squares = modules[slot]
-        z, n = cfg.integral_scale.get(slot, ONE), len(curve.visits)
+        z, n = scale.get(slot, ONE), len(curve.visits)
         if n == 0:
             return z * dim_squares
         ring = [f"r:{curve.id}:{k}" for k in range(n + 1)]
@@ -257,7 +287,7 @@ def _eq_scalar(a, b, tol: float = 1e-9) -> bool:
 
 def invariant(d: TrisectionDiagram, cfg: BracketConfig) -> InvariantValue:
     """The bracket normalized by the cube root of the standard S^4 bracket."""
-    stab = trisection_bracket(standard_s4(), cfg)
+    stab = cfg.s4_bracket
     if is_zero(stab):
         raise StabilizationObstruction(
             f"the standard S^4 bracket vanishes for {cfg.triplet.name}; no invariant"

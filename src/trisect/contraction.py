@@ -10,17 +10,54 @@ node names.  The components' results are then multiplied together as an
 outer product over the open wires.  The cap bounds the dense size of every
 pairwise result and of the final tensor, not the sparse storage actually
 used.  Only exact zeros are dropped from the sparse storage.
+
+Node data that many nodes share, such as a structure tensor of an algebra,
+is best given as a ``Tensor``: a pairwise step whose larger operand is a
+``Tensor`` looks its keys up through an index on one wire position instead
+of scanning every entry.  The steps, and the order in which they add up
+each product, stay those of the scan.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import ResourceExceeded
 from .scalars import Cyc, is_zero
 
 ONE = Cyc.rational(1)
+
+
+class Tensor(dict):
+    """Sparse node data shared by many nodes, with an index on each wire position.
+
+    The index from the value at one key position to the keys that have it is
+    built on first use, once per position, and kept; a ``Tensor`` must not
+    change once it has been contracted.
+    """
+
+    def __init__(self, data=()) -> None:
+        super().__init__(data)
+        self._keys: list[tuple[int, ...]] | None = None
+        # position -> value -> ordinals of its keys, in arrays: no int object per entry
+        self._index: dict[int, dict[int, array]] = {}
+
+    def items_at(self, pos: int, values) -> list[tuple[tuple[int, ...], object]]:
+        """The items whose key has one of ``values`` at ``pos``, in the dict's order."""
+        if self._keys is None:
+            self._keys = list(self)
+        keys = self._keys
+        by_value = self._index.get(pos)
+        if by_value is None:
+            by_value = self._index[pos] = {}
+            for n, key in enumerate(keys):
+                by_value.setdefault(key[pos], array("i")).append(n)
+        rows = [by_value[v] for v in values if v in by_value]
+        order = rows[0] if len(rows) == 1 else sorted(chain.from_iterable(rows))
+        return [(keys[n], self[keys[n]]) for n in order]
 
 
 @dataclass
@@ -55,8 +92,12 @@ def _contract_pair(a: Node, b: Node, dims) -> Node:
         sh = tuple([key[p] for p in pos_sh_s])
         buckets.setdefault(sh, []).append((tuple([key[p] for p in pos_keep_s]), val))
 
+    items = large.data.items()
+    if shared and isinstance(large.data, Tensor):
+        # only keys whose first shared value meets the smaller operand can hit
+        items = large.data.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
     out: dict[tuple[int, ...], object] = {}
-    for key, val in large.data.items():
+    for key, val in items:
         hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
         if not hits:
             continue

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import DiagramParseError, TrisectError
+from .errors import DiagramParseError, ResourceExceeded, TrisectError
 
 RED, BLUE, GREEN = "red", "blue", "green"
 COLORS = (RED, BLUE, GREEN)
@@ -486,8 +486,17 @@ def parse(text: str, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagra
 # ---------------------------------------------------------------------------
 # relabeling isomorphism
 
+# partial curve maps the isomorphism search may try before it gives up; k
+# interchangeable curves with no crossings can make it try all k! maps
+ISOMORPHISM_CAP = 100_000
+
+
 def isomorphic(d1: TrisectionDiagram, d2: TrisectionDiagram) -> bool:
-    """True when d2 is d1 with curves and crossings renamed (structure kept)."""
+    """True when d2 is d1 with curves and crossings renamed (structure kept).
+
+    Raises ResourceExceeded when the search tries more than ISOMORPHISM_CAP
+    partial curve maps.
+    """
     if (d1.genus, d1.kind) != (d2.genus, d2.kind):
         return False
     if len(d1.curves) != len(d2.curves) or len(d1.crossings) != len(d2.crossings):
@@ -500,8 +509,13 @@ def isomorphic(d1: TrisectionDiagram, d2: TrisectionDiagram) -> bool:
     for c in d2.curves:
         pool.setdefault(curve_key(d2, c), []).append(c)
     order = sorted(d1.curves, key=lambda c: (curve_key(d1, c), c.id))
+    tried = 0
 
     def extend(i: int, cmap: dict[str, str], xmap: dict[str, str], used: set[str]) -> bool:
+        nonlocal tried
+        tried += 1
+        if tried > ISOMORPHISM_CAP:
+            raise ResourceExceeded(tried, ISOMORPHISM_CAP, "partial curve maps")
         if i == len(order):
             return _check_map(d1, d2, cmap, xmap)
         c1 = order[i]

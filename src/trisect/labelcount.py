@@ -253,11 +253,19 @@ def count_admissible(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | 
     rep = validate_embedded(e)
     if not rep.ok:
         raise TrisectError(f"invalid embedded diagram: {rep}")
-    if e.base.kind == "disc" and boundary_label is None:
-        raise TrisectError("a disc diagram needs a boundary label")
-    if boundary_label is not None and not 0 <= boundary_label < cfg.msize:
-        raise TrisectError(f"boundary label {boundary_label} is not a point of M")
+    _check_boundary_label(e, cfg, boundary_label)
     return _count(*_admissible_network(e, cfg, boundary_label))
+
+
+def _check_boundary_label(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None) -> None:
+    if boundary_label is None:
+        if e.base.kind == "disc":
+            raise TrisectError("a disc diagram needs a boundary label")
+        return
+    if e.boundary_region is None:
+        raise TrisectError(f"boundary label {boundary_label} given, but the diagram has no boundary region")
+    if not 0 <= boundary_label < cfg.msize:
+        raise TrisectError(f"boundary label {boundary_label} is not a point of M")
 
 
 def averaged_evaluation(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None = None) -> Cyc:
@@ -351,7 +359,7 @@ def _region_nodes(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | Non
                 wires = (_region(left), _label(c.id), _region(right))
                 data = {(to, x, m): 1 for x, row in enumerate(acts) for m, to in enumerate(row)}
             nodes.append(Node(f"seg:{c.id}:{seg}", wires, data))
-    if boundary_label is not None and e.boundary_region is not None:
+    if boundary_label is not None:
         region = _region(e.boundary_region)
         nodes.append(Node(f"pin:{region}", (region,), {(boundary_label,): 1}))
     return nodes
@@ -414,8 +422,6 @@ def brute_force_evaluation(
     boundary_label: int | None = None,
 ):
     """Evaluate one full labelling: delta factors per segment, a trace per red curve."""
-    if e.base.kind == "disc" and boundary_label is None:
-        raise TrisectError("a disc diagram needs a boundary label")
     msz, ksz = cfg.msize, cfg.k_group.order
 
     def ix(m, n, k):
@@ -480,6 +486,7 @@ def _check_enumeration(count: int) -> None:
 
 
 def _all_region_labellings(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None):
+    _check_boundary_label(e, cfg, boundary_label)
     regions = sorted(e.regions)
     _check_enumeration(cfg.msize ** len(regions))
     combos = itertools.product(range(cfg.msize), repeat=len(regions))

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -188,7 +190,7 @@ def _rep_bracket_by_labellings(d, cfg, cap=4096):
     ``cap`` labellings.
     """
     t = cfg.triplet
-    mats = bracket._crossing_matrices(cfg)
+    mats = cfg.crossing_tensors
     total = ONE
     for comp in d.components():
         curves = [d.curve(cid) for cid in comp]
@@ -288,3 +290,72 @@ def test_rep_backend_matches_the_sum_over_labellings(case, block, scale, seed, s
     else:
         assert got == _rep_bracket_by_labellings(d, cfg)
         assert got == trisection_bracket(d, BracketConfig(t, integral_scale=scale))
+
+
+# ---------------------------------------------------------------------------
+# what a config prepares once
+
+
+def test_config_computes_the_s4_bracket_once(monkeypatch):
+    cfg = BracketConfig(hopf.kashaev_triplet(3))
+    s4_calls = []
+    original = bracket.trisection_bracket
+
+    def counting(d, c):
+        if d == standard_s4():
+            s4_calls.append(c)
+        return original(d, c)
+
+    monkeypatch.setattr(bracket, "trisection_bracket", counting)
+    d = cp2()
+    for _ in range(4):
+        assert invariant(d, cfg) == invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3)))
+        d = moves.stabilize(d)
+    # one for the reused config, one for each fresh config
+    assert sum(c is cfg for c in s4_calls) == 1 and len(s4_calls) == 5
+
+
+def test_replaced_config_gets_a_fresh_cache():
+    cfg = BracketConfig(hopf.kashaev_triplet(3))
+    z = ONE + Cyc.zeta(3)
+    base = cfg.s4_bracket
+    scaled = dataclasses.replace(cfg, integral_scale={"C": z})
+    assert scaled.s4_bracket == z**3 * base
+    assert cfg.s4_bracket == base
+    assert scaled.crossing_tensors is not cfg.crossing_tensors
+
+
+def test_a_dropped_config_frees_its_cache_at_once():
+    # nothing the config keeps refers back to it, so no collection is needed
+    gc.disable()
+    try:
+        for evaluator in ("element", "rep"):
+            cfg = BracketConfig(hopf.kashaev_triplet(2), evaluator=evaluator)
+            invariant(cp2(), cfg)
+            dropped = weakref.ref(cfg)
+            del cfg
+            assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def test_config_fields_cannot_be_assigned():
+    cfg = BracketConfig(hopf.kashaev_triplet(2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.evaluator = "rep"
+
+
+_MOVE_TRIPLETS = (_K3, _GROUP)
+# one config per triplet and evaluator, reused by every example
+_REUSED = {(k, ev): BracketConfig(t, evaluator=ev) for k, t in enumerate(_MOVE_TRIPLETS) for ev in ("element", "rep")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(range(len(_MOVE_TRIPLETS))), st.integers(0, 2**32 - 1))
+def test_reused_config_matches_a_fresh_config_under_random_moves(k, seed):
+    t, rng, d = _MOVE_TRIPLETS[k], random.Random(seed), cp2()
+    for _ in range(4):
+        _, d = moves.random_move(d, rng, max_visits=3)
+        got = invariant(d, _REUSED[(k, "element")])
+        assert got == invariant(d, BracketConfig(t))
+        assert got == invariant(d, _REUSED[(k, "rep")])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect.contraction import Node, contract_network
+from trisect.contraction import Node, Tensor, contract_network
 from trisect.errors import ResourceExceeded
 from trisect.scalars import Cyc
 
@@ -141,3 +141,68 @@ def test_pair_keeps_wire_and_operand_order_whichever_operand_is_larger(larger_fi
                 want.setdefault((i, j), Word()).terms[f"a{i}{s}b{s}{j}"] += 1
     assert len(a.data) > len(b.data) if larger_first else len(a.data) < len(b.data)
     assert got == want
+
+
+def _value(kind: str, rng: random.Random, name: str):
+    if kind == "exact":
+        return rng.choice(VALUES)
+    if kind == "complex":
+        return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return Word(name)
+
+
+def shared_tensor_network(rng: random.Random, kind: str):
+    """One dense-ish three-wire tensor on one or two nodes, met by sparse nodes.
+
+    Each sparse node shares one or two wires with the first copy of the
+    tensor, at any of its positions, and has at most two entries, so the
+    tensor is the larger operand of the step that first reaches it.  Wires
+    on one node only are open, in a random order.
+    """
+    big_wires = ["x0", "x1", "x2"]
+    dims = {w: rng.randint(2, 3) for w in big_wires}
+    keys = itertools.product(*(range(dims[w]) for w in big_wires))
+    # insertion order unlike the key order, so an index that regrouped the
+    # keys by value would change the order of the sums
+    keys = [key for key in keys if rng.random() < 0.8]
+    rng.shuffle(keys)
+    data = {key: _value(kind, rng, f"t{key}") for key in keys}
+    nodes = [("t0", tuple(big_wires), data)]
+    # every wire of the first copy meets at most one other node
+    free = rng.sample(big_wires, 3)
+    if rng.random() < 0.5:
+        # a second copy, sharing one wire at the same position
+        pos = big_wires.index(free.pop())
+        wires = [w if k == pos else f"y{k}" for k, w in enumerate(big_wires)]
+        dims.update((f"y{k}", dims[w]) for k, w in enumerate(big_wires) if k != pos)
+        nodes.append(("t1", tuple(wires), data))
+    for s in range(rng.randint(1, 2)):
+        if not free:
+            break
+        wires = [free.pop() for _ in range(min(len(free), rng.randint(1, 2)))]
+        if rng.random() < 0.5:
+            wires.append(f"z{s}")
+            dims[f"z{s}"] = 2
+        entries = [tuple(rng.randrange(dims[w]) for w in wires) for _ in range(2)]
+        nodes.append((f"s{s}", tuple(wires), {key: _value(kind, rng, f"s{s}{key}") for key in entries}))
+    ends = [w for _, wires, _ in nodes for w in wires]
+    open_wires = [w for w in sorted(set(ends)) if ends.count(w) == 1]
+    rng.shuffle(open_wires)
+    return nodes, dims, open_wires
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["exact", "complex", "word"]))
+def test_shared_tensor_contracts_exactly_as_plain_data(seed, kind):
+    rng = random.Random(seed)
+    spec, dims, open_wires = shared_tensor_network(rng, kind)
+    shared = Tensor(spec[0][2])
+    fast = [Node(name, wires, shared if data is spec[0][2] else data) for name, wires, data in spec]
+    slow = [Node(name, wires, dict(data)) for name, wires, data in spec]
+    got = contract_network(fast, dims, open_wires=open_wires)
+    want = contract_network(slow, dims, open_wires=open_wires)
+    if open_wires:
+        # the same items in the same order: every sum is taken in the same order
+        assert list(got.items()) == list(want.items())
+    else:
+        assert got == want

@@ -122,6 +122,16 @@ def test_brute_force_oracle_matches_average():
         assert lc.averaged_by_brute_force(cp2_embedded(), cfg) == lc.averaged_evaluation(cp2_embedded(), cfg)
 
 
+def test_boundary_label_without_a_boundary_region_is_rejected():
+    # the network ignored such a label and the region enumeration matched no
+    # labelling, so the two paths read 4 and 0 for the same call
+    cfg = cfg_point(2, 2)
+    with pytest.raises(TrisectError, match="no boundary region"):
+        lc.averaged_evaluation(cp2_embedded(), cfg, 0)
+    with pytest.raises(TrisectError, match="no boundary region"):
+        lc.averaged_by_brute_force(cp2_embedded(), cfg, 0)
+
+
 def test_brute_force_single_labelling_values():
     cfg = cfg_point(2, 2)
     reps = cfg.simple_reps()
