@@ -142,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
         q.add_argument("--backend", choices=("exact", "float"), default="exact")
         q.add_argument("--evaluator", choices=("element", "rep"), default="element")
         q.add_argument("--cap", type=int, default=10_000_000)
-        q.add_argument("--tol", type=float, default=1e-9)
         if what == "invariant":
             q.add_argument("--all-roots", action="store_true")
     q = ev.add_parser("count")
@@ -278,7 +277,7 @@ def _dispatch_eval(args) -> int:
             "invariant": _scalar_json(inv.approx()),
             "genus": genus,
         }
-        _emit(args, payload, f"l={count}, invariant={inv.approx():.10g}")
+        _emit(args, payload, f"l={count}, invariant={render(inv.approx())}")
         return 0
 
     t = parse_triplet(args.triplet, args.backend)
@@ -295,7 +294,7 @@ def _dispatch_eval(args) -> int:
         "genus": inv.genus,
         "value": _scalar_json(inv.approx()),
     }
-    text = f"invariant = {inv.approx():.12g} (= {render(inv.coeff)} x <S4>^(-g/3), g={inv.genus})"
+    text = f"invariant = {render(inv.approx())} (= {render(inv.coeff)} x <S4>^(-g/3), g={inv.genus})"
     if getattr(args, "all_roots", False):
         payload["all_roots"] = [[z.real, z.imag] for z in inv.all_roots()]
         text += "\n  roots: " + ", ".join(f"{z:.10g}" for z in inv.all_roots())

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .errors import DiagramParseError, ResourceExceeded, TrisectError
+from .errors import DiagramParseError, TrisectError
 
 RED, BLUE, GREEN = "red", "blue", "green"
 COLORS = (RED, BLUE, GREEN)
@@ -71,9 +71,6 @@ class TrisectionDiagram:
         if x is None:
             raise TrisectError(f"no crossing {xid!r}")
         return x
-
-    def has_curve(self, cid: str) -> bool:
-        return cid in self._curve_index
 
     def end_on(self, xid: str, cid: str) -> tuple[str, int]:
         """The (partner curve, partner index) of crossing xid seen from curve cid."""
@@ -481,75 +478,3 @@ def parse(text: str, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagra
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramParseError(f"bad embedding data: {exc}", where="segment_sides") from exc
     return EmbeddedDiagram(base, regions, sides, data.get("boundary_region"))
-
-
-# ---------------------------------------------------------------------------
-# relabeling isomorphism
-
-# partial curve maps the isomorphism search may try before it gives up; k
-# interchangeable curves with no crossings can make it try all k! maps
-ISOMORPHISM_CAP = 100_000
-
-
-def isomorphic(d1: TrisectionDiagram, d2: TrisectionDiagram) -> bool:
-    """True when d2 is d1 with curves and crossings renamed (structure kept).
-
-    Raises ResourceExceeded when the search tries more than ISOMORPHISM_CAP
-    partial curve maps.
-    """
-    if (d1.genus, d1.kind) != (d2.genus, d2.kind):
-        return False
-    if len(d1.curves) != len(d2.curves) or len(d1.crossings) != len(d2.crossings):
-        return False
-
-    def curve_key(d: TrisectionDiagram, c: Curve):
-        return (c.color, len(c.visits))
-
-    pool: dict[tuple, list[Curve]] = {}
-    for c in d2.curves:
-        pool.setdefault(curve_key(d2, c), []).append(c)
-    order = sorted(d1.curves, key=lambda c: (curve_key(d1, c), c.id))
-    tried = 0
-
-    def extend(i: int, cmap: dict[str, str], xmap: dict[str, str], used: set[str]) -> bool:
-        nonlocal tried
-        tried += 1
-        if tried > ISOMORPHISM_CAP:
-            raise ResourceExceeded(tried, ISOMORPHISM_CAP, "partial curve maps")
-        if i == len(order):
-            return _check_map(d1, d2, cmap, xmap)
-        c1 = order[i]
-        for c2 in pool.get(curve_key(d1, c1), []):
-            if c2.id in used:
-                continue
-            new_x = dict(xmap)
-            ok = True
-            for v1, v2 in zip(c1.visits, c2.visits):
-                if new_x.get(v1, v2) != v2:
-                    ok = False
-                    break
-                new_x[v1] = v2
-            if not ok:
-                continue
-            cmap[c1.id] = c2.id
-            used.add(c2.id)
-            if extend(i + 1, cmap, new_x, used):
-                return True
-            used.discard(c2.id)
-            del cmap[c1.id]
-        return False
-
-    return extend(0, {}, {}, set())
-
-
-def _check_map(d1, d2, cmap, xmap) -> bool:
-    if len(set(xmap.values())) != len(xmap) or len(xmap) != len(d1.crossings):
-        return False
-    for x in d1.crossings:
-        y = d2.crossing(xmap[x.id])
-        if y.sign != x.sign:
-            return False
-        ends1 = {(cmap[c], i) for c, i in x.ends}
-        if ends1 != set(y.ends):
-            return False
-    return True

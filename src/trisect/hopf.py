@@ -11,6 +11,8 @@ structure tensors, and contract both sides with ``contraction.contract_network``
 The open wires of a side are the identity's free indices.  The two sides are
 compared exactly, one basis element of the first open wire at a time; the
 residual reported for an identity is the largest |lhs - rhs| over all indices.
+The generalized double is built the same way: each of its five structure maps
+is one network over the tensors of its two factors and the pairing.
 """
 
 from __future__ import annotations
@@ -40,15 +42,6 @@ def _acc(dst: dict, key, val) -> None:
 ONE = Cyc.rational(1)
 
 
-def _mul2(a, b):
-    # structure constants are usually exactly 1; skip the field arithmetic then
-    if a is ONE:
-        return b
-    if b is ONE:
-        return a
-    return a * b
-
-
 @dataclass
 class Rep:
     """A matrix representation: mats[i] is the (sparse) matrix of basis element i."""
@@ -56,9 +49,6 @@ class Rep:
     name: str
     dim: int
     mats: list[Mat]
-
-    def matrix(self, i: int) -> Mat:
-        return self.mats[i]
 
 
 @dataclass
@@ -88,9 +78,8 @@ class HopfAlgebra:
         out: Vec = {}
         for i, a in v.items():
             for j, b in w.items():
-                ab = _mul2(a, b)
                 for k, c in self.product_basis(i, j).items():
-                    _acc(out, k, _mul2(ab, c))
+                    _acc(out, k, a * b * c)
         return out
 
     def coproduct(self, v: Vec) -> dict[tuple[int, int], object]:
@@ -99,20 +88,6 @@ class HopfAlgebra:
             for jk, c in self.comult.get(i, {}).items():
                 _acc(out, jk, a * c)
         return out
-
-    def iterated_coproduct(self, v: Vec, slots: int) -> dict[tuple[int, ...], object]:
-        """Sweedler expansion of v into the given number of tensor slots."""
-        if slots < 1:
-            raise ValueError("slots must be >= 1")
-        cur = {(i,): a for i, a in v.items()}
-        while len(next(iter(cur), ())) < slots:
-            nxt: dict[tuple[int, ...], object] = {}
-            for key, a in cur.items():
-                head = key[-1]
-                for (j, k), c in self.comult.get(head, {}).items():
-                    _acc(nxt, key[:-1] + (j, k), _mul2(a, c))
-            cur = nxt
-        return cur
 
     def counit_of(self, v: Vec):
         out = None
@@ -429,83 +404,45 @@ def check_skew_pairing(tau: Mat, a: HopfAlgebra, b: HopfAlgebra) -> dict[str, fl
     return _residuals(tensors, _PAIRING + ([] if a.weak or b.weak else _CONVOLUTION))
 
 
+# The double of A and B twisted by tau has basis e_i x f_j, at index i * dim B + j.
+# (e_i x f_j)(e_k x f_l) = tau(k1, j1) e_i k2 x j2 f_l tau^-1(k3, j3), tau^-1(x, y) = tau(S(x), y);
+# S(e_p x f_q) = (1 x S(f_q))(S(e_p) x 1), the product with i and l the units, which
+# drop out of it.  Open wires come in (A, B) pairs.
+_TWIST = "DA k a1 t, DA t a2 a3, DB j b1 s, DB s b2 b3, T a1 b1, SA a3 c, T c b3"
+_DOUBLE = {
+    "mult": ("i j k l x y", _TWIST + ", MA i a2 x, MB b2 l y"),
+    "antipode": ("p q a2 b2", "SA p k, SB q j, " + _TWIST),
+    "comult": ("i j p r q s", "DA i p q, DB j r s"),
+    "unit": ("i j", "uA i, uB j"),
+    "counit": ("i j", "eA i, eB j"),
+}
+
+
 def generalized_double(a: HopfAlgebra, b: HopfAlgebra, tau: Mat, name: str | None = None) -> HopfAlgebra:
-    """Twist the tensor product A x B by the 2-cocycle built from tau."""
-    na, nb = a.dim, b.dim
-    tinv = convolution_inverse(tau, a)
-    zero = ONE * 0
+    """Twist the tensor product A x B by the 2-cocycle built from tau.
 
-    def idx(i: int, j: int) -> int:
-        return i * nb + j
-
-    basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
-    aco_all = [a.iterated_coproduct({i: ONE}, 3) for i in range(na)]
-    bco_all = [b.iterated_coproduct({j: ONE}, 3) for j in range(nb)]
-    # sparse access to products by the twisted factor
-    lmul_a: dict[int, list] = {}
-    for (i, a2), prod in a.mult.items():
-        lmul_a.setdefault(a2, []).append((i, prod))
-    rmul_b: dict[int, list] = {}
-    for (b2, j2), prod in b.mult.items():
-        rmul_b.setdefault(b2, []).append((j2, prod))
+    Each structure map is one network of ``_DOUBLE`` over the structure
+    tensors of A and B and the pairing T.
+    """
+    nb = b.dim
+    tensors = {**_tensors(a, "A"), **_tensors(b, "B"), "T": (tau, (a.dim, nb))}
+    maps = {}
+    for key, (out, spec) in _DOUBLE.items():
+        t = _tensor(*_network(tensors, spec), out.split())
+        maps[key] = {tuple(k[n] * nb + k[n + 1] for n in range(0, len(k), 2)): c for k, c in t.items()}
     mult: dict[tuple[int, int], Vec] = {}
-    for j in range(nb):
-        bco = bco_all[j]
-        for i2 in range(na):
-            aco = aco_all[i2]
-            # the twist weights do not involve i or j2; group them by (a2, b2)
-            pieces: dict[tuple[int, int], object] = {}
-            for (a1, a2, a3), ca in aco.items():
-                for (b1, b2, b3), cb in bco.items():
-                    w = tau.get((a1, b1))
-                    if w is None:
-                        continue
-                    w2 = tinv.get((a3, b3))
-                    if w2 is None:
-                        continue
-                    _acc(pieces, (a2, b2), _mul2(_mul2(ca, cb), _mul2(w, w2)))
-            for (a2, b2), coeff in pieces.items():
-                for i, pa in lmul_a.get(a2, ()):
-                    for j2, pb in rmul_b.get(b2, ()):
-                        out = mult.setdefault((idx(i, j), idx(i2, j2)), {})
-                        for x, cx in pa.items():
-                            for y, cy in pb.items():
-                                _acc(out, idx(x, y), _mul2(coeff, _mul2(cx, cy)))
-    mult = {k: v for k, v in mult.items() if v}
-    unit: Vec = {}
-    for i, cu in a.unit.items():
-        for j, cv in b.unit.items():
-            unit[idx(i, j)] = cu * cv
+    for (x, y, z), c in maps["mult"].items():
+        mult.setdefault((x, y), {})[z] = c
     comult: dict[int, dict] = {}
-    for i in range(na):
-        for j in range(nb):
-            d: dict = {}
-            for (a1, a2), ca in a.comult.get(i, {}).items():
-                for (b1, b2), cb in b.comult.get(j, {}).items():
-                    d[(idx(a1, b1), idx(a2, b2))] = ca * cb
-            comult[idx(i, j)] = d
-    counit: Vec = {}
-    for i, ca in a.counit.items():
-        for j, cb in b.counit.items():
-            counit[idx(i, j)] = ca * cb
-    dd = HopfAlgebra(name or f"D({a.name},{b.name})", basis, mult, unit, comult, counit, {}, False, None)
+    for (x, y, z), c in maps["comult"].items():
+        comult.setdefault(x, {})[(y, z)] = c
     antipode: dict[int, Vec] = {}
-    for i in range(na):
-        sa = a.antipode.get(i, {})
-        for j in range(nb):
-            sb = b.antipode.get(j, {})
-            # (1 x S(b)) and (S(a) x 1) as elements of the double
-            left: Vec = {}
-            right: Vec = {}
-            for y, cy in sb.items():
-                for iu, cu in a.unit.items():
-                    _acc(left, idx(iu, y), cy * cu)
-            for x, cx in sa.items():
-                for ju, cu in b.unit.items():
-                    _acc(right, idx(x, ju), cx * cu)
-            antipode[idx(i, j)] = dd.product(left, right)
-    dd.antipode = antipode
-    return dd
+    for (x, y), c in maps["antipode"].items():
+        antipode.setdefault(x, {})[y] = c
+    unit = {x: c for (x,), c in maps["unit"].items()}
+    counit = {x: c for (x,), c in maps["counit"].items()}
+    basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
+    return HopfAlgebra(name or f"D({a.name},{b.name})", basis, mult, unit, comult, counit, antipode, False, None)
 
 
 @dataclass
@@ -636,38 +573,6 @@ _ANTIPODE_FIXES = [("antipode_fixes", [("o", "L l, S l o", "L o")])]
 def check_integral(h: HopfAlgebra, ell: Vec) -> dict[str, float]:
     tensors = {**_tensors(h), "L": ({(i,): c for i, c in ell.items()}, (h.dim,))}
     return _residuals(tensors, (_WEAK_INTEGRAL if h.weak else _INTEGRAL) + _ANTIPODE_FIXES)
-
-
-def canonical_dual_integral(h: HopfAlgebra, irreps: list[Rep]) -> Vec:
-    """The functional sum of dim(V) tr(rho(-)) over a full set of irreducibles."""
-    total = sum(r.dim * r.dim for r in irreps)
-    if total != h.dim:
-        raise MissingIrreps(f"{h.name}: sum of dim^2 is {total}, expected {h.dim}")
-    lam: Vec = {}
-    for i in range(h.dim):
-        val = None
-        for r in irreps:
-            m = r.matrix(i)
-            tr = None
-            for d in range(r.dim):
-                c = m.get((d, d))
-                if c is not None:
-                    tr = c if tr is None else tr + c
-            if tr is not None:
-                term = r.dim * tr
-                val = term if val is None else val + term
-        if val is not None and not is_zero(val):
-            lam[i] = val
-    return lam
-
-
-def apply_functional(lam: Vec, v: Vec):
-    out = ONE * 0
-    for i, c in v.items():
-        l = lam.get(i)
-        if l is not None:
-            out = out + l * c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +786,7 @@ def weak_simple_reps(mset: GSet, stabilizer_irreps: dict | None = None) -> list[
                     tp, tq = mset.apply(g, p), mset.apply(g, q)
                     h_t = transversal[(tp, tq)]
                     inner = k.mul(k.inverse(h_t), k.mul(g, h_pq))
-                    pm = psi.matrix(pos_in_sub[inner])
+                    pm = psi.mats[pos_in_sub[inner]]
                     row0 = pair_pos[(tp, tq)] * psi.dim
                     col0 = pair_pos[(p, q)] * psi.dim
                     # the delta factors select the target pair: the basis
@@ -988,19 +893,3 @@ def algebra_from_json(data: dict, name: str = "H") -> HopfAlgebra:
     basis = tuple(data.get("basis", [f"e{i}" for i in range(dim)]))
     return HopfAlgebra(name, basis, mult, unit, comult, counit, antipode, weak)
 
-
-def reps_from_json(data: dict) -> list[Rep]:
-    reps = []
-    for entry in data.get("reps", []):
-        dim = int(entry["dim"])
-        mats = []
-        for m in entry["matrices"]:
-            mat: Mat = {}
-            for r in range(dim):
-                for s in range(dim):
-                    v = _parse_scalar(m[r][s])
-                    if not is_zero(v):
-                        mat[(r, s)] = v
-            mats.append(mat)
-        reps.append(Rep(str(entry.get("name", "rep")), dim, mats))
-    return reps

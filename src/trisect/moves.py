@@ -50,9 +50,6 @@ class MoveSpec:
             raise TrisectError(f"unknown move {variant!r}")
         return cls(variant, {k: v for k, v in data.items() if k != "move"})
 
-    def to_json(self) -> dict:
-        return {"move": self.variant, **self.params}
-
 
 def apply_move(d: TrisectionDiagram, spec: MoveSpec) -> TrisectionDiagram:
     fn = {

@@ -280,20 +280,6 @@ class Cyc:
             raise ValueError(f"{self} is not rational")
         return self.coords[0]
 
-    def conjugate(self) -> "Cyc":
-        if self.level == 1:
-            return self
-        n = self.level
-        rows = _reduction_rows(n)
-        d = self.degree
-        out = [Fraction(0)] * d
-        for k, c in enumerate(self.coords):
-            if c:
-                row = rows[(n - k) % n]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return Cyc(n, out)
-
     def to_complex(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.level)
         return sum((complex(c) * z**k for k, c in enumerate(self.coords)), 0j)

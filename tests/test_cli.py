@@ -53,7 +53,14 @@ def test_eval_rep_backend(capsys):
 
 def test_eval_count_matches_spec_example(capsys):
     code, out, _ = run(capsys, "eval", "count", "--C", "Z/2", "--B", "Z/3", "s4")
-    assert code == 0 and out.strip() == "l=6, invariant=1+0j"
+    assert code == 0 and out.strip() == "l=6, invariant=1"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_real_invariant_prints_no_imaginary_part(capsys, backend):
+    code, out, _ = run(capsys, "eval", "invariant", "--triplet", "group:C=S4,B=S3", "--backend", backend, "cp2")
+    # a real invariant prints as a real decimal, not as "0.190785707092+0j"
+    assert code == 0 and out.startswith("invariant = 0.190785707092 (= 144")
 
 
 def test_eval_count_with_gset(capsys):
@@ -111,6 +118,13 @@ def test_domain_error_exit_code(capsys):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["eval", "bracket", "cp2"])  # missing --triplet
+    assert exc.value.code == 2
+
+
+def test_eval_has_no_tolerance_option():
+    # only crosscheck compares two values; eval bracket|invariant has no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "bracket", "--tol", "1e-3", "--triplet", "kashaev:n=3", "cp2"])
     assert exc.value.code == 2
 
 

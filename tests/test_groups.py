@@ -45,7 +45,7 @@ def test_abelian_characters_orthogonality():
         n = g.order
         for r, row in enumerate(chars):
             for s, row2 in enumerate(chars):
-                total = sum((row[i] * row2[i].conjugate() for i in range(n)), row[0] * 0)
+                total = sum((row[i] * row2[i].inverse() for i in range(n)), row[0] * 0)
                 assert total == (n if r == s else 0)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trisect import hopf
-from trisect.errors import MissingIrreps, NonSemisimple
+from trisect.errors import NonSemisimple
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc
 
@@ -189,20 +189,6 @@ def test_nonsemisimple_rejreported_via_antipode():
         hopf.compute_integral(h)
 
 
-def test_canonical_dual_integral():
-    g = cyclic(3)
-    h = hopf.group_algebra(g)
-    chars = g.character_values()
-    irreps = [hopf.Rep(f"chi{r}", 1, [{(0, 0): chars[r][i]} for i in range(3)]) for r in range(3)]
-    lam = hopf.canonical_dual_integral(h, irreps)
-    # lambda = |G| delta_e as a functional on C[G]
-    assert lam == {0: Cyc.rational(3)}
-    ell_norm = {k: v * Fraction(1, 3) for k, v in hopf.compute_integral(h).items()}
-    assert hopf.apply_functional(lam, ell_norm) == 1
-    with pytest.raises(MissingIrreps):
-        hopf.canonical_dual_integral(h, irreps[:2])
-
-
 def test_kashaev_pairing_values():
     t = hopf.kashaev_triplet(4)
     assert t.tau_CA[(1, 1)] == Cyc.rational(Fraction(1, 4)) * Cyc.zeta(4)
@@ -316,18 +302,101 @@ def test_drinfeld_double_of_s3():
     assert max(hopf.check_hopf_axioms(d).values()) == 0.0
 
 
-def test_reps_from_json():
-    data = {
-        "algebra": "C[Z/2]",
-        "reps": [
-            {"name": "triv", "dim": 1, "matrices": [[[1]], [[1]]]},
-            {"name": "sign", "dim": 1, "matrices": [[[1]], [[-1]]]},
-        ],
+def _loop_double(a, b, tau):
+    """The double with every Sweedler sum spelled out as a loop: the oracle for the network-built one."""
+    na, nb = a.dim, b.dim
+    tinv = hopf.convolution_inverse(tau, a)
+
+    def idx(i, j):
+        return i * nb + j
+
+    def coproduct3(h, i):
+        # (id x Delta) Delta(e_i), keyed by its three tensor slots
+        out = {}
+        for (x, t), c in h.comult.get(i, {}).items():
+            for (y, z), c2 in h.comult.get(t, {}).items():
+                hopf._acc(out, (x, y, z), c * c2)
+        return out
+
+    basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
+    aco_all = [coproduct3(a, i) for i in range(na)]
+    bco_all = [coproduct3(b, j) for j in range(nb)]
+    lmul_a, rmul_b = {}, {}
+    for (i, a2), prod in a.mult.items():
+        lmul_a.setdefault(a2, []).append((i, prod))
+    for (b2, j2), prod in b.mult.items():
+        rmul_b.setdefault(b2, []).append((j2, prod))
+    mult = {}
+    for j in range(nb):
+        for i2 in range(na):
+            # the twist weights do not involve i or j2; group them by (a2, b2)
+            pieces = {}
+            for (a1, a2, a3), ca in aco_all[i2].items():
+                for (b1, b2, b3), cb in bco_all[j].items():
+                    w, w2 = tau.get((a1, b1)), tinv.get((a3, b3))
+                    if w is not None and w2 is not None:
+                        hopf._acc(pieces, (a2, b2), ca * cb * (w * w2))
+            for (a2, b2), coeff in pieces.items():
+                for i, pa in lmul_a.get(a2, ()):
+                    for j2, pb in rmul_b.get(b2, ()):
+                        out = mult.setdefault((idx(i, j), idx(i2, j2)), {})
+                        for x, cx in pa.items():
+                            for y, cy in pb.items():
+                                hopf._acc(out, idx(x, y), coeff * (cx * cy))
+    mult = {k: v for k, v in mult.items() if v}
+    unit = {idx(i, j): cu * cv for i, cu in a.unit.items() for j, cv in b.unit.items()}
+    comult = {
+        idx(i, j): {
+            (idx(a1, b1), idx(a2, b2)): ca * cb
+            for (a1, a2), ca in a.comult.get(i, {}).items()
+            for (b1, b2), cb in b.comult.get(j, {}).items()
+        }
+        for i in range(na)
+        for j in range(nb)
     }
-    reps = hopf.reps_from_json(data)
-    assert [r.name for r in reps] == ["triv", "sign"]
-    lam = hopf.canonical_dual_integral(hopf.group_algebra(cyclic(2)), reps)
-    assert lam == {0: Cyc.rational(2)}
+    counit = {idx(i, j): ca * cb for i, ca in a.counit.items() for j, cb in b.counit.items()}
+    dd = hopf.HopfAlgebra("oracle", basis, mult, unit, comult, counit, {})
+    antipode = {}
+    for i in range(na):
+        for j in range(nb):
+            # (1 x S(f_j)) (S(e_i) x 1)
+            left, right = {}, {}
+            for y, cy in b.antipode.get(j, {}).items():
+                for iu, cu in a.unit.items():
+                    hopf._acc(left, idx(iu, y), cy * cu)
+            for x, cx in a.antipode.get(i, {}).items():
+                for ju, cu in b.unit.items():
+                    hopf._acc(right, idx(x, ju), cx * cu)
+            antipode[idx(i, j)] = dd.product(left, right)
+    dd.antipode = antipode
+    return dd
+
+
+def _double_inputs():
+    """(a, b, tau) by name: the Kashaev, trivial and Drinfeld doubles and two group triplets' pairings."""
+    out = {}
+    for n in range(2, 7):
+        t = hopf.kashaev_triplet(n)
+        out[f"kashaev{n}"] = (t.C, t.A, t.tau_CA)
+    a2, b3 = hopf.group_algebra(cyclic(2)), hopf.group_algebra(cyclic(3))
+    out["trivial"] = (a2, b3, hopf.trivial_pairing(a2, b3))
+    s3 = hopf.group_algebra(symmetric(3))
+    s3sc = hopf.cop(hopf.dual(s3))
+    out["S3"] = (s3sc, s3, hopf.canonical_pairing(s3sc, s3))
+    for c, b in ((cyclic(2), cyclic(3)), (symmetric(3), cyclic(2))):
+        t = hopf.group_triplet(c, b)
+        out[f"CA:{c.name},{b.name}"] = (t.C, t.A, t.tau_CA)
+        out[f"AB:{c.name},{b.name}"] = (t.A, t.B, t.tau_AB)
+    return out
+
+
+@pytest.mark.parametrize("name", list(_double_inputs()))
+def test_double_matches_the_loop_oracle(name):
+    a, b, tau = _double_inputs()[name]
+    got, want = hopf.generalized_double(a, b, tau), _loop_double(a, b, tau)
+    assert got.basis == want.basis
+    for key in ("mult", "comult", "unit", "counit", "antipode"):
+        assert getattr(got, key) == getattr(want, key), key
 
 
 def test_algebra_json_roundtrip():

@@ -110,9 +110,9 @@ def test_stabilize_destabilize_roundtrip():
 
 
 def test_move_spec_json_roundtrip():
-    spec = moves.MoveSpec("two_point_insert", {"curve_a": "a", "pos_a": 0, "curve_b": "b", "pos_b": 1, "sign": -1})
-    back = moves.MoveSpec.from_json(spec.to_json())
-    assert back == spec
+    params = {"curve_a": "a", "pos_a": 0, "curve_b": "b", "pos_b": 1, "sign": -1}
+    back = moves.MoveSpec.from_json({"move": "two_point_insert", **params})
+    assert back == moves.MoveSpec("two_point_insert", params)
     d2 = moves.apply_move(cp2(), back)
     assert len(d2.crossings) == 5
 
