@@ -23,7 +23,7 @@ from .diagram import (
     standard_s4_embedded,
 )
 from .groups import Group, coset_gset, cyclic, opposite, point_gset, product, symmetric
-from .scalars import Cyc, approx_eq
+from .scalars import Cyc
 
 ONE = Cyc.rational(1)
 
@@ -195,12 +195,6 @@ def criterion_4():
 def _bracket(d, t, evaluator="element", scale=None):
     cfg = bracket.BracketConfig(t, evaluator=evaluator, integral_scale=scale or {})
     return bracket.trisection_bracket(d, cfg)
-
-
-def _eq(a, b, exact=True):
-    if exact and isinstance(a, Cyc) and isinstance(b, Cyc):
-        return a == b
-    return approx_eq(a, b)
 
 
 def criterion_5():

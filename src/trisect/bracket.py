@@ -29,7 +29,7 @@ from .contraction import Node, Tensor, contract_network
 from .diagram import BLUE, GREEN, PAIR_FIRST, RED, TrisectionDiagram, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
 from .hopf import HopfTriplet, compute_integral, convolution_inverse
-from .scalars import Cyc, is_zero, to_complex
+from .scalars import Cyc, approx_eq, render, to_complex
 
 ONE = Cyc.rational(1)
 
@@ -215,15 +215,22 @@ class InvariantValue:
 
     Stored exactly; comparisons are exact whenever the genera agree mod 3
     (which every move guarantees), otherwise via exact cubes plus a branch
-    check on the decimal approximation.
+    check on the decimal approximation.  A float value compares within the
+    relative tolerance of ``approx_eq``.
     """
 
     coeff: object
     base: object
     genus: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.coeff, (Cyc, complex)):
+            self.coeff = Cyc.rational(self.coeff)
+        if not isinstance(self.base, (Cyc, complex)):
+            self.base = Cyc.rational(self.base)
+
     def cubed(self):
-        return self.coeff**3 / _pow_scalar(_as_scalar(self.base), self.genus)
+        return self.coeff**3 / self.base**self.genus
 
     def approx(self) -> complex:
         return to_complex(self.coeff) * self._xi_approx() ** (-self.genus)
@@ -241,54 +248,31 @@ class InvariantValue:
         ]
 
     def scaled(self, s) -> "InvariantValue":
-        return InvariantValue(_as_scalar(s) * self.coeff, self.base, self.genus)
+        return InvariantValue(s * self.coeff, self.base, self.genus)
+
+    def _near(self, z) -> bool:
+        """The branch check: the decimal approximations agree."""
+        return abs(self.approx() - z) <= 1e-8 * max(1.0, abs(self.approx()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, InvariantValue):
-            if self.is_zero() or other.is_zero():
-                return self.is_zero() and other.is_zero()
-            if _eq_scalar(self.base, other.base) and (self.genus - other.genus) % 3 == 0:
+            if approx_eq(self.base, other.base) and (self.genus - other.genus) % 3 == 0:
                 t = (self.genus - other.genus) // 3
-                return _eq_scalar(self.coeff, other.coeff * _pow_scalar(_as_scalar(self.base), t))
-            return _eq_scalar(self.cubed(), other.cubed()) and abs(self.approx() - other.approx()) <= 1e-8 * max(
-                1.0, abs(self.approx())
-            )
+                return approx_eq(self.coeff, other.coeff * self.base**t)
+            return approx_eq(self.cubed(), other.cubed()) and self._near(other.approx())
         # comparison against a plain scalar
-        if self.is_zero():
-            return abs(to_complex(_as_scalar(other))) <= 1e-12
         if self.genus % 3 == 0:
-            return _eq_scalar(self.coeff, _as_scalar(other) * _pow_scalar(_as_scalar(self.base), self.genus // 3))
-        cube_eq = _eq_scalar(self.cubed(), _as_scalar(other) ** 3)
-        return cube_eq and abs(self.approx() - to_complex(other)) <= 1e-8 * max(1.0, abs(self.approx()))
-
-    def is_zero(self) -> bool:
-        return is_zero(self.coeff)
+            return approx_eq(self.coeff, other * self.base ** (self.genus // 3))
+        return approx_eq(self.cubed(), other**3) and self._near(to_complex(other))
 
     def __str__(self) -> str:
-        z = self.approx()
-        dec = f"{z.real:.12g}" + (f"{z.imag:+.12g}i" if abs(z.imag) > 1e-10 else "")
-        return f"{self.coeff} * <S4-bracket>^(-{self.genus}/3) (~ {dec})"
-
-
-def _as_scalar(x):
-    return x if isinstance(x, (Cyc, complex)) else Cyc.rational(x)
-
-
-def _pow_scalar(x, e: int):
-    return _as_scalar(x) ** e
-
-
-def _eq_scalar(a, b, tol: float = 1e-9) -> bool:
-    if isinstance(a, Cyc) and isinstance(b, Cyc):
-        return a == b
-    x, y = to_complex(a), to_complex(b)
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+        return f"{self.coeff} * <S4-bracket>^(-{self.genus}/3) (~ {render(self.approx())})"
 
 
 def invariant(d: TrisectionDiagram, cfg: BracketConfig) -> InvariantValue:
     """The bracket normalized by the cube root of the standard S^4 bracket."""
     stab = cfg.s4_bracket
-    if is_zero(stab):
+    if not stab:
         raise StabilizationObstruction(
             f"the standard S^4 bracket vanishes for {cfg.triplet.name}; no invariant"
         )
@@ -318,7 +302,7 @@ def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram,
     b1 = trisection_bracket(t1, cfg)
     b2 = trisection_bracket(t2, cfg)
     bs = trisection_bracket(connected_sum(t1, t2), cfg)
-    ok = _eq_scalar(bs, b1 * b2)
+    ok = approx_eq(bs, b1 * b2)
     return CheckReport(
         "connected-sum multiplicativity",
         ok,
@@ -330,9 +314,9 @@ def cross_check(d: TrisectionDiagram, cfg: BracketConfig, tol: float = 1e-9) -> 
     """Element vs representation backend under the same normalization."""
     be = trisection_bracket(d, replace(cfg, evaluator="element"))
     br = trisection_bracket(d, replace(cfg, evaluator="rep"))
-    ok = _eq_scalar(be, br, tol)
+    ok = approx_eq(be, br, tol)
     details = {"element": str(be), "rep": str(br)}
-    if not ok and not is_zero(br):
+    if not ok and br:
         ratio = be / br if isinstance(be, Cyc) and isinstance(br, Cyc) else to_complex(be) / to_complex(br)
         details["ratio"] = str(ratio)
         details["note"] = f"a per-integral rescaling by z changes the bracket by z^{d.genus}"

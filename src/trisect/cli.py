@@ -67,7 +67,7 @@ def _triplet_from_json(data: dict) -> hopf.HopfTriplet:
         for i, row in enumerate(data[key]):
             for j, v in enumerate(row):
                 s = hopf._parse_scalar(v)
-                if not hopf.is_zero(s):
+                if s:
                     out[(i, j)] = s
         return out
 
@@ -297,7 +297,7 @@ def _dispatch_eval(args) -> int:
     text = f"invariant = {render(inv.approx())} (= {render(inv.coeff)} x <S4>^(-g/3), g={inv.genus})"
     if getattr(args, "all_roots", False):
         payload["all_roots"] = [[z.real, z.imag] for z in inv.all_roots()]
-        text += "\n  roots: " + ", ".join(f"{z:.10g}" for z in inv.all_roots())
+        text += "\n  roots: " + ", ".join(render(z) for z in inv.all_roots())
     _emit(args, payload, text)
     return 0
 

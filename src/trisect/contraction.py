@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import ResourceExceeded
-from .scalars import Cyc, is_zero
+from .scalars import Cyc
 
 ONE = Cyc.rational(1)
 
@@ -108,20 +108,20 @@ def _contract_pair(a: Node, b: Node, dims) -> Node:
                 cur = out.get(k)
                 term = aval * val
                 new = term if cur is None else cur + term
-                if is_zero(new, tol=0.0):
-                    out.pop(k, None)
-                else:
+                if new:
                     out[k] = new
+                else:
+                    out.pop(k, None)
         else:
             for right, bval in hits:
                 k = mine + right
                 cur = out.get(k)
                 term = val * bval
                 new = term if cur is None else cur + term
-                if is_zero(new, tol=0.0):
-                    out.pop(k, None)
-                else:
+                if new:
                     out[k] = new
+                else:
+                    out.pop(k, None)
     return Node(f"({a.name}*{b.name})", tuple(keep_a + keep_b), out)
 
 

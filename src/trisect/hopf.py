@@ -18,13 +18,13 @@ is one network over the tensors of its two factors and the pairing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .contraction import Node, contract_network
 from .errors import MissingIrreps, NonSemisimple, TrisectError
 from .groups import GSet, Group, opposite, product
-from .scalars import Cyc, is_zero, to_complex
+from .scalars import Cyc, approx_eq, to_complex
 
 Vec = dict[int, object]          # sparse vector: basis index -> scalar
 Mat = dict[tuple[int, int], object]
@@ -33,10 +33,10 @@ Mat = dict[tuple[int, int], object]
 def _acc(dst: dict, key, val) -> None:
     cur = dst.get(key)
     new = val if cur is None else cur + val
-    if is_zero(new, tol=0.0):
-        dst.pop(key, None)
-    else:
+    if new:
         dst[key] = new
+    else:
+        dst.pop(key, None)
 
 
 ONE = Cyc.rational(1)
@@ -108,7 +108,7 @@ class HopfAlgebra:
     def antipode_involutive(self) -> bool:
         for i in range(self.dim):
             ss = self.antipode_vec(self.antipode.get(i, {}))
-            if set(ss) != {i} or not is_zero(ss[i] - ONE):
+            if set(ss) != {i} or not approx_eq(ss[i], ONE):
                 return False
         return True
 
@@ -202,7 +202,7 @@ def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
         a, b = (_tensor(part.get(i), dims, rest) for part, (_, dims) in zip(cuts, sides))
         for key in a.keys() | b.keys():
             diff = a.get(key, zero) - b.get(key, zero)
-            if not is_zero(diff, tol=0.0):
+            if diff:
                 worst = max(worst, abs(to_complex(diff)))
     return worst
 
@@ -552,7 +552,7 @@ def compute_integral(h: HopfAlgebra) -> Vec:
             if p == i:
                 _acc(ell, q, c)
     eps = h.counit_of(ell)
-    if is_zero(eps):
+    if not eps:
         raise NonSemisimple(f"{h.name}: candidate integral has eps = 0")
     return ell
 
@@ -589,7 +589,6 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
         raise TrisectError("the action must be transitive")
     k = mset.group
     msz, ksz = mset.size, k.order
-    dim = msz * msz * ksz
 
     def ix(m, n, kk):
         return _weak_index(m, n, kk, msz, ksz)
@@ -628,34 +627,7 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
     basis_d = tuple(
         f"{lab[m]}{lab[n]}(x)d{k.labels[kk]}" for m in range(msz) for n in range(msz) for kk in range(ksz)
     )
-    mult_d: dict[tuple[int, int], Vec] = {}
-    for m in range(msz):
-        for n in range(msz):
-            for h in range(ksz):
-                for q in range(msz):
-                    mult_d[(ix(m, n, h), ix(n, q, h))] = {ix(m, q, h): ONE}
-    unit_d = {ix(m, m, h): ONE for m in range(msz) for h in range(ksz)}
-    comult_d: dict[int, dict] = {}
-    for m in range(msz):
-        for n in range(msz):
-            for g in range(ksz):
-                d: dict = {}
-                for x in range(ksz):
-                    y = k.mul(k.inverse(x), g)
-                    xi = k.inverse(x)
-                    d[(ix(m, n, x), ix(mset.apply(xi, m), mset.apply(xi, n), y))] = ONE
-                comult_d[ix(m, n, g)] = d
-    counit_d = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
-    antipode_d = {}
-    for m in range(msz):
-        for n in range(msz):
-            for g in range(ksz):
-                gi = k.inverse(g)
-                antipode_d[ix(m, n, g)] = {ix(mset.apply(gi, n), mset.apply(gi, m), gi): ONE}
-    vec = HopfAlgebra(
-        f"<MxM>(x)C^{k.name}", basis_d, mult_d, unit_d, comult_d, counit_d, antipode_d, weak=msz > 1
-    )
-    return cross, vec
+    return cross, replace(dual(cross), name=f"<MxM>(x)C^{k.name}", basis=basis_d)
 
 
 def weak_integrals_from_action(mset: GSet) -> tuple[Vec, Vec]:
@@ -702,8 +674,10 @@ def weak_triplet(c_group: Group, b_group: Group, mset: GSet | None = None) -> Ho
         act = tuple(tuple(mset.apply(emb(g), m) for m in range(msz)) for g in range(group.order))
         return GSet(group, mset.labels, act)
 
-    h_b, _ = weak_hopf_from_action(restricted(b_op, lambda b: kidx(0, b)), strict=False)
-    h_c, _ = weak_hopf_from_action(restricted(c_group, lambda c: kidx(c, 0)), strict=False)
+    m_b = restricted(b_op, lambda b: kidx(0, b))
+    m_c = restricted(c_group, lambda c: kidx(c, 0))
+    h_b, _ = weak_hopf_from_action(m_b, strict=False)
+    h_c, _ = weak_hopf_from_action(m_c, strict=False)
     b_t = h_b
     c_t = op(cop(h_c))
 
@@ -737,9 +711,9 @@ def weak_triplet(c_group: Group, b_group: Group, mset: GSet | None = None) -> Ho
                                 tau_bc[(ixb(p, q, b), ixc(m, n, c))] = ONE
     name = f"weak:C={c_group.name},B={b_group.name},|M|={msz}"
     ints = {
-        "A": {_weak_index(m, n, 0, msz, k.order): ONE for m in range(msz) for n in range(msz)},
-        "B": {_weak_index(m, m, b, msz, nb): ONE for m in range(msz) for b in range(nb)},
-        "C": {_weak_index(m, m, c, msz, nc): ONE for m in range(msz) for c in range(nc)},
+        "A": weak_integrals_from_action(mset)[1],
+        "B": weak_integrals_from_action(m_b)[0],
+        "C": weak_integrals_from_action(m_c)[0],
     }
     return HopfTriplet(name, a_t, b_t, c_t, tau_ab, tau_bc, tau_ca, allow_weak=True, default_integrals=ints)
 
@@ -865,27 +839,27 @@ def algebra_from_json(data: dict, name: str = "H") -> HopfAlgebra:
                 row: Vec = {}
                 for kk in range(dim):
                     s = _parse_scalar(data["mult"][i][j][kk])
-                    if not is_zero(s):
+                    if s:
                         row[kk] = s
                 if row:
                     mult[(i, j)] = row
-        unit = {k: _parse_scalar(v) for k, v in enumerate(data["unit"]) if not is_zero(_parse_scalar(v))}
+        unit = {k: _parse_scalar(v) for k, v in enumerate(data["unit"]) if _parse_scalar(v)}
         comult: dict[int, dict] = {}
         for i in range(dim):
             d = {}
             for j in range(dim):
                 for kk in range(dim):
                     s = _parse_scalar(data["comult"][i][j][kk])
-                    if not is_zero(s):
+                    if s:
                         d[(j, kk)] = s
             comult[i] = d
-        counit = {k: _parse_scalar(v) for k, v in enumerate(data["counit"]) if not is_zero(_parse_scalar(v))}
+        counit = {k: _parse_scalar(v) for k, v in enumerate(data["counit"]) if _parse_scalar(v)}
         antipode: dict[int, Vec] = {}
         for i in range(dim):
             row = {}
             for j in range(dim):
                 s = _parse_scalar(data["antipode"][i][j])
-                if not is_zero(s):
+                if s:
                     row[j] = s
             antipode[i] = row
     except (KeyError, IndexError, TypeError) as exc:

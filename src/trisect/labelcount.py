@@ -30,7 +30,8 @@ from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, valid
 from .errors import ResourceExceeded, TrisectError
 from .groups import GSet, Group, opposite, point_gset, product
 from .hopf import Rep, group_triplet, weak_simple_reps
-from .scalars import Cyc, is_zero
+from .hopf import _acc as _add_entry
+from .scalars import Cyc
 
 ONE = Cyc.rational(1)
 
@@ -452,7 +453,7 @@ def brute_force_evaluation(
             base_seg = (n - 1) % max(1, n)
             left, right = e.sides(lam.id, base_seg)
             m1, m2 = regions[right], regions[left]
-            mat = _rep_matrix_of(rep, [ix(m1, m2, 0)], msz, ksz)
+            mat = _rep_matrix_of(rep, [ix(m1, m2, 0)])
             for xid in lam.visits:
                 partner, _ = e.base.end_on(xid, lam.id)
                 color = e.base.curve(partner).color
@@ -464,7 +465,7 @@ def brute_force_evaluation(
                 else:
                     b = label if eps == 1 else cfg.b_group.inverse(label)
                     kk = cfg.k_of_b(b)
-                step = _rep_matrix_of(rep, [ix(m, n, kk) for m in range(msz) for n in range(msz)], msz, ksz)
+                step = _rep_matrix_of(rep, [ix(m, n, kk) for m in range(msz) for n in range(msz)])
                 mat = _mat_mul(mat, step)
             tr = None
             for r in range(rep.dim):
@@ -475,7 +476,7 @@ def brute_force_evaluation(
                 term = None
                 break
             term = term * tr
-        if term is not None and not is_zero(term):
+        if term:
             total = term if total is None else total + term
     return ONE * 0 if total is None else total
 
@@ -496,16 +497,11 @@ def _all_region_labellings(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: 
     return (assign for assign in assigns if assign.get(e.boundary_region) == boundary_label)
 
 
-def _rep_matrix_of(rep: Rep, indices: list[int], msz: int, ksz: int) -> dict:
+def _rep_matrix_of(rep: Rep, indices: list[int]) -> dict:
     out: dict = {}
     for i in indices:
         for key, v in rep.mats[i].items():
-            cur = out.get(key)
-            new = v if cur is None else cur + v
-            if is_zero(new):
-                out.pop(key, None)
-            else:
-                out[key] = new
+            _add_entry(out, key, v)
     return out
 
 
@@ -516,13 +512,7 @@ def _mat_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for (r, s), v in a.items():
         for s2, v2 in by_row.get(s, ()):
-            key = (r, s2)
-            cur = out.get(key)
-            new = v * v2 if cur is None else cur + v * v2
-            if is_zero(new):
-                out.pop(key, None)
-            else:
-                out[key] = new
+            _add_entry(out, (r, s2), v * v2)
     return out
 
 

@@ -5,6 +5,11 @@ Every invariant computed by this package is a value of this scalar type.
 power basis 1, z, ..., z^(d-1) where z = exp(2*pi*i/n) and d = deg Phi_n.
 Arithmetic between different levels promotes to the lcm level.  Plain
 ``complex`` is accepted everywhere as the approximate backend.
+
+A scalar is falsy exactly when it is zero; that is the one zero test, and
+only exact zeros (every coordinate 0, or a complex 0j) are ever dropped.
+An exact value never ``==`` a float: mixed comparisons go through
+``approx_eq``.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd
-
-Rat = Fraction
 
 _cyclo_cache: dict[int, list[Fraction]] = {}
 _reduce_cache: dict[int, list[tuple[Fraction, ...]]] = {}
@@ -222,7 +225,7 @@ class Cyc:
     def inverse(self) -> "Cyc":
         """Field inverse via exact Gaussian elimination."""
         d = self.degree
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero")
         # columns: coordinates of self * z^j
         cols = []
@@ -255,8 +258,6 @@ class Cyc:
         return self._coerce(other) * self.inverse()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, complex):
-            return abs(self.to_complex() - other) <= 1e-9
         try:
             a, b = self._pair(other)
         except TypeError:
@@ -269,11 +270,11 @@ class Cyc:
         # rational it is the rational itself, as ``== q`` requires
         return hash(sum(c * w for c, w in zip(self.coords, _trace_weights(self.level)) if c))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+    def __bool__(self) -> bool:
+        return any(self.coords)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.coords[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -306,14 +307,6 @@ ZERO = Cyc.rational(0)
 ONE = Cyc.rational(1)
 
 
-def is_zero(x, tol: float = 1e-9) -> bool:
-    if isinstance(x, Cyc):
-        return x.is_zero()
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return abs(x) <= tol
-
-
 def to_complex(x) -> complex:
     if isinstance(x, Cyc):
         return x.to_complex()
@@ -321,14 +314,24 @@ def to_complex(x) -> complex:
 
 
 def approx_eq(a, b, tol: float = 1e-9) -> bool:
+    """Exact ``==`` unless a side is complex; then equal within ``tol``, relative."""
+    if not (isinstance(a, complex) or isinstance(b, complex)):
+        return a == b
     x, y = to_complex(a), to_complex(b)
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
 def render(x) -> str:
-    """Exact form together with a decimal approximation."""
+    """Exact form together with a decimal approximation.
+
+    A part of the decimal is left out only when it is below 1e-12 |z|, so a
+    tiny value keeps both its parts.
+    """
     z = to_complex(x)
-    dec = f"{z.real:.12g}" + (f"{z.imag:+.12g}i" if abs(z.imag) > 1e-12 else "")
+    small = 1e-12 * abs(z)
+    re = f"{z.real:.12g}" if abs(z.real) > small or abs(z.imag) <= small else ""
+    im = f"{z.imag:+.12g}i" if abs(z.imag) > small else ""
+    dec = (re + im).lstrip("+")
     if isinstance(x, Cyc):
         return f"{x} (~ {dec})"
     return dec

@@ -149,6 +149,18 @@ def test_float_backend_keeps_small_values():
     assert abs(approx - exact.to_complex()) <= 1e-9 * abs(exact.to_complex())
 
 
+def test_float_invariant_of_a_tiny_s4_bracket():
+    # with every integral scaled by 1e-3 the S^4 bracket is about 7.3e-25:
+    # small, but not zero, so the float backend still normalizes by it
+    t = hopf.kashaev_triplet(3)
+    milli = Cyc.rational(Fraction(1, 1000))
+    exact = invariant(cp2(), BracketConfig(t, integral_scale=dict.fromkeys("ABC", milli)))
+    approx = invariant(cp2(), BracketConfig(hopf.float_triplet(t), integral_scale=dict.fromkeys("ABC", 1e-3)))
+    want = exact.approx()
+    assert abs(want - 1j / math.sqrt(3)) <= 1e-12
+    assert abs(approx.approx() - want) <= 1e-9 * abs(want)
+
+
 def test_missing_irreps_for_rep_backend():
     t = hopf.group_triplet(symmetric(3), cyclic(2))  # K nonabelian: no characters
     with pytest.raises(MissingIrreps):
@@ -244,7 +256,7 @@ def _with_a_block_of_dimension_two(t):
             (0, 0): m0.get((0, 0), ONE * 0), (0, 1): ONE,
             (1, 0): Cyc.rational(x), (1, 1): m1.get((0, 0), ONE * 0),
         }
-        mats.append({k: v for k, v in entries.items() if not v.is_zero()})
+        mats.append({k: v for k, v in entries.items() if v})
     block = hopf.Rep("rho2", 2, mats)
     return dataclasses.replace(t, A=dataclasses.replace(t.A, dual_irreps=[block, *rest]))
 

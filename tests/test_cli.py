@@ -63,6 +63,14 @@ def test_real_invariant_prints_no_imaginary_part(capsys, backend):
     assert code == 0 and out.startswith("invariant = 0.190785707092 (= 144")
 
 
+def test_imaginary_invariant_and_its_roots_print_in_one_format(capsys):
+    code, out, _ = run(capsys, "eval", "invariant", "--triplet", "kashaev:n=3", "cp2", "--all-roots")
+    # the float residue of the real part is not printed, and roots use "i"
+    assert code == 0 and out.startswith("invariant = 0.57735026919i (= 3 + 6*z3")
+    assert "e-16" not in out and "j" not in out
+    assert "roots: 0.57735026919i, 0.5-0.288675134595i, -0.5-0.288675134595i" in out
+
+
 def test_eval_count_with_gset(capsys):
     code, out, _ = run(capsys, "eval", "count", "--C", "Z/2", "--B", "Z/2", "--M", "cosets:(1,1)", "s4")
     assert code == 0 and "l=8" in out

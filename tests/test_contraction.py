@@ -49,7 +49,7 @@ def brute_force(nodes: list[Node], dims: dict[str, int], open_wires: list[str]) 
         else:
             key = tuple(at[w] for w in open_wires)
             out[key] = out.get(key, ZERO) + term
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,8 +118,8 @@ class Word:
         out.terms = self.terms + other.terms
         return out
 
-    def __abs__(self):
-        return sum(self.terms.values())
+    def __bool__(self):
+        return bool(self.terms)
 
     def __eq__(self, other):
         return self.terms == other.terms

@@ -413,3 +413,19 @@ def test_algebra_json_roundtrip():
     h2 = hopf.algebra_from_json(data)
     assert h2.mult == h.mult
     assert max(hopf.check_hopf_axioms(h2).values()) == 0.0
+
+
+def test_algebra_json_keeps_small_float_entries():
+    # only exact zeros are dropped: a 1e-10 entry is data, not noise
+    data = {
+        "dim": 2,
+        "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+        "unit": [1.0, 0.0],
+        "comult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        "counit": [1, 1e-10],
+        "antipode": [[1, 1e-10], [0, 1]],
+    }
+    h = hopf.algebra_from_json(data)
+    assert h.unit == {0: 1.0}
+    assert h.counit == {0: Cyc.rational(1), 1: 1e-10}
+    assert h.antipode == {0: {0: Cyc.rational(1), 1: 1e-10}, 1: {1: Cyc.rational(1)}}

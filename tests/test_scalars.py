@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect.scalars import Cyc, approx_eq, cyclotomic_poly, is_zero, render, to_complex
+from trisect.scalars import Cyc, approx_eq, cyclotomic_poly, render, to_complex
 
 
 def test_cyclotomic_polynomials():
@@ -19,7 +19,7 @@ def test_cyclotomic_polynomials():
 
 def test_roots_of_unity_relations():
     z3 = Cyc.zeta(3)
-    assert (1 + z3 + z3 * z3).is_zero()
+    assert not 1 + z3 + z3 * z3
     assert Cyc.zeta(4) ** 2 == -1
     assert Cyc.zeta(5) ** 5 == 1
     assert Cyc.zeta(6) == 1 + Cyc.zeta(3)  # z6 = 1 + z3
@@ -65,10 +65,30 @@ def test_gauss_sums():
 
 
 def test_helpers():
-    assert is_zero(Cyc.rational(0)) and not is_zero(Cyc.zeta(3))
+    assert not Cyc.rational(0) and Cyc.zeta(3)
     assert approx_eq(Cyc.zeta(4), 1j)
     assert "~" in render(Cyc.zeta(3))
     assert to_complex(2 + 0j) == 2 + 0j
+
+
+def test_an_exact_value_never_equals_a_float():
+    # equal values must hash equal, and no exact value hashes like a nearby float
+    one = Cyc.rational(1)
+    assert one != 1 + 1e-12j and 1 + 1e-12j != one
+    assert one != 1 + 0j and Cyc.zeta(4) != 1j
+    assert approx_eq(one, 1 + 1e-12j) and approx_eq(1j, Cyc.zeta(4))
+    assert not approx_eq(one, 1 + 1e-6j)
+    # two exact values compare exactly, whatever the tolerance
+    assert not approx_eq(one, one + Fraction(1, 10**12), tol=1e-3)
+
+
+def test_render_hides_only_parts_below_the_relative_threshold():
+    assert render(1e-20 + 1e-20j) == "1e-20+1e-20i"
+    assert render(1.48e-16 + 0.5773502691896258j) == "0.57735026919i"
+    assert render(0.25 - 1e-17j) == "0.25"
+    assert render(-0.5j) == "-0.5i"
+    assert render(0j) == "0"
+    assert render(Cyc.zeta(3)) == "z3 (~ -0.5+0.866025403784i)"
 
 
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)

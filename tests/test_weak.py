@@ -1,6 +1,7 @@
 import pytest
 
 from trisect import hopf
+from trisect.acceptance import _weak_suite
 from trisect.errors import MissingIrreps, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, point_gset, product, regular_gset
 from trisect.scalars import Cyc
@@ -31,14 +32,64 @@ def test_weak_dimensions_and_axioms():
     assert max(hopf.check_hopf_axioms(vec).values()) == 0.0
 
 
+def _hand_built_dual(mset):
+    """The dual of the crossed product, written out entry by entry: the oracle."""
+    k = mset.group
+    msz, ksz = mset.size, k.order
+
+    def ix(m, n, kk):
+        return (m * msz + n) * ksz + kk
+
+    def act(g, m):
+        return mset.apply(g, m)
+
+    lab = mset.labels
+    basis = tuple(f"{lab[m]}{lab[n]}(x)d{k.labels[g]}" for m in range(msz) for n in range(msz) for g in range(ksz))
+    mult = {
+        (ix(m, n, h), ix(n, q, h)): {ix(m, q, h): ONE}
+        for m in range(msz) for n in range(msz) for h in range(ksz) for q in range(msz)
+    }
+    unit = {ix(m, m, h): ONE for m in range(msz) for h in range(ksz)}
+    comult = {
+        ix(m, n, g): {
+            (ix(m, n, x), ix(act(k.inverse(x), m), act(k.inverse(x), n), k.mul(k.inverse(x), g))): ONE
+            for x in range(ksz)
+        }
+        for m in range(msz) for n in range(msz) for g in range(ksz)
+    }
+    counit = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
+    antipode = {
+        ix(m, n, g): {ix(act(k.inverse(g), n), act(k.inverse(g), m), k.inverse(g)): ONE}
+        for m in range(msz) for n in range(msz) for g in range(ksz)
+    }
+    return hopf.HopfAlgebra(f"<MxM>(x)C^{k.name}", basis, mult, unit, comult, counit, antipode, weak=msz > 1)
+
+
 def test_weak_structure_tensors_are_mutual_transposes():
-    m = _diag_action()
-    cross, vec = hopf.weak_hopf_from_action(m)
-    d = hopf.dual(cross)
-    assert d.mult == vec.mult
-    assert d.comult == vec.comult
-    assert d.unit == vec.unit and d.counit == vec.counit
-    assert d.antipode == vec.antipode
+    # the dual is built by transposing the crossed product; its entries as
+    # written out by hand are the oracle
+    actions = [m for _, m in _weak_suite()]
+    actions += [regular_gset(product(cyclic(2), opposite(cyclic(2)))), regular_gset(cyclic(3))]
+    assert sorted(m.size for m in actions) == [1, 1, 2, 3, 3, 4]
+    for m in actions:
+        _, vec = hopf.weak_hopf_from_action(m)
+        want = _hand_built_dual(m)
+        for field in ("name", "basis", "mult", "unit", "comult", "counit", "antipode", "weak", "dual_irreps"):
+            assert getattr(vec, field) == getattr(want, field), (m.size, field)
+
+
+def test_weak_triplet_integrals_are_the_action_integrals():
+    # the formulas the triplet's default integrals were written out with
+    for c, b, spec in ((cyclic(2), cyclic(3), None), (cyclic(2), cyclic(2), [3])):
+        k = product(c, opposite(b))
+        m = point_gset(k) if spec is None else coset_gset(k, spec)
+        t = hopf.weak_triplet(c, b, m)
+        msz = m.size
+        assert t.default_integrals == {
+            "A": {(p * msz + q) * k.order: ONE for p in range(msz) for q in range(msz)},
+            "B": {(p * msz + p) * b.order + x: ONE for p in range(msz) for x in range(b.order)},
+            "C": {(p * msz + p) * c.order + x: ONE for p in range(msz) for x in range(c.order)},
+        }
 
 
 def test_weak_integrals():
@@ -91,7 +142,7 @@ def test_simple_reps_are_algebra_maps():
                 for key, v in rep.mats[k].items():
                     rhs[key] = rhs.get(key, ONE * 0) + c * v
             keys = set(lhs) | set(rhs)
-            assert all((lhs.get(k, ONE * 0) - rhs.get(k, ONE * 0)).is_zero() for k in keys)
+            assert not any(lhs.get(k, ONE * 0) - rhs.get(k, ONE * 0) for k in keys)
 
 
 def test_nonabelian_stabilizer_requires_explicit_reps():
