@@ -136,8 +136,7 @@ def _element_curves(cfg: BracketConfig):
     slots = {}
     for slot in "ABC":
         alg, ell = t.algebra(slot), integrals[slot]
-        delta = Tensor({(i, j, k): c for i, row in alg.comult.items() for (j, k), c in row.items()})
-        slots[slot] = (alg.dim, alg.counit_of(ell), Tensor({(i,): c for i, c in ell.items()}), delta)
+        slots[slot] = (alg.dim, alg.counit_of(ell), Tensor({(i,): c for i, c in ell.items()}), Tensor(alg.comult))
 
     def curve_nodes(curve, nodes, dims):
         dim, counit, ell, delta = slots[COLOR_SLOT[curve.color]]

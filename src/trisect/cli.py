@@ -47,40 +47,14 @@ def parse_triplet(spec: str, backend: str = "exact") -> hopf.HopfTriplet:
         params = dict(p.split("=", 1) for p in spec[len("weak:"):].split(";"))
         c = parse_group(params["C"])
         b = parse_group(params["B"])
-        cfg = labelcount.WeakConfig(c, b, _parse_gset(params.get("M", "point"), c, b))
-        t = hopf.weak_triplet(c, b, cfg.mset)
+        t = hopf.weak_triplet(c, b, _parse_gset(params.get("M", "point"), c, b))
     elif spec.startswith("file:"):
-        data = json.loads(Path(spec[len("file:"):]).read_text())
-        t = _triplet_from_json(data)
+        t = hopf.triplet_from_json(json.loads(Path(spec[len("file:"):]).read_text()))
     else:
         raise TrisectError(f"unknown triplet spec {spec!r}; use kashaev:n=3, group:C=Z/2,B=Z/3, or file:PATH")
     if backend == "float":
         t = hopf.float_triplet(t)
     return t
-
-
-def _triplet_from_json(data: dict) -> hopf.HopfTriplet:
-    algebras = {k: hopf.algebra_from_json(data[k], name=k) for k in ("A", "B", "C")}
-
-    def mat(key):
-        out = {}
-        for i, row in enumerate(data[key]):
-            for j, v in enumerate(row):
-                s = hopf._parse_scalar(v)
-                if s:
-                    out[(i, j)] = s
-        return out
-
-    return hopf.HopfTriplet(
-        data.get("name", "file"),
-        algebras["A"],
-        algebras["B"],
-        algebras["C"],
-        mat("tau_AB"),
-        mat("tau_BC"),
-        mat("tau_CA"),
-        allow_weak=any(a.weak for a in algebras.values()),
-    )
 
 
 def _parse_gset(spec: str, c_group, b_group):
@@ -315,8 +289,7 @@ def _dispatch_axioms(args) -> int:
     elif spec.startswith("weak:"):
         params = dict(p.split("=", 1) for p in spec[len("weak:"):].split(";"))
         c, b = parse_group(params["C"]), parse_group(params["B"])
-        cfg = labelcount.WeakConfig(c, b, _parse_gset(params.get("M", "point"), c, b))
-        h, _ = hopf.weak_hopf_from_action(cfg.mset)
+        h, _ = hopf.weak_hopf_from_action(_parse_gset(params.get("M", "point"), c, b))
     elif spec.startswith("file:"):
         h = hopf.algebra_from_json(json.loads(Path(spec[len("file:"):]).read_text()))
     else:

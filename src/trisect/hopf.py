@@ -1,10 +1,13 @@
 """Finite-dimensional (weak) Hopf algebras as sparse structure tensors.
 
-All structure maps are stored sparsely over an explicit basis: ``mult[(i,j)]``
-is the expansion of e_i e_j, ``comult[i]`` the expansion of the coproduct of
-e_i, and so on.  Scalars are exact cyclotomics (or complex for the float
-backend).  Group algebras use group elements as basis, function algebras
-delta functions, weak crossed products the triples from the group action.
+Each structure map is stored once, as the sparse tensor the networks
+contract: ``mult[(i, j, k)]`` is the coefficient of e_k in e_i e_j,
+``comult[(i, j, k)]`` that of e_j (x) e_k in the coproduct of e_i, and
+``antipode[(i, j)]`` that of e_j in S(e_i); ``unit`` and ``counit`` are sparse
+vectors.  Absent keys are zero.  Scalars are exact cyclotomics (or complex for
+the float backend).  Group algebras use group elements as basis, function
+algebras delta functions, weak crossed products the triples from the group
+action.
 
 The checkers state each identity once, as a pair of small networks over the
 structure tensors, and contract both sides with ``contraction.contract_network``.
@@ -28,6 +31,7 @@ from .scalars import Cyc, approx_eq, to_complex
 
 Vec = dict[int, object]          # sparse vector: basis index -> scalar
 Mat = dict[tuple[int, int], object]
+Tensor3 = dict[tuple[int, int, int], object]
 
 
 def _acc(dst: dict, key, val) -> None:
@@ -55,11 +59,11 @@ class Rep:
 class HopfAlgebra:
     name: str
     basis: tuple[str, ...]
-    mult: dict[tuple[int, int], Vec]
+    mult: Tensor3
     unit: Vec
-    comult: dict[int, dict[tuple[int, int], object]]
+    comult: Tensor3
     counit: Vec
-    antipode: dict[int, Vec]
+    antipode: Mat
     weak: bool = False
     # representations of the *dual* algebra, indexed by this algebra's basis
     # (entry i is the image of the dual basis element of e_i); used by the
@@ -71,22 +75,18 @@ class HopfAlgebra:
         return len(self.basis)
 
     # -- elementwise structure maps -------------------------------------
-    def product_basis(self, i: int, j: int) -> Vec:
-        return self.mult.get((i, j), {})
-
     def product(self, v: Vec, w: Vec) -> Vec:
         out: Vec = {}
-        for i, a in v.items():
-            for j, b in w.items():
-                for k, c in self.product_basis(i, j).items():
-                    _acc(out, k, a * b * c)
+        for (i, j, k), c in self.mult.items():
+            if i in v and j in w:
+                _acc(out, k, v[i] * w[j] * c)
         return out
 
-    def coproduct(self, v: Vec) -> dict[tuple[int, int], object]:
-        out: dict[tuple[int, int], object] = {}
-        for i, a in v.items():
-            for jk, c in self.comult.get(i, {}).items():
-                _acc(out, jk, a * c)
+    def coproduct(self, v: Vec) -> Mat:
+        out: Mat = {}
+        for (i, j, k), c in self.comult.items():
+            if i in v:
+                _acc(out, (j, k), v[i] * c)
         return out
 
     def counit_of(self, v: Vec):
@@ -98,19 +98,13 @@ class HopfAlgebra:
                 out = term if out is None else out + term
         return ONE * 0 if out is None else out
 
-    def antipode_vec(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in v.items():
-            for j, c in self.antipode.get(i, {}).items():
-                _acc(out, j, a * c)
-        return out
-
     def antipode_involutive(self) -> bool:
-        for i in range(self.dim):
-            ss = self.antipode_vec(self.antipode.get(i, {}))
-            if set(ss) != {i} or not approx_eq(ss[i], ONE):
-                return False
-        return True
+        """S^2 = id, exactly; within ``approx_eq``'s tolerance on the float backend."""
+        out, *sides = _INVOLUTIVE
+        tensors = _tensors(self)
+        lhs, rhs = (_tensor(*_network(tensors, spec), out.split()) for spec in sides)
+        zero = ONE * 0
+        return all(approx_eq(lhs.get(k, zero), rhs.get(k, zero)) for k in lhs.keys() | rhs.keys())
 
     def __str__(self) -> str:
         return f"{self.name} (dim {self.dim}{', weak' if self.weak else ''})"
@@ -137,11 +131,11 @@ Tensors = dict[str, tuple[dict, tuple[int, ...]]]
 def _tensors(h: HopfAlgebra, suffix: str = "") -> Tensors:
     n = h.dim
     return {
-        "M" + suffix: ({(i, j, k): c for (i, j), v in h.mult.items() for k, c in v.items()}, (n, n, n)),
-        "D" + suffix: ({(i, j, k): c for i, v in h.comult.items() for (j, k), c in v.items()}, (n, n, n)),
+        "M" + suffix: (h.mult, (n, n, n)),
+        "D" + suffix: (h.comult, (n, n, n)),
         "e" + suffix: ({(i,): c for i, c in h.counit.items()}, (n,)),
         "u" + suffix: ({(i,): c for i, c in h.unit.items()}, (n,)),
-        "S" + suffix: ({(i, j): c for i, v in h.antipode.items() for j, c in v.items()}, (n, n)),
+        "S" + suffix: (h.antipode, (n, n)),
         "I" + suffix: ({(i, i): ONE for i in range(n)}, (n, n)),
     }
 
@@ -215,6 +209,8 @@ def _residuals(tensors: Tensors, identities) -> dict[str, float]:
 # m(S x id)Delta and m(id x S)Delta
 _S_ID = "D i a b, S a x, M x b o"
 _ID_S = "D i a b, S b y, M a y o"
+# S^2 = id
+_INVOLUTIVE = ("i o", "S i t, S t o", "I i o")
 
 # (residual key, [(open wires, lhs, rhs), ...])
 _AXIOMS = [
@@ -231,7 +227,7 @@ _STRONG_AXIOMS = [
         ("", "u t, e t", ""),
     ]),
     ("antipode", [("i o", _S_ID, "e i, u o"), ("i o", _ID_S, "e i, u o")]),
-    ("antipode_involutive", [("i o", "S i t, S t o", "I i o")]),
+    ("antipode_involutive", [_INVOLUTIVE]),
 ]
 _WEAK_AXIOMS = [
     # (Delta x id)Delta(1) = (Delta(1) x 1)(1 x Delta(1)) = (1 x Delta(1))(Delta(1) x 1)
@@ -265,10 +261,10 @@ def check_hopf_axioms(h: HopfAlgebra) -> dict[str, float]:
 
 def group_algebra(g: Group) -> HopfAlgebra:
     n = g.order
-    mult = {(i, j): {g.mul(i, j): ONE} for i in range(n) for j in range(n)}
-    comult = {i: {(i, i): ONE} for i in range(n)}
+    mult = {(i, j, g.mul(i, j)): ONE for i in range(n) for j in range(n)}
+    comult = {(i, i, i): ONE for i in range(n)}
     counit = {i: ONE for i in range(n)}
-    antipode = {i: {g.inverse(i): ONE} for i in range(n)}
+    antipode = {(i, g.inverse(i)): ONE for i in range(n)}
     irreps = None
     if g.is_abelian():
         # the dual of C[G] is the function algebra; its irreducibles are the
@@ -283,14 +279,11 @@ def group_algebra(g: Group) -> HopfAlgebra:
 def function_algebra(g: Group) -> HopfAlgebra:
     n = g.order
     basis = tuple(f"d{lab}" for lab in g.labels)
-    mult = {(i, i): {i: ONE} for i in range(n)}
+    mult = {(i, i, i): ONE for i in range(n)}
     unit = {i: ONE for i in range(n)}
-    comult: dict[int, dict] = {i: {} for i in range(n)}
-    for j in range(n):
-        for k in range(n):
-            comult[g.mul(j, k)][(j, k)] = ONE
+    comult = {(g.mul(j, k), j, k): ONE for j in range(n) for k in range(n)}
     counit = {0: ONE}
-    antipode = {i: {g.inverse(i): ONE} for i in range(n)}
+    antipode = {(i, g.inverse(i)): ONE for i in range(n)}
     irreps = None
     if g.is_abelian():
         vals = g.character_values()
@@ -302,45 +295,32 @@ def function_algebra(g: Group) -> HopfAlgebra:
 
 
 def dual(h: HopfAlgebra) -> HopfAlgebra:
-    n = h.dim
-    mult: dict[tuple[int, int], Vec] = {}
-    for k in range(n):
-        for (i, j), c in h.comult.get(k, {}).items():
-            mult.setdefault((i, j), {})[k] = c
-    comult: dict[int, dict] = {}
-    for (i, j), v in h.mult.items():
-        for k, c in v.items():
-            comult.setdefault(k, {})[(i, j)] = c
-    unit = dict(h.counit)
-    counit = dict(h.unit)
-    antipode: dict[int, Vec] = {}
-    for j, row in h.antipode.items():
-        for i, c in row.items():
-            antipode.setdefault(i, {})[j] = c
+    mult = {(j, k, i): c for (i, j, k), c in h.comult.items()}
+    comult = {(k, i, j): c for (i, j, k), c in h.mult.items()}
+    antipode = {(j, i): c for (i, j), c in h.antipode.items()}
     basis = tuple(f"{b}*" for b in h.basis)
-    return HopfAlgebra(f"{h.name}*", basis, mult, unit, comult, counit, antipode, h.weak, None)
+    return HopfAlgebra(f"{h.name}*", basis, mult, dict(h.counit), comult, dict(h.unit), antipode, h.weak, None)
 
 
-def _inverse_antipode(h: HopfAlgebra) -> dict[int, Vec]:
+def _inverse_antipode(h: HopfAlgebra) -> Mat:
     if h.antipode_involutive():
-        return {i: dict(v) for i, v in h.antipode.items()}
+        return dict(h.antipode)
     raise NonSemisimple(f"{h.name}: antipode is not involutive; opposite structures unsupported")
 
 
 def op(h: HopfAlgebra) -> HopfAlgebra:
-    mult = {(i, j): dict(v) for (j, i), v in h.mult.items()}
+    mult = {(j, i, k): c for (i, j, k), c in h.mult.items()}
     return HopfAlgebra(
-        f"{h.name}^op", h.basis, mult, dict(h.unit),
-        {i: dict(v) for i, v in h.comult.items()}, dict(h.counit),
+        f"{h.name}^op", h.basis, mult, dict(h.unit), dict(h.comult), dict(h.counit),
         _inverse_antipode(h), h.weak, h.dual_irreps,
     )
 
 
 def cop(h: HopfAlgebra) -> HopfAlgebra:
-    comult = {i: {(k, j): c for (j, k), c in v.items()} for i, v in h.comult.items()}
+    comult = {(i, k, j): c for (i, j, k), c in h.comult.items()}
     return HopfAlgebra(
-        f"{h.name}^cop", h.basis, {k: dict(v) for k, v in h.mult.items()}, dict(h.unit),
-        comult, dict(h.counit), _inverse_antipode(h), h.weak, h.dual_irreps,
+        f"{h.name}^cop", h.basis, dict(h.mult), dict(h.unit), comult, dict(h.counit),
+        _inverse_antipode(h), h.weak, h.dual_irreps,
     )
 
 
@@ -369,10 +349,9 @@ def convolution_inverse(tau: Mat, a: HopfAlgebra) -> Mat:
     for (k, j), c in tau.items():
         by_row.setdefault(k, []).append((j, c))
     out: Mat = {}
-    for i in range(a.dim):
-        for k, cs in a.antipode.get(i, {}).items():
-            for j, c in by_row.get(k, ()):
-                _acc(out, (i, j), cs * c)
+    for (i, k), cs in a.antipode.items():
+        for j, c in by_row.get(k, ()):
+            _acc(out, (i, j), cs * c)
     return out
 
 
@@ -430,19 +409,11 @@ def generalized_double(a: HopfAlgebra, b: HopfAlgebra, tau: Mat, name: str | Non
     for key, (out, spec) in _DOUBLE.items():
         t = _tensor(*_network(tensors, spec), out.split())
         maps[key] = {tuple(k[n] * nb + k[n + 1] for n in range(0, len(k), 2)): c for k, c in t.items()}
-    mult: dict[tuple[int, int], Vec] = {}
-    for (x, y, z), c in maps["mult"].items():
-        mult.setdefault((x, y), {})[z] = c
-    comult: dict[int, dict] = {}
-    for (x, y, z), c in maps["comult"].items():
-        comult.setdefault(x, {})[(y, z)] = c
-    antipode: dict[int, Vec] = {}
-    for (x, y), c in maps["antipode"].items():
-        antipode.setdefault(x, {})[y] = c
     unit = {x: c for (x,), c in maps["unit"].items()}
     counit = {x: c for (x,), c in maps["counit"].items()}
     basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
-    return HopfAlgebra(name or f"D({a.name},{b.name})", basis, mult, unit, comult, counit, antipode, False, None)
+    return HopfAlgebra(name or f"D({a.name},{b.name})", basis, maps["mult"], unit, maps["comult"], counit,
+                       maps["antipode"], False, None)
 
 
 @dataclass
@@ -547,10 +518,9 @@ def compute_integral(h: HopfAlgebra) -> Vec:
     if not h.antipode_involutive():
         raise NonSemisimple(f"{h.name}: S^2 != id")
     ell: Vec = {}
-    for i in range(h.dim):
-        for (p, q), c in h.comult.get(i, {}).items():
-            if p == i:
-                _acc(ell, q, c)
+    for (i, p, q), c in h.comult.items():
+        if p == i:
+            _acc(ell, q, c)
     eps = h.counit_of(ell)
     if not eps:
         raise NonSemisimple(f"{h.name}: candidate integral has eps = 0")
@@ -597,7 +567,7 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
     basis = tuple(
         f"d{lab[m]}d{lab[n]}(x){k.labels[kk]}" for m in range(msz) for n in range(msz) for kk in range(ksz)
     )
-    mult: dict[tuple[int, int], Vec] = {}
+    mult: Tensor3 = {}
     for m in range(msz):
         for n in range(msz):
             for g in range(ksz):
@@ -605,13 +575,14 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
                     for q in range(msz):
                         if mset.apply(g, p) == m and mset.apply(g, q) == n:
                             for h in range(ksz):
-                                mult[(ix(m, n, g), ix(p, q, h))] = {ix(m, n, k.mul(g, h)): ONE}
+                                mult[(ix(m, n, g), ix(p, q, h), ix(m, n, k.mul(g, h)))] = ONE
     unit = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
     comult = {
-        ix(m, n, g): {(ix(m, p, g), ix(p, n, g)): ONE for p in range(msz)}
+        (ix(m, n, g), ix(m, p, g), ix(p, n, g)): ONE
         for m in range(msz)
         for n in range(msz)
         for g in range(ksz)
+        for p in range(msz)
     }
     counit = {ix(m, m, g): ONE for m in range(msz) for g in range(ksz)}
     antipode = {}
@@ -619,7 +590,7 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
         for n in range(msz):
             for g in range(ksz):
                 gi = k.inverse(g)
-                antipode[ix(m, n, g)] = {ix(mset.apply(gi, n), mset.apply(gi, m), gi): ONE}
+                antipode[(ix(m, n, g), ix(mset.apply(gi, n), mset.apply(gi, m), gi))] = ONE
     cross = HopfAlgebra(
         f"C^(MxM)x|C[{k.name}]", basis, mult, unit, comult, counit, antipode, weak=msz > 1
     )
@@ -784,15 +755,8 @@ def _float_vec(v):
 def float_algebra(h: HopfAlgebra) -> HopfAlgebra:
     """The same algebra with every structure constant as a complex number."""
     return HopfAlgebra(
-        h.name,
-        h.basis,
-        {k: _float_vec(v) for k, v in h.mult.items()},
-        _float_vec(h.unit),
-        {i: {jk: to_complex(c) for jk, c in row.items()} for i, row in h.comult.items()},
-        _float_vec(h.counit),
-        {i: _float_vec(v) for i, v in h.antipode.items()},
-        h.weak,
-        h.dual_irreps,
+        h.name, h.basis, _float_vec(h.mult), _float_vec(h.unit), _float_vec(h.comult), _float_vec(h.counit),
+        _float_vec(h.antipode), h.weak, h.dual_irreps,
     )
 
 
@@ -803,9 +767,9 @@ def float_triplet(t: HopfTriplet) -> HopfTriplet:
         float_algebra(t.A),
         float_algebra(t.B),
         float_algebra(t.C),
-        {k: to_complex(v) for k, v in t.tau_AB.items()},
-        {k: to_complex(v) for k, v in t.tau_BC.items()},
-        {k: to_complex(v) for k, v in t.tau_CA.items()},
+        _float_vec(t.tau_AB),
+        _float_vec(t.tau_BC),
+        _float_vec(t.tau_CA),
         t.allow_weak,
         None if t.default_integrals is None else {s: _float_vec(v) for s, v in t.default_integrals.items()},
     )
@@ -820,50 +784,67 @@ def _parse_scalar(x):
         raise TrisectError("boolean is not a scalar")
     if isinstance(x, int):
         return Cyc.rational(x)
-    if isinstance(x, str):
-        return Cyc.rational(Fraction(x))
     if isinstance(x, float):
         return complex(x)
-    if isinstance(x, list) and len(x) == 2:
-        return complex(x[0], x[1])
+    try:
+        if isinstance(x, str):
+            return Cyc.rational(Fraction(x))
+        if isinstance(x, list) and len(x) == 2:
+            return complex(x[0], x[1])
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
     raise TrisectError(f"cannot parse scalar {x!r}")
 
 
+def _entries(data: dict, key: str, shape: tuple[int, ...]) -> dict:
+    """The nonzero scalars of the nested list ``data[key]``, keyed by index tuple.
+
+    The list must have exactly ``shape``: one level per axis, each the length
+    of its axis.
+    """
+    out: dict = {}
+
+    def walk(x, idx: tuple[int, ...]) -> None:
+        if len(idx) == len(shape):
+            s = _parse_scalar(x)
+            if s:
+                out[idx] = s
+        elif isinstance(x, list) and len(x) == shape[len(idx)]:
+            for i, y in enumerate(x):
+                walk(y, idx + (i,))
+        else:
+            raise TrisectError(f"bad structure-constant file: {key} must be a {' x '.join(map(str, shape))} array")
+
+    if key not in data:
+        raise TrisectError(f"bad structure-constant file: no {key!r}")
+    walk(data[key], ())
+    return out
+
+
 def algebra_from_json(data: dict, name: str = "H") -> HopfAlgebra:
+    """An algebra from dense structure constants, on the axes of the stored tensors."""
     try:
         dim = int(data["dim"])
-        weak = bool(data.get("weak", False))
-        mult: dict[tuple[int, int], Vec] = {}
-        for i in range(dim):
-            for j in range(dim):
-                row: Vec = {}
-                for kk in range(dim):
-                    s = _parse_scalar(data["mult"][i][j][kk])
-                    if s:
-                        row[kk] = s
-                if row:
-                    mult[(i, j)] = row
-        unit = {k: _parse_scalar(v) for k, v in enumerate(data["unit"]) if _parse_scalar(v)}
-        comult: dict[int, dict] = {}
-        for i in range(dim):
-            d = {}
-            for j in range(dim):
-                for kk in range(dim):
-                    s = _parse_scalar(data["comult"][i][j][kk])
-                    if s:
-                        d[(j, kk)] = s
-            comult[i] = d
-        counit = {k: _parse_scalar(v) for k, v in enumerate(data["counit"]) if _parse_scalar(v)}
-        antipode: dict[int, Vec] = {}
-        for i in range(dim):
-            row = {}
-            for j in range(dim):
-                s = _parse_scalar(data["antipode"][i][j])
-                if s:
-                    row[j] = s
-            antipode[i] = row
-    except (KeyError, IndexError, TypeError) as exc:
-        raise TrisectError(f"bad structure-constant file: {exc}") from exc
-    basis = tuple(data.get("basis", [f"e{i}" for i in range(dim)]))
-    return HopfAlgebra(name, basis, mult, unit, comult, counit, antipode, weak)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TrisectError(f"bad structure-constant file for {name}: no valid dim") from exc
+    basis = data.get("basis", [f"e{i}" for i in range(dim)])
+    if dim < 1 or not isinstance(basis, list) or len(basis) != dim:
+        raise TrisectError(f"bad structure-constant file for {name}: dim {dim} needs a basis of {dim} names")
+    vec, mat, cube = (dim,), (dim, dim), (dim, dim, dim)
+    return HopfAlgebra(
+        name, tuple(basis), _entries(data, "mult", cube),
+        {i: c for (i,), c in _entries(data, "unit", vec).items()},
+        _entries(data, "comult", cube),
+        {i: c for (i,), c in _entries(data, "counit", vec).items()},
+        _entries(data, "antipode", mat), bool(data.get("weak", False)),
+    )
 
+
+def triplet_from_json(data: dict) -> HopfTriplet:
+    """A triplet from a ``file:`` object: algebras ``A``, ``B``, ``C`` and pairings ``tau_AB``, ``tau_BC``, ``tau_CA``."""
+    if not isinstance(data, dict):
+        raise TrisectError("bad triplet file: not a JSON object")
+    alg = {slot: algebra_from_json(data.get(slot), name=slot) for slot in "ABC"}
+    taus = [_entries(data, f"tau_{x}{y}", (alg[x].dim, alg[y].dim)) for x, y in ("AB", "BC", "CA")]
+    return HopfTriplet(data.get("name", "file"), alg["A"], alg["B"], alg["C"], *taus,
+                       allow_weak=any(a.weak for a in alg.values()))

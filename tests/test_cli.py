@@ -136,35 +136,82 @@ def test_eval_has_no_tolerance_option():
     assert exc.value.code == 2
 
 
-def test_triplet_file(capsys, tmp_path):
-    from trisect import hopf
-
-    t = hopf.kashaev_triplet(2)
-
+def _triplet_data(t):
+    """A triplet as a ``file:`` object, on the axes of the stored tensors."""
     def dense(h):
         return {
             "dim": h.dim,
-            "mult": [[[_coord(h.mult.get((i, j), {}).get(k)) for k in range(h.dim)] for j in range(h.dim)] for i in range(h.dim)],
+            "mult": [[[_coord(h.mult.get((i, j, k))) for k in range(h.dim)] for j in range(h.dim)] for i in range(h.dim)],
             "unit": [_coord(h.unit.get(k)) for k in range(h.dim)],
-            "comult": [[[_coord(h.comult.get(i, {}).get((j, k))) for k in range(h.dim)] for j in range(h.dim)] for i in range(h.dim)],
+            "comult": [[[_coord(h.comult.get((i, j, k))) for k in range(h.dim)] for j in range(h.dim)] for i in range(h.dim)],
             "counit": [_coord(h.counit.get(k)) for k in range(h.dim)],
-            "antipode": [[_coord(h.antipode.get(i, {}).get(j)) for j in range(h.dim)] for i in range(h.dim)],
+            "antipode": [[_coord(h.antipode.get((i, j))) for j in range(h.dim)] for i in range(h.dim)],
         }
 
     def _mat(m, rows, cols):
         return [[_coord(m.get((i, j))) for j in range(cols)] for i in range(rows)]
 
-    data = {
+    return {
         "name": "kashaev2-file",
         "A": dense(t.A), "B": dense(t.B), "C": dense(t.C),
         "tau_AB": _mat(t.tau_AB, t.A.dim, t.B.dim),
         "tau_BC": _mat(t.tau_BC, t.B.dim, t.C.dim),
         "tau_CA": _mat(t.tau_CA, t.C.dim, t.A.dim),
     }
+
+
+def test_triplet_file(capsys, tmp_path):
+    from trisect import hopf
+
     f = tmp_path / "triplet.json"
-    f.write_text(json.dumps(data))
+    f.write_text(json.dumps(_triplet_data(hopf.kashaev_triplet(2))))
     code, out, _ = run(capsys, "--json", "eval", "bracket", "--triplet", f"file:{f}", "s4")
     assert code == 0 and json.loads(out)["bracket"]["coords"] == ["64"]
+
+
+def test_triplet_json_roundtrip():
+    from trisect import hopf
+
+    t = hopf.kashaev_triplet(2)
+    got = hopf.triplet_from_json(_triplet_data(t))
+    for slot in "ABC":
+        a, b = got.algebra(slot), t.algebra(slot)
+        assert (a.mult, a.unit, a.comult, a.counit, a.antipode) == (b.mult, b.unit, b.comult, b.counit, b.antipode)
+    assert (got.tau_AB, got.tau_BC, got.tau_CA) == (t.tau_AB, t.tau_BC, t.tau_CA)
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d["tau_AB"].append(["0", "0"]),   # a row beyond dim A
+    lambda d: d["tau_CA"][0].pop(),             # a row shorter than dim A
+    lambda d: d.update(tau_BC=[]),
+    lambda d: d.pop("tau_BC"),
+    lambda d: d.pop("C"),
+    lambda d: d["B"].update(basis=["e"]),
+])
+def test_malformed_triplet_file_is_rejected(change):
+    from trisect import hopf
+    from trisect.errors import TrisectError
+
+    data = _triplet_data(hopf.kashaev_triplet(2))
+    change(data)
+    with pytest.raises(TrisectError):
+        hopf.triplet_from_json(data)
+
+
+def test_malformed_files_are_domain_errors(capsys, tmp_path):
+    # a short basis used to load as a smaller algebra, and a pairing's shape went unchecked
+    from trisect import hopf
+
+    data = _triplet_data(hopf.kashaev_triplet(2))
+    f = tmp_path / "algebra.json"
+    f.write_text(json.dumps({**data["B"], "basis": ["e"]}))
+    code, _, err = run(capsys, "axioms", "--algebra", f"file:{f}")
+    assert code == 1 and "error: bad structure-constant file" in err
+    data["tau_BC"] = [row + ["0"] for row in data["tau_BC"]]
+    f = tmp_path / "triplet.json"
+    f.write_text(json.dumps(data))
+    code, _, err = run(capsys, "eval", "bracket", "--triplet", f"file:{f}", "s4")
+    assert code == 1 and "error: bad structure-constant file: tau_BC" in err
 
 
 def _coord(x):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trisect import hopf
-from trisect.errors import NonSemisimple
+from trisect.errors import NonSemisimple, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc
 
@@ -24,6 +24,22 @@ def test_axioms_of_a_large_algebra_are_not_capped():
     assert list(rep.values()) == [0.0] * 8, rep
 
 
+def _set_row(table, head, row):
+    """Replace the entries of a flat structure map whose key starts with ``head`` by ``row``.
+
+    ``row`` is keyed by the rest of the key: the flat form of assigning one
+    row of a nested map, so every old entry under ``head`` is gone.
+    """
+    for key in [k for k in table if k[:len(head)] == head]:
+        del table[key]
+    table.update({head + rest: c for rest, c in row.items()})
+
+
+def _row(table, head):
+    """The entries of a flat structure map under ``head``, keyed by the rest of the key."""
+    return {k[len(head):]: c for k, c in table.items() if k[:len(head)] == head}
+
+
 def _weak_action():
     return coset_gset(product(cyclic(2), opposite(cyclic(2))), [3])  # |M| = 2
 
@@ -36,26 +52,26 @@ def _weak_pair():
 # nonzero, in the checker's key order; the strong ones apply to C[Z/3], the
 # weak ones to either algebra of the |M| = 2 weak pair
 STRONG_BREAKS = [
-    ("associativity", lambda h: h.mult.update({(1, 1): {2: TWO}})),
+    ("associativity", lambda h: _set_row(h.mult, (1, 1), {(2,): TWO})),
     ("unitality", lambda h: setattr(h, "unit", {1: ONE})),
-    ("coassociativity", lambda h: h.comult.update({1: {(1, 1): ONE, (2, 2): ONE}})),
+    ("coassociativity", lambda h: _set_row(h.comult, (1,), {(1, 1): ONE, (2, 2): ONE})),
     ("counitality", lambda h: h.counit.update({1: TWO})),
-    ("comultiplicativity", lambda h: h.comult.update({1: {(1, 2): ONE}})),
+    ("comultiplicativity", lambda h: _set_row(h.comult, (1,), {(1, 2): ONE})),
     ("unit_counit_compat", lambda h: h.counit.update({1: TWO})),
-    ("unit_counit_compat", lambda h: h.comult.update({0: {(0, 0): ONE, (1, 2): ONE}})),
+    ("unit_counit_compat", lambda h: _set_row(h.comult, (0,), {(0, 0): ONE, (1, 2): ONE})),
     ("unit_counit_compat", lambda h: h.counit.update({0: TWO})),
-    ("antipode", lambda h: h.antipode.update({1: {2: TWO}})),
-    ("antipode_involutive", lambda h: h.antipode.update({1: {1: ONE}})),
+    ("antipode", lambda h: _set_row(h.antipode, (1,), {(2,): TWO})),
+    ("antipode_involutive", lambda h: _set_row(h.antipode, (1,), {(1,): ONE})),
 ]
 WEAK_BREAKS = [
-    ("associativity", lambda h: h.mult.update({min(h.mult): {0: TWO}})),
-    ("unitality", lambda h: h.mult.update({min(h.mult): {0: TWO}})),
-    ("coassociativity", lambda h: h.comult.update({5: {(b, a): c for (a, b), c in h.comult[5].items()}})),
+    ("associativity", lambda h: _set_row(h.mult, min(h.mult)[:2], {(0,): TWO})),
+    ("unitality", lambda h: _set_row(h.mult, min(h.mult)[:2], {(0,): TWO})),
+    ("coassociativity", lambda h: _set_row(h.comult, (5,), {(b, a): c for (a, b), c in _row(h.comult, (5,)).items()})),
     ("counitality", lambda h: h.counit.update({min(h.counit): TWO})),
-    ("comultiplicativity", lambda h: h.mult.update({min(h.mult): {0: TWO}})),
+    ("comultiplicativity", lambda h: _set_row(h.mult, min(h.mult)[:2], {(0,): TWO})),
     ("weak_unit_coproduct", lambda h: h.unit.update({min(h.unit): TWO})),
     ("weak_counit_product", lambda h: h.counit.update({min(h.counit): TWO})),
-    ("weak_antipode", lambda h: h.antipode.update({1: {1: ONE}})),
+    ("weak_antipode", lambda h: _set_row(h.antipode, (1,), {(1,): ONE})),
 ]
 
 
@@ -113,7 +129,7 @@ def _broken_integral_reports():
         bad = dict(integral)
         bad[min(bad)] = TWO
         yield ["left_integral", "right_integral"], hopf.check_integral(alg, bad)
-        alg.antipode[min(integral)] = {next(i for i in range(alg.dim) if i not in integral): ONE}
+        _set_row(alg.antipode, (min(integral),), {(next(i for i in range(alg.dim) if i not in integral),): ONE})
         yield ["antipode_fixes"], hopf.check_integral(alg, integral)
 
 
@@ -184,7 +200,7 @@ def test_integrals_match_the_trace_formula():
 
 def test_nonsemisimple_rejreported_via_antipode():
     h = hopf.group_algebra(cyclic(3))
-    h.antipode[1] = {1: ONE}  # no longer an involution
+    _set_row(h.antipode, (1,), {(1,): ONE})  # no longer an involution
     with pytest.raises(NonSemisimple):
         hopf.compute_integral(h)
 
@@ -259,8 +275,8 @@ def test_trivial_double_is_tensor_product():
         for j in range(3):
             for i2 in range(2):
                 for j2 in range(3):
-                    got = d.product_basis(i * 3 + j, i2 * 3 + j2)
-                    assert got == {g2.mul(i, i2) * 3 + g3.mul(j, j2): ONE}
+                    got = _row(d.mult, (i * 3 + j, i2 * 3 + j2))
+                    assert got == {(g2.mul(i, i2) * 3 + g3.mul(j, j2),): ONE}
 
 
 def test_double_contains_factors_as_subalgebras():
@@ -278,11 +294,11 @@ def test_double_contains_factors_as_subalgebras():
     for i in range(a.dim):
         for i2 in range(a.dim):
             prod = d.product(embed_a({i: ONE}), embed_a({i2: ONE}))
-            assert prod == embed_a(a.product_basis(i, i2))
+            assert prod == embed_a(a.product({i: ONE}, {i2: ONE}))
     for j in range(b.dim):
         for j2 in range(b.dim):
             prod = d.product(embed_b({j: ONE}), embed_b({j2: ONE}))
-            assert prod == embed_b(b.product_basis(j, j2))
+            assert prod == embed_b(b.product({j: ONE}, {j2: ONE}))
 
 
 def test_double_axioms_and_integral():
@@ -310,65 +326,54 @@ def _loop_double(a, b, tau):
     def idx(i, j):
         return i * nb + j
 
-    def coproduct3(h, i):
-        # (id x Delta) Delta(e_i), keyed by its three tensor slots
+    def coproduct3(h):
+        # (id x Delta) Delta(e_i) for every i, keyed by i and then by its three tensor slots
         out = {}
-        for (x, t), c in h.comult.get(i, {}).items():
-            for (y, z), c2 in h.comult.get(t, {}).items():
-                hopf._acc(out, (x, y, z), c * c2)
+        for (i, x, t), c in h.comult.items():
+            for (y, z), c2 in _row(h.comult, (t,)).items():
+                hopf._acc(out.setdefault(i, {}), (x, y, z), c * c2)
         return out
 
     basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
-    aco_all = [coproduct3(a, i) for i in range(na)]
-    bco_all = [coproduct3(b, j) for j in range(nb)]
+    aco_all, bco_all = coproduct3(a), coproduct3(b)
     lmul_a, rmul_b = {}, {}
-    for (i, a2), prod in a.mult.items():
-        lmul_a.setdefault(a2, []).append((i, prod))
-    for (b2, j2), prod in b.mult.items():
-        rmul_b.setdefault(b2, []).append((j2, prod))
+    for (i, a2, x), cx in a.mult.items():
+        lmul_a.setdefault(a2, []).append((i, x, cx))
+    for (b2, j2, y), cy in b.mult.items():
+        rmul_b.setdefault(b2, []).append((j2, y, cy))
     mult = {}
     for j in range(nb):
         for i2 in range(na):
             # the twist weights do not involve i or j2; group them by (a2, b2)
             pieces = {}
-            for (a1, a2, a3), ca in aco_all[i2].items():
-                for (b1, b2, b3), cb in bco_all[j].items():
+            for (a1, a2, a3), ca in aco_all.get(i2, {}).items():
+                for (b1, b2, b3), cb in bco_all.get(j, {}).items():
                     w, w2 = tau.get((a1, b1)), tinv.get((a3, b3))
                     if w is not None and w2 is not None:
                         hopf._acc(pieces, (a2, b2), ca * cb * (w * w2))
             for (a2, b2), coeff in pieces.items():
-                for i, pa in lmul_a.get(a2, ()):
-                    for j2, pb in rmul_b.get(b2, ()):
-                        out = mult.setdefault((idx(i, j), idx(i2, j2)), {})
-                        for x, cx in pa.items():
-                            for y, cy in pb.items():
-                                hopf._acc(out, idx(x, y), coeff * (cx * cy))
-    mult = {k: v for k, v in mult.items() if v}
+                for i, x, cx in lmul_a.get(a2, ()):
+                    for j2, y, cy in rmul_b.get(b2, ()):
+                        hopf._acc(mult, (idx(i, j), idx(i2, j2), idx(x, y)), coeff * (cx * cy))
     unit = {idx(i, j): cu * cv for i, cu in a.unit.items() for j, cv in b.unit.items()}
     comult = {
-        idx(i, j): {
-            (idx(a1, b1), idx(a2, b2)): ca * cb
-            for (a1, a2), ca in a.comult.get(i, {}).items()
-            for (b1, b2), cb in b.comult.get(j, {}).items()
-        }
-        for i in range(na)
-        for j in range(nb)
+        (idx(i, j), idx(a1, b1), idx(a2, b2)): ca * cb
+        for (i, a1, a2), ca in a.comult.items()
+        for (j, b1, b2), cb in b.comult.items()
     }
     counit = {idx(i, j): ca * cb for i, ca in a.counit.items() for j, cb in b.counit.items()}
     dd = hopf.HopfAlgebra("oracle", basis, mult, unit, comult, counit, {})
-    antipode = {}
     for i in range(na):
         for j in range(nb):
             # (1 x S(f_j)) (S(e_i) x 1)
             left, right = {}, {}
-            for y, cy in b.antipode.get(j, {}).items():
+            for (y,), cy in _row(b.antipode, (j,)).items():
                 for iu, cu in a.unit.items():
                     hopf._acc(left, idx(iu, y), cy * cu)
-            for x, cx in a.antipode.get(i, {}).items():
+            for (x,), cx in _row(a.antipode, (i,)).items():
                 for ju, cu in b.unit.items():
                     hopf._acc(right, idx(x, ju), cx * cu)
-            antipode[idx(i, j)] = dd.product(left, right)
-    dd.antipode = antipode
+            dd.antipode.update({(idx(i, j), z): c for z, c in dd.product(left, right).items()})
     return dd
 
 
@@ -399,10 +404,10 @@ def test_double_matches_the_loop_oracle(name):
         assert getattr(got, key) == getattr(want, key), key
 
 
-def test_algebra_json_roundtrip():
+def _z2_file():
+    """C[Z/2] as a structure-constant file: mult[i][j][k], comult[i][j][k], antipode[i][j]."""
     g = cyclic(2)
-    h = hopf.group_algebra(g)
-    data = {
+    return {
         "dim": 2,
         "mult": [[[1 if k == g.mul(i, j) else 0 for k in range(2)] for j in range(2)] for i in range(2)],
         "unit": [1, 0],
@@ -410,9 +415,57 @@ def test_algebra_json_roundtrip():
         "counit": [1, 1],
         "antipode": [[1, 0], [0, 1]],
     }
-    h2 = hopf.algebra_from_json(data)
-    assert h2.mult == h.mult
+
+
+def test_algebra_json_roundtrip():
+    h = hopf.group_algebra(cyclic(2))
+    h2 = hopf.algebra_from_json(_z2_file())
+    assert h2.mult == h.mult and h2.comult == h.comult and h2.antipode == h.antipode
     assert max(hopf.check_hopf_axioms(h2).values()) == 0.0
+
+
+@pytest.mark.parametrize("change", [
+    lambda d: d.update(basis=["x"]),                        # fewer names than dim
+    lambda d: d.update(basis=["x", "y", "z"]),              # more names than dim
+    lambda d: d["mult"].append([[1, 0], [0, 1]]),           # an entry beyond dim
+    lambda d: d["comult"][1][0].append(0),                  # a row too long
+    lambda d: d["antipode"][1].pop(),                       # a row too short
+    lambda d: d["unit"].append(0),
+    lambda d: d.update(counit=1),                           # not an array
+    lambda d: d.pop("antipode"),
+    lambda d: d.update(dim=0, basis=[]),
+    lambda d: d.update(dim="two"),
+    lambda d: d["mult"][0][0].__setitem__(0, "1/0"),        # not a scalar
+    lambda d: d["counit"].__setitem__(1, ["1", 0]),
+])
+def test_malformed_structure_constant_file_is_rejected(change):
+    data = _z2_file()
+    change(data)
+    with pytest.raises(TrisectError):
+        hopf.algebra_from_json(data)
+
+
+def test_antipode_involutive_is_exact_on_cyc_and_within_tolerance_on_complex():
+    h = hopf.group_algebra(symmetric(3))
+    assert h.antipode_involutive()
+    tiny = Cyc.rational(Fraction(1, 10**15))
+    near = hopf.group_algebra(symmetric(3))
+    near.antipode[(0, 0)] = ONE + tiny
+    assert not near.antipode_involutive()  # an exact difference, however small, is a difference
+    fl = hopf.float_algebra(h)
+    assert fl.antipode_involutive()
+    fl.antipode[(0, 0)] = complex(1 + 1e-15)  # the float backend stores complex numbers
+    assert fl.antipode_involutive()
+    fl.antipode[(0, 0)] = complex(1.5)
+    assert not fl.antipode_involutive()
+
+
+def test_derived_algebras_share_no_structure_dict_with_their_source():
+    # tests mutate algebras in place, so a derived algebra must own its maps
+    h = hopf.group_algebra(symmetric(3))
+    for derived in (hopf.dual(h), hopf.op(h), hopf.cop(h), hopf.float_algebra(h)):
+        for key in ("mult", "unit", "comult", "counit", "antipode"):
+            assert getattr(derived, key) is not getattr(h, key), key
 
 
 def test_algebra_json_keeps_small_float_entries():
@@ -428,4 +481,4 @@ def test_algebra_json_keeps_small_float_entries():
     h = hopf.algebra_from_json(data)
     assert h.unit == {0: 1.0}
     assert h.counit == {0: Cyc.rational(1), 1: 1e-10}
-    assert h.antipode == {0: {0: Cyc.rational(1), 1: 1e-10}, 1: {1: Cyc.rational(1)}}
+    assert h.antipode == {(0, 0): Cyc.rational(1), (0, 1): 1e-10, (1, 1): Cyc.rational(1)}

@@ -46,20 +46,17 @@ def _hand_built_dual(mset):
     lab = mset.labels
     basis = tuple(f"{lab[m]}{lab[n]}(x)d{k.labels[g]}" for m in range(msz) for n in range(msz) for g in range(ksz))
     mult = {
-        (ix(m, n, h), ix(n, q, h)): {ix(m, q, h): ONE}
+        (ix(m, n, h), ix(n, q, h), ix(m, q, h)): ONE
         for m in range(msz) for n in range(msz) for h in range(ksz) for q in range(msz)
     }
     unit = {ix(m, m, h): ONE for m in range(msz) for h in range(ksz)}
     comult = {
-        ix(m, n, g): {
-            (ix(m, n, x), ix(act(k.inverse(x), m), act(k.inverse(x), n), k.mul(k.inverse(x), g))): ONE
-            for x in range(ksz)
-        }
-        for m in range(msz) for n in range(msz) for g in range(ksz)
+        (ix(m, n, g), ix(m, n, x), ix(act(k.inverse(x), m), act(k.inverse(x), n), k.mul(k.inverse(x), g))): ONE
+        for m in range(msz) for n in range(msz) for g in range(ksz) for x in range(ksz)
     }
     counit = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
     antipode = {
-        ix(m, n, g): {ix(act(k.inverse(g), n), act(k.inverse(g), m), k.inverse(g)): ONE}
+        (ix(m, n, g), ix(act(k.inverse(g), n), act(k.inverse(g), m), k.inverse(g))): ONE
         for m in range(msz) for n in range(msz) for g in range(ksz)
     }
     return hopf.HopfAlgebra(f"<MxM>(x)C^{k.name}", basis, mult, unit, comult, counit, antipode, weak=msz > 1)
@@ -130,7 +127,7 @@ def test_simple_reps_are_algebra_maps():
 
     for rep in reps:
         for i, j in itertools.product(range(cross.dim), repeat=2):
-            prod = cross.product_basis(i, j)
+            prod = cross.product({i: ONE}, {j: ONE})
             lhs = {}
             for (r, s), v in rep.mats[i].items():
                 for (s2, t), w in rep.mats[j].items():
