@@ -26,10 +26,19 @@ def _load_diagram(arg: str, embedded: bool = False):
         return diagram.CATALOG[arg]()
     if arg in diagram.CATALOG_EMBEDDED:
         return diagram.CATALOG_EMBEDDED[arg]()
-    path = Path(arg)
-    if not path.exists():
+    if not Path(arg).exists():
         raise TrisectError(f"no catalog entry or file named {arg!r}")
-    return diagram.parse(path.read_text())
+    return diagram.from_json(_read_json(arg))
+
+
+def _read_json(path) -> object:
+    """The JSON value in the file at ``path``; a file that cannot be read or decoded is a domain error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise TrisectError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise TrisectError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _base(d):
@@ -49,7 +58,7 @@ def parse_triplet(spec: str, backend: str = "exact") -> hopf.HopfTriplet:
         b = parse_group(params["B"])
         t = hopf.weak_triplet(c, b, _parse_gset(params.get("M", "point"), c, b))
     elif spec.startswith("file:"):
-        t = hopf.triplet_from_json(json.loads(Path(spec[len("file:"):]).read_text()))
+        t = hopf.triplet_from_json(_read_json(spec[len("file:"):]))
     else:
         raise TrisectError(f"unknown triplet spec {spec!r}; use kashaev:n=3, group:C=Z/2,B=Z/3, or file:PATH")
     if backend == "float":
@@ -73,9 +82,8 @@ def _parse_gset(spec: str, c_group, b_group):
         except KeyError as exc:
             raise TrisectError(f"unknown element {exc.args[0]!r} of {k.name}; labels are {list(k.labels)}")
         return coset_gset(k, gens)
-    path = Path(spec)
-    if path.exists():
-        return gset_from_json(k, json.loads(path.read_text()))
+    if Path(spec).exists():
+        return gset_from_json(k, _read_json(spec))
     raise TrisectError(f"unknown G-set spec {spec!r}; use point, regular, cosets:(c,b)|..., or a file path")
 
 
@@ -186,7 +194,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "moves":
         d = _load_diagram(args.diagram)
-        specs = json.loads(Path(args.moves).read_text())
+        specs = _read_json(args.moves)
         if not isinstance(specs, list):
             raise TrisectError("the moves file must contain a JSON list")
         base = _base(d)
@@ -291,7 +299,7 @@ def _dispatch_axioms(args) -> int:
         c, b = parse_group(params["C"]), parse_group(params["B"])
         h, _ = hopf.weak_hopf_from_action(_parse_gset(params.get("M", "point"), c, b))
     elif spec.startswith("file:"):
-        h = hopf.algebra_from_json(json.loads(Path(spec[len("file:"):]).read_text()))
+        h = hopf.algebra_from_json(_read_json(spec[len("file:"):]))
     else:
         raise TrisectError(f"unknown algebra spec {spec!r}")
     rep = hopf.check_hopf_axioms(h)

@@ -434,6 +434,11 @@ def parse(text: str, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagra
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramParseError(f"not valid JSON: {exc.msg}", where=f"line {exc.lineno}") from exc
+    return from_json(data, strict)
+
+
+def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram:
+    """The diagram a decoded JSON object describes, as ``serialize`` writes it."""
     if not isinstance(data, dict):
         raise DiagramParseError("top level must be an object")
     if strict:

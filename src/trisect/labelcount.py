@@ -408,7 +408,7 @@ def _count(nodes: list[Node], dims: dict[str, int]) -> int:
         w[w.index(var)] = links[-1]
     network = [Node(node.name, tuple(w), node.data) for node, w in zip(nodes, wires)] + copies
     value = contract_network(network, all_dims)
-    return factor * (value if isinstance(value, int) else int(value.as_fraction()))
+    return factor * int(value.as_fraction())
 
 
 # ---------------------------------------------------------------------------

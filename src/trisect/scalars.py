@@ -3,6 +3,12 @@
 Every invariant computed by this package is a value of this scalar type.
 ``Cyc(n, coords)`` is an element of the n-th cyclotomic field written in the
 power basis 1, z, ..., z^(d-1) where z = exp(2*pi*i/n) and d = deg Phi_n.
+It is stored as ``level`` n, a tuple ``num`` of d ``int`` numerators and one
+positive ``int`` denominator ``den``, in lowest terms: gcd(den, *num) == 1,
+so zero is ``num`` all 0 over ``den`` 1, and two values of one level are
+equal exactly when their ``(num, den)`` are.  Phi_n is monic with integer
+coefficients, so products and the reduction of powers z^k >= z^d stay in
+integers.  ``coords`` is the read-only ``Fraction`` view of ``num / den``.
 Arithmetic between different levels promotes to the lcm level.  Plain
 ``complex`` is accepted everywhere as the approximate backend.
 
@@ -16,18 +22,19 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-_cyclo_cache: dict[int, list[Fraction]] = {}
-_reduce_cache: dict[int, list[tuple[Fraction, ...]]] = {}
+_cyclo_cache: dict[int, list[int]] = {}
+_reduce_cache: dict[int, list[tuple[int, ...]]] = {}
 _trace_cache: dict[int, tuple[Fraction, ...]] = {}
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials by a monic ``den``."""
     num = list(num)
-    quo = [Fraction(0)] * (len(num) - len(den) + 1)
+    quo = [0] * (len(num) - len(den) + 1)
     for k in range(len(quo) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
+        c = num[k + len(den) - 1]
         quo[k] = c
         if c:
             for j, dj in enumerate(den):
@@ -37,34 +44,33 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fractio
     return quo, num
 
 
-def cyclotomic_poly(n: int) -> list[Fraction]:
+def cyclotomic_poly(n: int) -> list[int]:
     """Coefficients (low to high) of the n-th cyclotomic polynomial."""
     if n in _cyclo_cache:
         return _cyclo_cache[n]
     # x^n - 1 divided by the cyclotomic polynomials of all proper divisors
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_poly(d))
-            assert rem == [Fraction(0)]
+            assert rem == [0]
     _cyclo_cache[n] = poly
     return poly
 
 
-def _reduction_rows(n: int) -> list[tuple[Fraction, ...]]:
-    """Row k: coordinates of z^k in the power basis, for 0 <= k < n."""
+def _reduction_rows(n: int) -> list[tuple[int, ...]]:
+    """Row k: integer coordinates of z^k in the power basis, for 0 <= k < max(n, 2d)."""
     if n in _reduce_cache:
         return _reduce_cache[n]
     phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
+    rows: list[tuple[int, ...]] = []
+    cur = [1] + [0] * (d - 1)
     for _ in range(max(n, 2 * d)):
         rows.append(tuple(cur))
         # multiply by z: shift, then reduce z^d = -(phi[0] + ... + phi[d-1] z^(d-1))
-        top = cur[d - 1] if d > 0 else Fraction(0)
-        nxt = [Fraction(0)] + cur[: d - 1]
+        top = cur[d - 1]
+        nxt = [0] + cur[: d - 1]
         if top:
             for j in range(d):
                 nxt[j] -= top * phi[j]
@@ -83,33 +89,44 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
         rows = _reduction_rows(n)
         units = [j for j in range(n) if gcd(j, n) == 1]
         d = len(rows[0])
-        _trace_cache[n] = tuple(sum(rows[j * k % n][0] for j in units) / len(units) for k in range(d))
+        _trace_cache[n] = tuple(Fraction(sum(rows[j * k % n][0] for j in units), len(units)) for k in range(d))
     return _trace_cache[n]
 
 
-class Cyc:
-    """Element of the cyclotomic field of the given level, exact coordinates."""
+def _make(level: int, num: tuple[int, ...], den: int) -> "Cyc":
+    """The ``Cyc`` num / den at ``level``, brought to lowest terms; ``den`` > 0."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+    out = object.__new__(Cyc)
+    out.level = level
+    out.num = num
+    out.den = den
+    return out
 
-    __slots__ = ("level", "coords")
+
+class Cyc:
+    """Element of the cyclotomic field of the given level: integer ``num`` over ``den``."""
+
+    __slots__ = ("level", "num", "den")
 
     def __init__(self, level: int, coords) -> None:
         d = len(cyclotomic_poly(level)) - 1
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         if len(coords) != d:
             raise ValueError(f"level {level} needs {d} coordinates, got {len(coords)}")
+        # the lcm of reduced denominators leaves no common factor with the numerators
+        den = lcm(*(c.denominator for c in coords))
         self.level = level
-        self.coords = coords
-
-    @classmethod
-    def _raw(cls, level: int, coords: tuple) -> "Cyc":
-        out = object.__new__(cls)
-        out.level = level
-        out.coords = coords
-        return out
+        self.num = tuple([c.numerator * (den // c.denominator) for c in coords])
+        self.den = den
 
     @classmethod
     def rational(cls, q) -> "Cyc":
-        return cls(1, (Fraction(q),))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyc":
@@ -123,25 +140,29 @@ class Cyc:
             return cls.rational(1)
         if n2 == 2:
             return cls.rational(-1 if k2 % 2 else 1)
-        return cls(n2, _reduction_rows(n2)[k2])
+        return _make(n2, _reduction_rows(n2)[k2], 1)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The coordinates in the power basis, as ``Fraction``s."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     @property
     def degree(self) -> int:
-        return len(self.coords)
+        return len(self.num)
 
     def _promoted(self, m: int) -> "Cyc":
         if m == self.level:
             return self
         step = m // self.level
         rows = _reduction_rows(m)
-        d = len(cyclotomic_poly(m)) - 1
-        out = [Fraction(0)] * d
-        for k, c in enumerate(self.coords):
+        out = [0] * len(rows[0])
+        for k, c in enumerate(self.num):
             if c:
-                row = rows[k * step]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return Cyc(m, out)
+                for j, r in enumerate(rows[k * step]):
+                    if r:
+                        out[j] += c * r
+        return _make(m, tuple(out), self.den)
 
     @staticmethod
     def _coerce(x) -> "Cyc":
@@ -159,54 +180,64 @@ class Cyc:
         return self._promoted(m), other._promoted(m)
 
     def __add__(self, other):
-        if isinstance(other, Cyc) and other.level == self.level:
-            return Cyc._raw(self.level, tuple(x + y for x, y in zip(self.coords, other.coords)))
-        if isinstance(other, complex):
+        if type(other) is int:
+            num = list(self.num)
+            num[0] += other * self.den
+            return _make(self.level, tuple(num), self.den)
+        if type(other) is Cyc and other.level == self.level:
+            a, b = self, other
+        elif isinstance(other, complex):
             return self.to_complex() + other
-        a, b = self._pair(other)
-        return Cyc._raw(a.level, tuple(x + y for x, y in zip(a.coords, b.coords)))
+        else:
+            a, b = self._pair(other)
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.level, tuple([x + y for x, y in zip(a.num, b.num)]), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _make(a.level, tuple([x * fa + y * fb for x, y in zip(a.num, b.num)]), da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc._raw(self.level, tuple(-x for x in self.coords))
+        return _make(self.level, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other)) if not isinstance(other, complex) else self.to_complex() - other
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Cyc):
-            if self.level == 1:
-                q = self.coords[0]
-                return Cyc._raw(other.level, tuple(q * x for x in other.coords))
-            if other.level == 1:
-                q = other.coords[0]
-                return Cyc._raw(self.level, tuple(q * x for x in self.coords))
-        if isinstance(other, complex):
-            return self.to_complex() * other
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyc._raw(self.level, tuple(q * x for x in self.coords))
-        a, b = self._pair(other)
-        d = a.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coords):
+        if type(other) is int:
+            return _make(self.level, tuple([other * x for x in self.num]), self.den)
+        if type(other) is not Cyc:
+            if isinstance(other, complex):
+                return self.to_complex() * other
+            other = self._coerce(other)
+        if other.level == 1:
+            q = other.num[0]
+            return _make(self.level, tuple([q * x for x in self.num]), self.den * other.den)
+        if self.level == 1:
+            q = self.num[0]
+            return _make(other.level, tuple([q * x for x in other.num]), self.den * other.den)
+        a, b = (self, other) if self.level == other.level else self._pair(other)
+        d = len(a.num)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coords):
+                for j, y in enumerate(b.num):
                     if y:
                         conv[i + j] += x * y
         rows = _reduction_rows(a.level)
-        out = list(conv[:d])
+        out = conv[:d]
         for k in range(d, 2 * d - 1):
             c = conv[k]
             if c:
-                row = rows[k]
-                for j in range(d):
-                    out[j] += c * row[j]
-        return Cyc._raw(a.level, tuple(out))
+                for j, r in enumerate(rows[k]):
+                    if r:
+                        out[j] += c * r
+        return _make(a.level, tuple(out), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -258,11 +289,14 @@ class Cyc:
         return self._coerce(other) * self.inverse()
 
     def __eq__(self, other) -> bool:
-        try:
-            a, b = self._pair(other)
-        except TypeError:
-            return NotImplemented
-        return a.coords == b.coords
+        if type(other) is Cyc and other.level == self.level:
+            a, b = self, other
+        else:
+            try:
+                a, b = self._pair(other)
+            except TypeError:
+                return NotImplemented
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         # the trace divided by the degree does not change when a value is
@@ -271,26 +305,28 @@ class Cyc:
         return hash(sum(c * w for c, w in zip(self.coords, _trace_weights(self.level)) if c))
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def to_complex(self) -> complex:
+        # int / int is correctly rounded, as float(Fraction) is
         z = cmath.exp(2j * cmath.pi / self.level)
-        return sum((complex(c) * z**k for k, c in enumerate(self.coords)), 0j)
+        den = self.den
+        return sum((complex(x / den) * z**k for k, x in enumerate(self.num)), 0j)
 
     def __repr__(self) -> str:
         return f"Cyc({self.level}, {[str(c) for c in self.coords]})"
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.coords[0])
+            return str(self.as_fraction())
         parts = []
         for k, c in enumerate(self.coords):
             if c == 0:
@@ -302,9 +338,6 @@ class Cyc:
                 parts.append(z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
         return " + ".join(parts).replace("+ -", "- ") or "0"
 
-
-ZERO = Cyc.rational(0)
-ONE = Cyc.rational(1)
 
 
 def to_complex(x) -> complex:

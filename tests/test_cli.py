@@ -214,6 +214,27 @@ def test_malformed_files_are_domain_errors(capsys, tmp_path):
     assert code == 1 and "error: bad structure-constant file: tau_BC" in err
 
 
+def test_unreadable_files_are_domain_errors(capsys, tmp_path):
+    # a missing file, truncated JSON or bytes that are not UTF-8 end in "error: ...", not a traceback
+    missing = tmp_path / "missing.json"
+    truncated = tmp_path / "bad.json"
+    truncated.write_text('{"name": "kashaev2-file", "A": {')
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    cases = [
+        (("axioms", "--algebra", f"file:{missing}"), "cannot read"),
+        (("eval", "bracket", "--triplet", f"file:{truncated}", "s4"), "is not valid JSON"),
+        (("eval", "count", "--C", "Z/2", "--B", "Z/2", "--M", str(truncated), "cp2"), "is not valid JSON"),
+        (("moves", "apply", "cp2", "--moves", str(missing)), "cannot read"),
+        (("moves", "apply", "cp2", "--moves", str(truncated)), "is not valid JSON"),
+        (("validate", str(binary)), "is not valid JSON"),
+        (("validate", str(tmp_path)), "cannot read"),
+    ]
+    for argv, message in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: ") and message in err, argv
+
+
 def _coord(x):
     if x is None:
         return "0"

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -206,3 +207,25 @@ def test_shared_tensor_contracts_exactly_as_plain_data(seed, kind):
         assert list(got.items()) == list(want.items())
     else:
         assert got == want
+
+
+def test_results_of_integer_tensors_are_cyc():
+    # a Tensor keeps level-1 integer entries as int; every result is coerced back to Cyc
+    m = Tensor({(0, 1): ONE, (1, 0): Cyc.rational(2)})
+    v = Tensor({(0,): ONE, (1,): Cyc.rational(3)})
+    dims = {"a": 2, "b": 2}
+    scalar = contract_network([Node("m", ("a", "b"), m), Node("u", ("a",), v), Node("w", ("b",), v)], dims)
+    assert type(scalar) is Cyc and scalar == 9
+    vector = contract_network([Node("m", ("a", "b"), m), Node("v", ("b",), v)], dims, open_wires=("a",))
+    assert vector == {(0,): 3, (1,): 2} and all(type(x) is Cyc for x in vector.values())
+    zero = contract_network([Node("m", ("a", "b"), m), Node("u", ("a",), v), Node("z", ("b",), Tensor())], dims)
+    assert type(zero) is Cyc and not zero
+    assert type(contract_network([], {})) is Cyc
+
+
+def test_tensor_leaves_the_callers_dict_untouched():
+    data = {(0,): ONE, (1,): Cyc.zeta(3), (2,): Cyc.rational(Fraction(1, 2)), (3,): 0.5j}
+    t = Tensor(data)
+    assert all(type(x) is Cyc for k, x in data.items() if k != (3,))
+    assert type(t[(0,)]) is int and t[(0,)] == 1
+    assert t == data and [type(t[k]) for k in ((1,), (2,), (3,))] == [Cyc, Cyc, complex]
