@@ -6,11 +6,22 @@ colour; on the third curve through each copied crossing, the new crossing is
 inserted on the side the third curve exits towards, so the copy stays on one
 side of the slid-over curve (this keeps the signed ordered products along red
 curves conjugation-trivial for noncommutative labels as well).
+
+random_move draws from every applicable two-point deletion and three-point
+flip.  These are enumerated from the pairs of crossings that are consecutive
+on some curve, which is O(N) in the number of crossings: a deletion is such a
+pair, and a flip such a pair p, q with a crossing r that neighbours p on p's
+other curve and q on q's other curve.  Each candidate is checked by the same
+precondition the move itself checks, and the lists are sorted by position in
+``d.crossings`` (the order of ``itertools.combinations``), since the seeded
+draws index into them.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .diagram import (
@@ -24,18 +35,6 @@ from .diagram import (
 )
 from .errors import MoveNotApplicable, NoStandardSummand, TrisectError
 
-VARIANTS = (
-    "shift_basepoint",
-    "reverse_orientation",
-    "two_point_insert",
-    "two_point_delete",
-    "three_point_flip",
-    "handle_slide",
-    "stabilize",
-    "destabilize",
-)
-
-
 @dataclass
 class MoveSpec:
     variant: str
@@ -43,26 +42,33 @@ class MoveSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "MoveSpec":
-        if "move" not in data:
-            raise TrisectError("move entry needs a 'move' key")
+        """A spec from one JSON move entry; the parameters must match the generator's signature."""
+        if not isinstance(data, dict) or "move" not in data:
+            raise TrisectError("each move entry must be an object with a 'move' key")
         variant = data["move"]
-        if variant not in VARIANTS:
+        if not isinstance(variant, str) or variant not in _GENERATORS:
             raise TrisectError(f"unknown move {variant!r}")
-        return cls(variant, {k: v for k, v in data.items() if k != "move"})
+        params = {k: v for k, v in data.items() if k != "move"}
+        # the generators annotate every parameter after the diagram as "str" or "int"
+        expected = list(inspect.signature(_GENERATORS[variant]).parameters.values())[1:]
+        names = {a.name for a in expected}
+        unknown = sorted(set(params) - names)
+        if unknown:
+            raise TrisectError(f"{variant} takes no parameter {unknown[0]!r} (it takes {sorted(names)})")
+        for a in expected:
+            if a.name not in params:
+                if a.default is inspect.Parameter.empty:
+                    raise TrisectError(f"{variant} needs the parameter {a.name!r}")
+                continue
+            value = params[a.name]
+            # bool is a subclass of int; a JSON true is not a position
+            if type(value) is not {"int": int, "str": str}[a.annotation]:
+                raise TrisectError(f"{variant} parameter {a.name!r} must be of type {a.annotation}, got {value!r}")
+        return cls(variant, params)
 
 
 def apply_move(d: TrisectionDiagram, spec: MoveSpec) -> TrisectionDiagram:
-    fn = {
-        "shift_basepoint": shift_basepoint,
-        "reverse_orientation": reverse_orientation,
-        "two_point_insert": two_point_insert,
-        "two_point_delete": two_point_delete,
-        "three_point_flip": three_point_flip,
-        "handle_slide": handle_slide,
-        "stabilize": stabilize,
-        "destabilize": destabilize,
-    }[spec.variant]
-    return fn(d, **spec.params)
+    return _GENERATORS[spec.variant](d, **spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -167,47 +173,62 @@ def _cyclically_adjacent(visits: tuple[str, ...], a: str, b: str) -> bool:
     return n >= 2 and ((ib - ia) % n == 1 or (ia - ib) % n == 1)
 
 
-def two_point_delete(d: TrisectionDiagram, p: str, q: str) -> TrisectionDiagram:
+def _deletion_blocker(d: TrisectionDiagram, p: str, q: str) -> str | None:
+    """Why two_point_delete(d, p, q) does not apply, or None when it does."""
     xp, xq = d.crossing(p), d.crossing(q)
-    pair_p = frozenset(c for c, _ in xp.ends)
-    pair_q = frozenset(c for c, _ in xq.ends)
-    if pair_p != pair_q:
-        raise MoveNotApplicable("the two crossings do not join the same pair of curves")
+    pair = sorted({c for c, _ in xp.ends})
+    if pair != sorted({c for c, _ in xq.ends}):
+        return "the two crossings do not join the same pair of curves"
     if xp.sign != -xq.sign:
-        raise MoveNotApplicable("the two crossings must have opposite signs")
-    for cid in pair_p:
+        return "the two crossings must have opposite signs"
+    for cid in pair:
         if not _cyclically_adjacent(d.curve(cid).visits, p, q):
-            raise MoveNotApplicable(f"crossings are not consecutive on {cid!r}")
+            return f"crossings are not consecutive on {cid!r}"
+    return None
+
+
+def two_point_delete(d: TrisectionDiagram, p: str, q: str) -> TrisectionDiagram:
+    if reason := _deletion_blocker(d, p, q):
+        raise MoveNotApplicable(reason)
     visits = {}
-    for cid in pair_p:
+    for cid, _ in d.crossing(p).ends:
         visits[cid] = [x for x in d.curve(cid).visits if x not in (p, q)]
     signs = _signs(d)
     del signs[p], signs[q]
     return _assemble(d, visits, signs)
 
 
-def three_point_flip(d: TrisectionDiagram, p: str, q: str, r: str) -> TrisectionDiagram:
+def _flip_blocker(d: TrisectionDiagram, p: str, q: str, r: str) -> str | None:
+    """Why three_point_flip(d, p, q, r) does not apply, or None when it does."""
     xs = [d.crossing(x) for x in (p, q, r)]
     curve_ids = sorted({c for x in xs for c, _ in x.ends})
     if len(curve_ids) != 3:
-        raise MoveNotApplicable("the crossings must pairwise join three curves")
-    colors = {d.curve(c).color for c in curve_ids}
-    if len(colors) != 3:
-        raise MoveNotApplicable("the three curves must have three distinct colours")
+        return "the crossings must pairwise join three curves"
+    if len({d.curve(c).color for c in curve_ids}) != 3:
+        return "the three curves must have three distinct colours"
     per_curve: dict[str, list[str]] = {c: [] for c in curve_ids}
     for x in xs:
         for c, _ in x.ends:
             per_curve[c].append(x.id)
     if any(len(v) != 2 for v in per_curve.values()):
-        raise MoveNotApplicable("each curve must carry exactly two of the crossings")
-    visits = {}
+        return "each curve must carry exactly two of the crossings"
     for cid, (x1, x2) in per_curve.items():
-        vs = list(d.curve(cid).visits)
-        if not _cyclically_adjacent(tuple(vs), x1, x2):
-            raise MoveNotApplicable(f"the triangle crossings are not consecutive on {cid!r}")
-        i1, i2 = vs.index(x1), vs.index(x2)
+        if not _cyclically_adjacent(d.curve(cid).visits, x1, x2):
+            return f"the triangle crossings are not consecutive on {cid!r}"
+    return None
+
+
+def three_point_flip(d: TrisectionDiagram, p: str, q: str, r: str) -> TrisectionDiagram:
+    if reason := _flip_blocker(d, p, q, r):
+        raise MoveNotApplicable(reason)
+    # each of the three curves carries two of the crossings; swap them there
+    visits: dict[str, list[str]] = {}
+    for x in (p, q, r):
+        for cid, _ in d.crossing(x).ends:
+            visits.setdefault(cid, list(d.curve(cid).visits))
+    for vs in visits.values():
+        i1, i2 = (i for i, x in enumerate(vs) if x in (p, q, r))
         vs[i1], vs[i2] = vs[i2], vs[i1]
-        visits[cid] = vs
     return _assemble(d, visits, _signs(d))
 
 
@@ -303,33 +324,68 @@ def destabilize(d: TrisectionDiagram) -> TrisectionDiagram:
     return TrisectionDiagram(d.genus - 3, d.kind, curves, crossings, k)
 
 
+_GENERATORS = {
+    "shift_basepoint": shift_basepoint,
+    "reverse_orientation": reverse_orientation,
+    "two_point_insert": two_point_insert,
+    "two_point_delete": two_point_delete,
+    "three_point_flip": three_point_flip,
+    "handle_slide": handle_slide,
+    "stabilize": stabilize,
+    "destabilize": destabilize,
+}
+
+
 # ---------------------------------------------------------------------------
 # random move sampling (regression harness)
 
 
-def applicable_deletions(d: TrisectionDiagram) -> list[tuple[str, str]]:
-    out = []
-    for i, p in enumerate(d.crossings):
-        for q in d.crossings[i + 1 :]:
-            try:
-                two_point_delete(d, p.id, q.id)
-            except MoveNotApplicable:
-                continue
-            out.append((p.id, q.id))
+def _neighbours(d: TrisectionDiagram) -> dict[tuple[str, str], set[str]]:
+    """The cyclic neighbours of each crossing on each curve through it, by (crossing, curve)."""
+    out = {}
+    for c in d.curves:
+        vs = c.visits
+        for i, x in enumerate(vs):
+            out[x, c.id] = {vs[i - 1], vs[(i + 1) % len(vs)]} - {x}
     return out
+
+
+def _in_crossing_order(d: TrisectionDiagram, found: Iterable[tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """The distinct sets of crossing ids in found, each and all in d.crossings position order."""
+    pos = {x.id: i for i, x in enumerate(d.crossings)}
+    ids = [x.id for x in d.crossings]
+    return [tuple(ids[i] for i in t) for t in sorted({tuple(sorted(pos[x] for x in f)) for f in found})]
+
+
+def applicable_deletions(d: TrisectionDiagram) -> list[tuple[str, str]]:
+    """Every (p, q) that two_point_delete accepts, sorted by position in d.crossings.
+
+    The two crossings follow each other on both their curves, so the
+    candidates are the O(N) consecutive pairs on each curve, each checked by
+    the move's own precondition.  The order is the one itertools.combinations
+    gives over d.crossings, which random_move's seeded draws depend on.
+    """
+    nb = _neighbours(d)
+    pairs = _in_crossing_order(d, ((p, q) for (p, _), qs in nb.items() for q in qs))
+    return [(p, q) for p, q in pairs if _deletion_blocker(d, p, q) is None]
 
 
 def applicable_triangles(d: TrisectionDiagram) -> list[tuple[str, str, str]]:
-    import itertools
+    """Every (p, q, r) that three_point_flip accepts, sorted by position in d.crossings.
 
-    out = []
-    for p, q, r in itertools.combinations([x.id for x in d.crossings], 3):
-        try:
-            three_point_flip(d, p, q, r)
-        except MoveNotApplicable:
-            continue
-        out.append((p, q, r))
-    return out
+    Two of the crossings, p and q, follow each other on some curve; r then
+    neighbours p on p's other curve and q on q's other curve.  The candidates
+    come from the O(N) consecutive pairs, each checked by the move's own
+    precondition, in the order random_move's seeded draws depend on.
+    """
+    nb = _neighbours(d)
+    found = [
+        (p, q, r)
+        for (p, c), qs in nb.items()
+        for q in qs
+        for r in nb[p, d.end_on(p, c)[0]] & nb[q, d.end_on(q, c)[0]]
+    ]
+    return [(p, q, r) for p, q, r in _in_crossing_order(d, found) if _flip_blocker(d, p, q, r) is None]
 
 
 def random_move(d: TrisectionDiagram, rng: random.Random, max_visits: int = 8) -> tuple[MoveSpec, TrisectionDiagram]:

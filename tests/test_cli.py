@@ -91,6 +91,21 @@ def test_moves_apply_pipeline(capsys, tmp_path):
     assert json.loads(out1)["value"] == json.loads(out2)["value"]
 
 
+def test_malformed_move_specs_are_domain_errors(capsys, tmp_path):
+    # an unknown parameter or a position that is not an int used to end in a TypeError traceback
+    insert = {"move": "two_point_insert", "curve_a": "a", "pos_a": 0, "curve_b": "b", "pos_b": 0}
+    cases = [
+        ({"move": "shift_basepoint", "curv": "a"}, "no parameter 'curv'"),
+        ({"move": "shift_basepoint", "curve": "a", "offset": "x"}, "'offset' must be of type int"),
+        ({**insert, "pos_a": 0.5}, "'pos_a' must be of type int"),
+    ]
+    mv = tmp_path / "moves.json"
+    for entry, message in cases:
+        mv.write_text(json.dumps([entry]))
+        code, _, err = run(capsys, "moves", "apply", "cp2", "--moves", str(mv))
+        assert code == 1 and err.startswith("error: ") and message in err, entry
+
+
 def test_json_determinism(capsys):
     _, out1, _ = run(capsys, "--json", "eval", "bracket", "--triplet", "group:C=Z/2,B=Z/3", "cp2")
     _, out2, _ = run(capsys, "--json", "eval", "bracket", "--triplet", "group:C=Z/2,B=Z/3", "cp2")

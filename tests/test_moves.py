@@ -1,11 +1,16 @@
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisect import hopf, moves
 from trisect.bracket import BracketConfig, trisection_bracket
-from trisect.diagram import cp2, standard_s4, validate
-from trisect.errors import MoveNotApplicable, NoStandardSummand
+from trisect.diagram import Curve, TrisectionDiagram, cp2, standard_s4, validate
+from trisect.errors import MoveNotApplicable, NoStandardSummand, TrisectError
 from trisect.groups import cyclic
 
 
@@ -117,6 +122,31 @@ def test_move_spec_json_roundtrip():
     assert len(d2.crossings) == 5
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([], "object with a 'move' key"),
+        ({"curve": "a"}, "object with a 'move' key"),
+        ({"move": ["stabilize"]}, "unknown move"),
+        ({"move": "shift_basepoint", "curv": "a", "offset": 1}, "takes no parameter 'curv'"),
+        ({"move": "shift_basepoint", "offset": 1}, "needs the parameter 'curve'"),
+        ({"move": "shift_basepoint", "curve": "a", "offset": True}, "'offset' must be of type int"),
+        ({"move": "handle_slide", "curve": "F1", "over": "F2", "direction": -1.0}, "'direction' must be of type int"),
+        ({"move": "two_point_insert", "curve_a": "a", "pos_a": 0, "curve_b": "b", "pos_b": 0, "sign": "+"}, "'sign'"),
+        ({"move": "two_point_delete", "p": 1, "q": "tp2"}, "'p' must be of type str"),
+        ({"move": "stabilize", "genus": 4}, "takes no parameter 'genus'"),
+    ],
+)
+def test_move_spec_parameters_are_checked(entry, message):
+    with pytest.raises(TrisectError, match=message):
+        moves.MoveSpec.from_json(entry)
+
+
+def test_move_spec_defaults_may_be_left_out():
+    spec = moves.MoveSpec.from_json({"move": "handle_slide", "curve": "F1", "over": "F3"})
+    assert moves.apply_move(standard_s4(), spec) == moves.handle_slide(standard_s4(), "F1", "F3")
+
+
 def test_random_move_determinism():
     rng1, rng2 = random.Random(7), random.Random(7)
     d1, d2 = cp2(), cp2()
@@ -137,3 +167,86 @@ def test_moves_preserve_bracket_spot_check():
         _, d = moves.random_move(d, rng, max_visits=5)
         assert validate(d, strict=True).ok
     assert trisection_bracket(d, cfg) == base
+
+
+# ---------------------------------------------------------------------------
+# the candidate enumeration against trial and error
+
+
+def oracle_deletions(d):
+    """Every pair of crossings that two_point_delete accepts, in d.crossings order."""
+    out = []
+    for p, q in itertools.combinations([x.id for x in d.crossings], 2):
+        try:
+            moves.two_point_delete(d, p, q)
+        except MoveNotApplicable:
+            continue
+        out.append((p, q))
+    return out
+
+
+def oracle_triangles(d):
+    """Every triple of crossings that three_point_flip accepts, in d.crossings order."""
+    out = []
+    for p, q, r in itertools.combinations([x.id for x in d.crossings], 3):
+        try:
+            moves.three_point_flip(d, p, q, r)
+        except MoveNotApplicable:
+            continue
+        out.append((p, q, r))
+    return out
+
+
+STARTS = {"cp2": cp2, "s4": standard_s4, "stab4": lambda: moves.stabilize(cp2())}
+
+
+def test_enumeration_matches_trial_and_error_on_fixed_diagrams():
+    d = cp2()
+    assert moves.applicable_triangles(d) == oracle_triangles(d) == [("p_ab", "p_bc", "p_ca")]
+    ins = moves.two_point_insert(d, "a", 1, "g", 0, -1)
+    assert moves.applicable_deletions(ins) == oracle_deletions(ins) == [("tp1", "tp2")]
+    # on two crossing-free curves the pair is consecutive both ways round; it is listed once
+    s = moves.stabilize(cp2())
+    bare = TrisectionDiagram(s.genus + 1, "closed", s.curves + (Curve("r", "red", ()), Curve("u", "blue", ())), s.crossings)
+    ins = moves.two_point_insert(bare, "r", 0, "u", 0, 1)
+    assert moves.applicable_deletions(ins) == oracle_deletions(ins) == [("tp1", "tp2")]
+    assert moves.applicable_triangles(standard_s4()) == oracle_triangles(standard_s4()) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(STARTS)), st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_enumeration_matches_trial_and_error_along_random_walks(start, seed, max_visits):
+    d, rng = STARTS[start](), random.Random(seed)
+    for _ in range(12):
+        assert moves.applicable_deletions(d) == oracle_deletions(d)
+        assert moves.applicable_triangles(d) == oracle_triangles(d)
+        _, d = moves.random_move(d, rng, max_visits=max_visits)
+    assert moves.applicable_deletions(d) == oracle_deletions(d)
+    assert moves.applicable_triangles(d) == oracle_triangles(d)
+
+
+# (start, seed, max_visits) of each pinned walk: max_visits=1 as in the bench's
+# ladder noise, 6 as in criterion 5's random sequences
+PINNED_WALKS = {
+    "stab4-seed2-max1": ("stab4", 2, 1),
+    "cp2-seed3-max1": ("cp2", 3, 1),
+    "cp2-seed3-max6": ("cp2", 3, 6),
+    "stab4-seed7-max6": ("stab4", 7, 6),
+}
+
+
+def walk_specs(start, seed, max_visits, steps=20):
+    d, rng, specs = STARTS[start](), random.Random(seed), []
+    for _ in range(steps):
+        spec, d = moves.random_move(d, rng, max_visits=max_visits)
+        specs.append({"move": spec.variant, **spec.params})
+    return specs
+
+
+def test_random_walks_are_pinned():
+    # every seeded ladder, oracle and criterion-5 diagram depends on these draws
+    expected = json.loads((Path(__file__).parent / "data" / "random_walks.json").read_text())
+    assert sorted(expected) == sorted(PINNED_WALKS)
+    for name, args in PINNED_WALKS.items():
+        specs = walk_specs(*args)
+        assert json.dumps(specs, sort_keys=True) == json.dumps(expected[name], sort_keys=True), name
