@@ -47,20 +47,14 @@ class BracketConfig:
     """
 
     triplet: HopfTriplet
-    integrals: dict[str, dict] | None = None
     evaluator: str = "element"  # "element" | "rep"
     contraction_cap: int = 10_000_000
     integral_scale: dict[str, object] = field(default_factory=dict)
 
     def resolved_integrals(self) -> dict[str, dict]:
-        if self.integrals is not None:
-            ints = self.integrals
-        elif self.triplet.default_integrals is not None:
-            ints = self.triplet.default_integrals
-        else:
-            ints = {
-                slot: compute_integral(self.triplet.algebra(slot)) for slot in "ABC"
-            }
+        ints = self.triplet.default_integrals
+        if ints is None:
+            ints = {slot: compute_integral(self.triplet.algebra(slot)) for slot in "ABC"}
         out = {}
         for slot in "ABC":
             vec = ints[slot]

@@ -45,18 +45,46 @@ def _base(d):
     return d.base if isinstance(d, diagram.EmbeddedDiagram) else d
 
 
+def _spec_params(spec: str, prefix: str, sep: str, **defaults: str | None) -> dict[str, str]:
+    """The ``key=value`` parameters of ``spec`` after ``prefix``, split at ``sep``.
+
+    Only the keys of ``defaults`` may appear, and those whose default is
+    ``None`` must; anything else is a domain error.
+    """
+    params = {}
+    for part in spec[len(prefix):].split(sep):
+        key, eq, value = part.partition("=")
+        if not eq or key not in defaults:
+            raise TrisectError(f"bad parameter {part!r} in {spec!r}; use {sep.join(k + '=...' for k in defaults)}")
+        params[key] = value
+    for key, default in defaults.items():
+        if params.setdefault(key, default) is None:
+            raise TrisectError(f"{spec!r} is missing the parameter {key}=...")
+    return params
+
+
+def _kashaev(spec: str, prefix: str) -> hopf.HopfTriplet:
+    n = _spec_params(spec, prefix, ",", n=None)["n"]
+    if not n.isdecimal():
+        raise TrisectError(f"n={n!r} in {spec!r} is not a decimal integer")
+    return hopf.kashaev_triplet(int(n))
+
+
+def _weak_action(spec: str):
+    """The groups C, B and the G-set M of a ``weak:C=G;B=G[;M=SPEC]`` spec."""
+    params = _spec_params(spec, "weak:", ";", C=None, B=None, M="point")
+    c, b = parse_group(params["C"]), parse_group(params["B"])
+    return c, b, _parse_gset(params["M"], c, b)
+
+
 def parse_triplet(spec: str, backend: str = "exact") -> hopf.HopfTriplet:
     if spec.startswith("kashaev:"):
-        params = dict(p.split("=", 1) for p in spec[len("kashaev:"):].split(","))
-        t = hopf.kashaev_triplet(int(params["n"]))
+        t = _kashaev(spec, "kashaev:")
     elif spec.startswith("group:"):
-        params = dict(p.split("=", 1) for p in spec[len("group:"):].split(","))
+        params = _spec_params(spec, "group:", ",", C=None, B=None)
         t = hopf.group_triplet(parse_group(params["C"]), parse_group(params["B"]))
     elif spec.startswith("weak:"):
-        params = dict(p.split("=", 1) for p in spec[len("weak:"):].split(";"))
-        c = parse_group(params["C"])
-        b = parse_group(params["B"])
-        t = hopf.weak_triplet(c, b, _parse_gset(params.get("M", "point"), c, b))
+        t = hopf.weak_triplet(*_weak_action(spec))
     elif spec.startswith("file:"):
         t = hopf.triplet_from_json(_read_json(spec[len("file:"):]))
     else:
@@ -85,6 +113,15 @@ def _parse_gset(spec: str, c_group, b_group):
     if Path(spec).exists():
         return gset_from_json(k, _read_json(spec))
     raise TrisectError(f"unknown G-set spec {spec!r}; use point, regular, cosets:(c,b)|..., or a file path")
+
+
+def _criteria(text: str) -> set[int]:
+    """The criterion numbers in a comma-separated list; anything else is a usage error."""
+    known = {num for num, _, _ in acceptance.CRITERIA}
+    parts = text.split(",")
+    if not all(p.strip().isdecimal() and int(p) in known for p in parts):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of criteria 1-{max(known)}")
+    return {int(p) for p in parts}
 
 
 def _scalar_json(x):
@@ -152,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cap", type=int, default=10_000_000)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    p.add_argument("--only", type=_criteria, default=None, help="comma-separated criterion numbers")
 
     args = ap.parse_args(argv)
     try:
@@ -221,8 +258,7 @@ def _dispatch(args) -> int:
         return 0 if rep.ok else 1
 
     if args.cmd == "selftest":
-        only = None if args.only is None else {int(x) for x in args.only.split(",")}
-        results = acceptance.run_all(only)
+        results = acceptance.run_all(args.only)
         ok = all(r.ok for r in results)
         if args.json:
             payload = [
@@ -291,13 +327,10 @@ def _dispatch_axioms(args) -> int:
     elif spec.startswith("fun:"):
         h = hopf.function_algebra(parse_group(spec[len("fun:"):]))
     elif spec.startswith("double:kashaev:"):
-        params = dict(p.split("=", 1) for p in spec[len("double:kashaev:"):].split(","))
-        t = hopf.kashaev_triplet(int(params["n"]))
+        t = _kashaev(spec, "double:kashaev:")
         h = hopf.generalized_double(t.C, t.A, t.tau_CA)
     elif spec.startswith("weak:"):
-        params = dict(p.split("=", 1) for p in spec[len("weak:"):].split(";"))
-        c, b = parse_group(params["C"]), parse_group(params["B"])
-        h, _ = hopf.weak_hopf_from_action(_parse_gset(params.get("M", "point"), c, b))
+        h, _ = hopf.weak_hopf_from_action(_weak_action(spec)[2])
     elif spec.startswith("file:"):
         h = hopf.algebra_from_json(_read_json(spec[len("file:"):]))
     else:

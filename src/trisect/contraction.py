@@ -1,15 +1,17 @@
 """Sparse tensor-network contraction with a greedy pairwise order.
 
 Tensors are dicts from index tuples to scalars.  A wire that appears on two
-nodes is summed over; a wire on exactly one node is open and must be listed
-in ``open_wires``.  The network factorizes over connected components.  Inside
+or more nodes is summed over, once, like an index shared by several factors
+of an einsum; a wire on exactly one node is open and must be listed in
+``open_wires``.  The network factorizes over connected components.  Inside
 one component the greedy order repeatedly contracts the pair of connected
 nodes whose result has the smallest dense size (product of the remaining
-wire dimensions, open wires included), with a deterministic tie break on
-node names.  The components' results are then multiplied together as an
-outer product over the open wires.  The cap bounds the dense size of every
-pairwise result and of the final tensor, not the sparse storage actually
-used.  Only exact zeros are dropped from the sparse storage.
+wire dimensions, open wires included, and shared wires that a third node
+still carries), with a deterministic tie break on node names.  The
+components' results are then multiplied together as an outer product over
+the open wires.  The cap bounds the dense size of every pairwise result and
+of the final tensor, not the sparse storage actually used.  Only exact zeros
+are dropped from the sparse storage.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -81,9 +83,10 @@ def _dense_size(wires, dims) -> int:
     return size
 
 
-def _contract_pair(a: Node, b: Node, dims) -> Node:
+def _contract_pair(a: Node, b: Node, summed) -> Node:
+    """Join ``a`` and ``b`` on their shared wires, sum those in ``summed``, keep the rest once, as in ``a``."""
     shared = [w for w in a.wires if w in b.wires]
-    keep_a = [w for w in a.wires if w not in shared]
+    keep_a = [w for w in a.wires if w not in summed]
     keep_b = [w for w in b.wires if w not in shared]
     # bucket the smaller operand by its shared indices and scan the larger one;
     # keys stay keep_a + keep_b and every product stays a-value * b-value
@@ -174,7 +177,7 @@ def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_00
     out = None
     for comp in _components(nodes):
         part = _contract_component(comp, dims, cap)
-        out = part if out is None else _contract_pair(out, part, dims)
+        out = part if out is None else _contract_pair(out, part, ())
     if out is None:
         out = Node("1", (), {(): 1})
     if sorted(out.wires) != sorted(open_wires):
@@ -192,13 +195,19 @@ def _exact(val):
 
 def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int) -> Node:
     nodes = sorted(nodes, key=lambda n: n.name)
+    # how many of the remaining nodes carry each wire; a wire is summed when
+    # the last two that carry it are merged
+    carriers: dict[str, int] = {}
+    for n in nodes:
+        for w in n.wires:
+            carriers[w] = carriers.get(w, 0) + 1
     while len(nodes) > 1:
         best = None
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
                 if not any(w in nodes[j].wires for w in nodes[i].wires):
                     continue
-                wires = [w for w in nodes[i].wires if w not in nodes[j].wires]
+                wires = [w for w in nodes[i].wires if w not in nodes[j].wires or carriers[w] > 2]
                 wires += [w for w in nodes[j].wires if w not in nodes[i].wires]
                 cost = _dense_size(wires, dims)
                 key = (cost, nodes[i].name, nodes[j].name)
@@ -209,6 +218,12 @@ def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int) -> No
         (cost, _, _), i, j = best
         if cost > cap:
             raise ResourceExceeded(cost, cap)
-        merged = _contract_pair(nodes[i], nodes[j], dims)
+        summed = []
+        for w in nodes[i].wires:
+            if w in nodes[j].wires:
+                carriers[w] -= 1
+                if carriers[w] == 1:
+                    summed.append(w)
+        merged = _contract_pair(nodes[i], nodes[j], summed)
         nodes = [n for k, n in enumerate(nodes) if k not in (i, j)] + [merged]
     return nodes[0]

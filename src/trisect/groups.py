@@ -9,6 +9,7 @@ group exponent.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,11 +59,7 @@ class Group:
         return k
 
     def exponent(self) -> int:
-        e = 1
-        for i in range(self.order):
-            o = self.element_order(i)
-            e = e * o // _gcd(e, o)
-        return e
+        return math.lcm(*map(self.element_order, range(self.order)))
 
     def is_abelian(self) -> bool:
         return all(
@@ -159,12 +156,6 @@ class Group:
 
     def __str__(self) -> str:
         return self.name
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclic(n: int) -> Group:

@@ -425,7 +425,6 @@ class HopfTriplet:
     tau_AB: Mat
     tau_BC: Mat
     tau_CA: Mat
-    allow_weak: bool = False
     default_integrals: dict[str, Vec] | None = None
 
     def algebra(self, slot: str) -> HopfAlgebra:
@@ -686,7 +685,7 @@ def weak_triplet(c_group: Group, b_group: Group, mset: GSet | None = None) -> Ho
         "B": weak_integrals_from_action(m_b)[0],
         "C": weak_integrals_from_action(m_c)[0],
     }
-    return HopfTriplet(name, a_t, b_t, c_t, tau_ab, tau_bc, tau_ca, allow_weak=True, default_integrals=ints)
+    return HopfTriplet(name, a_t, b_t, c_t, tau_ab, tau_bc, tau_ca, default_integrals=ints)
 
 
 def weak_simple_reps(mset: GSet, stabilizer_irreps: dict | None = None) -> list[Rep]:
@@ -770,7 +769,6 @@ def float_triplet(t: HopfTriplet) -> HopfTriplet:
         _float_vec(t.tau_AB),
         _float_vec(t.tau_BC),
         _float_vec(t.tau_CA),
-        t.allow_weak,
         None if t.default_integrals is None else {s: _float_vec(v) for s, v in t.default_integrals.items()},
     )
 
@@ -846,5 +844,4 @@ def triplet_from_json(data: dict) -> HopfTriplet:
         raise TrisectError("bad triplet file: not a JSON object")
     alg = {slot: algebra_from_json(data.get(slot), name=slot) for slot in "ABC"}
     taus = [_entries(data, f"tau_{x}{y}", (alg[x].dim, alg[y].dim)) for x, y in ("AB", "BC", "CA")]
-    return HopfTriplet(data.get("name", "file"), alg["A"], alg["B"], alg["C"], *taus,
-                       allow_weak=any(a.weak for a in alg.values()))
+    return HopfTriplet(data.get("name", "file"), alg["A"], alg["B"], alg["C"], *taus)

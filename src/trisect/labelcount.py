@@ -6,10 +6,10 @@ transform across segments by the curve labels and the signed ordered product
 along every red curve is trivial.  The count, suitably normalized, is a
 4-manifold invariant.
 
-Each count is one contraction of a network with integer entries: copy chains
-carry every green or blue label to its red crossings (and, for
-``count_admissible``, to its segments), a chain of multiplications in
-K = C x B^op along each red curve is pinned at the identity at both ends, and
+Each count is one contraction of a network with integer entries.  Every
+green or blue label is one wire, shared by the nodes of its red crossings
+(and, for ``count_admissible``, of its segments); a chain of multiplications
+in K = C x B^op along each red curve is pinned at the identity at both ends;
 one node per green or blue segment relates the points of M on its two sides.
 The depth-first enumeration (``iter_curve_labellings`` with ``red_product``,
 and ``iter_region_labellings``) is kept as the oracle the tests compare the
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .bracket import BracketConfig, CheckReport, InvariantValue, invariant
@@ -374,40 +375,16 @@ def _admissible_network(e: EmbeddedDiagram, cfg: WeakConfig,
 
 
 def _count(nodes: list[Node], dims: dict[str, int]) -> int:
-    """Contract the nodes once, each variable shared among its nodes by a copy chain.
+    """Contract the nodes once, each variable summed over wherever it appears.
 
-    The engine sums a wire where its two nodes meet, so a variable on k > 2
-    nodes becomes a chain of k - 2 three-wire copy nodes; one on a single node
-    is summed by an all-ones node, and one on no node contributes its
-    dimension.
+    The engine sums a wire shared by any number of nodes; a variable on a
+    single node is summed by an all-ones node, and one on no node
+    contributes its dimension.
     """
-    users: dict[str, list[int]] = {}
-    for i, node in enumerate(nodes):
-        for w in node.wires:
-            users.setdefault(w, []).append(i)
+    users = Counter(w for node in nodes for w in node.wires)
     factor = math.prod(dim for var, dim in dims.items() if var not in users)
-    wires = [list(node.wires) for node in nodes]
-    all_dims = dict(dims)
-    copies = []
-    for var, at in users.items():
-        dim = dims[var]
-        if len(at) == 1:
-            copies.append(Node(f"sum:{var}", (var,), {(x,): 1 for x in range(dim)}))
-            continue
-        # the chain's links run var, var~1, ..., var~(k-2); the first and last
-        # users take its two ends, user j in between meets copy node j
-        links = [var] + [f"{var}~{j}" for j in range(1, len(at) - 1)]
-        diagonal = {(x, x, x): 1 for x in range(dim)}
-        for j in range(1, len(at) - 1):
-            end = f"{var}#{j}"
-            copies.append(Node(f"copy:{var}:{j}", (links[j - 1], end, links[j]), diagonal))
-            w = wires[at[j]]
-            w[w.index(var)] = end
-            all_dims[end] = all_dims[links[j]] = dim
-        w = wires[at[-1]]
-        w[w.index(var)] = links[-1]
-    network = [Node(node.name, tuple(w), node.data) for node, w in zip(nodes, wires)] + copies
-    value = contract_network(network, all_dims)
+    ones = [Node(f"sum:{var}", (var,), {(x,): 1 for x in range(dims[var])}) for var, k in users.items() if k == 1]
+    value = contract_network(nodes + ones, dims)
     return factor * int(value.as_fraction())
 
 

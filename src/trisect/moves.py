@@ -79,8 +79,6 @@ def _assemble(
     d: TrisectionDiagram,
     visits: dict[str, list[str]],
     signs: dict[str, int],
-    genus: int | None = None,
-    declared_k: int | None | str = "keep",
 ) -> TrisectionDiagram:
     positions: dict[str, list[tuple[str, int]]] = {}
     curves = []
@@ -95,13 +93,7 @@ def _assemble(
         if len(ends) != 2:
             raise TrisectError(f"crossing {xid!r} has {len(ends)} ends after the move")
         crossings.append(Crossing(xid, signs[xid], (ends[0], ends[1])))
-    return TrisectionDiagram(
-        d.genus if genus is None else genus,
-        d.kind,
-        tuple(curves),
-        tuple(crossings),
-        d.declared_k if declared_k == "keep" else declared_k,
-    )
+    return TrisectionDiagram(d.genus, d.kind, tuple(curves), tuple(crossings), d.declared_k)
 
 
 def _signs(d: TrisectionDiagram) -> dict[str, int]:

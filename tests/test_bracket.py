@@ -79,7 +79,7 @@ def test_cross_check_detects_rescaled_integrals():
     t = hopf.kashaev_triplet(3)
     ints = {s: hopf.compute_integral(t.algebra(s)) for s in "ABC"}
     ints["B"] = {k: Cyc.rational(2) * v for k, v in ints["B"].items()}
-    rep = cross_check(cp2(), BracketConfig(t, integrals=ints))
+    rep = cross_check(cp2(), BracketConfig(dataclasses.replace(t, default_integrals=ints)))
     assert not rep.ok
     assert "ratio" in rep.details and rep.details["ratio"] == "2"
 

@@ -139,9 +139,25 @@ def test_domain_error_exit_code(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "bracket", "cp2"])  # missing --triplet
-    assert exc.value.code == 2
+    # a missing --triplet, and criteria that are not numbers or name no criterion
+    for argv in (["eval", "bracket", "cp2"], ["selftest", "--only", "x"], ["selftest", "--only", "99"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "bracket", "--triplet", "kashaev:x", "cp2"], "bad parameter 'x'"),
+    (["eval", "bracket", "--triplet", "kashaev:m=3", "cp2"], "bad parameter 'm=3'"),
+    (["eval", "bracket", "--triplet", "kashaev:n=abc", "cp2"], "n='abc'"),
+    (["eval", "bracket", "--triplet", "group:C=S3", "cp2"], "missing the parameter B="),
+    (["eval", "bracket", "--triplet", "weak:C=Z/2", "cp2"], "missing the parameter B="),
+    (["axioms", "--algebra", "double:kashaev:q"], "bad parameter 'q'"),
+])
+def test_malformed_specs_are_domain_errors(capsys, argv, message):
+    # a malformed spec is a domain error, never a traceback
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ") and message in err
 
 
 def test_eval_has_no_tolerance_option():

@@ -17,14 +17,14 @@ VALUES = [Cyc.rational(q) for q in (-2, -1, 1, 3)] + [Cyc.zeta(3), ONE + Cyc.zet
 
 
 def random_network(rng: random.Random, prefix: str) -> tuple[list[Node], dict[str, int]]:
-    """Up to three nodes and three wires; a wire sits on two nodes or on one (open)."""
+    """Up to three nodes and three wires; a wire sits on one node (open), two or three."""
     count = rng.randint(1, 3)
     node_wires: list[list[str]] = [[] for _ in range(count)]
     dims = {}
     for w in range(rng.randint(1, 3)):
         name = f"{prefix}{w}"
         dims[name] = rng.randint(1, 3)
-        owners = rng.sample(range(count), 2) if count > 1 and rng.random() < 0.6 else [rng.randrange(count)]
+        owners = rng.sample(range(count), min(count, rng.choice((1, 2, 2, 3))))
         for k in owners:
             node_wires[k].append(name)
     nodes = []
