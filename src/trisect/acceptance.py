@@ -22,7 +22,7 @@ from .diagram import (
     standard_s4_disc,
     standard_s4_embedded,
 )
-from .groups import Group, coset_gset, cyclic, opposite, point_gset, product, symmetric
+from .groups import Group, WeakConfig, bimodule_group, coset_gset, cyclic, point_gset, product, symmetric
 from .scalars import Cyc
 
 ONE = Cyc.rational(1)
@@ -96,17 +96,17 @@ def _extra_doubles():
 def _weak_suite():
     """(name, gset) pairs with |K| <= 12 and |M| <= 3."""
     out = []
-    k22 = product(cyclic(2), opposite(cyclic(2)), name="Z/2xZ/2^op")
+    k22 = bimodule_group(cyclic(2), cyclic(2))
     out.append(("K=Z/2xZ/2,|M|=1", point_gset(k22)))
     out.append(("K=Z/2xZ/2,|M|=2", coset_gset(k22, [3])))
-    k32 = product(cyclic(3), opposite(cyclic(2)), name="Z/3xZ/2^op")
-    m3 = coset_gset(k32, [1])
-    if m3.size != 3:
-        m3 = coset_gset(k32, [2])
-    out.append(("K=Z/3xZ/2,|M|=3", m3))
-    k12 = product(cyclic(3), opposite(cyclic(4)), name="Z/3xZ/4^op")
-    out.append(("K=Z/3xZ/4,|M|=1", point_gset(k12)))
+    out.append(("K=Z/3xZ/2,|M|=3", coset_gset(bimodule_group(cyclic(3), cyclic(2)), [1])))
+    out.append(("K=Z/3xZ/4,|M|=1", point_gset(bimodule_group(cyclic(3), cyclic(4)))))
     return out
+
+
+def _cosets(c: Group, b: Group, gens: list[int]) -> WeakConfig:
+    """M = the cosets in C x B^op of the subgroup that ``gens`` generate."""
+    return WeakConfig(c, b, coset_gset(bimodule_group(c, b), gens))
 
 
 def _move_triplets():
@@ -308,13 +308,8 @@ def criterion_7():
 
 def criterion_8():
     """Counting oracles: boundary counts, factorization, rep-theoretic average."""
-    k22 = product(cyclic(2), opposite(cyclic(2)), name="Kdiag")
-    cfg_m2 = labelcount.WeakConfig(cyclic(2), cyclic(2), coset_gset(k22, [3]))
-    k32 = product(cyclic(3), opposite(cyclic(2)))
-    m3 = coset_gset(k32, [1])
-    if m3.size != 3:
-        m3 = coset_gset(k32, [2])
-    cfg_m3 = labelcount.WeakConfig(cyclic(3), cyclic(2), m3)
+    cfg_m2 = _cosets(cyclic(2), cyclic(2), [3])
+    cfg_m3 = _cosets(cyclic(3), cyclic(2), [1])
     disc = standard_s4_disc()
     for cfg in (cfg_m2, cfg_m3):
         want = cfg.b_group.order * cfg.c_group.order
@@ -323,11 +318,11 @@ def criterion_8():
             if got != want:
                 return False, f"|l_st| with boundary {m} is {got}, want |B||C|={want}", 1.0
     configs = [
-        labelcount.WeakConfig(cyclic(2), cyclic(2)),
+        WeakConfig(cyclic(2), cyclic(2)),
         cfg_m2,
         cfg_m3,
-        labelcount.WeakConfig(cyclic(3), cyclic(3), coset_gset(product(cyclic(3), opposite(cyclic(3))), [4])),
-        labelcount.WeakConfig(cyclic(2), cyclic(3)),
+        _cosets(cyclic(3), cyclic(3), [4]),
+        WeakConfig(cyclic(2), cyclic(3)),
     ]
     for cfg in configs:
         for e, d in ((standard_s4_embedded(), standard_s4()), (cp2_embedded(), cp2())):
@@ -335,7 +330,7 @@ def criterion_8():
             rhs = cfg.msize * labelcount.count_curve_labellings(d, cfg)
             if lhs != rhs:
                 return False, f"factorization fails: {lhs} != |M| x {rhs // max(1, cfg.msize)}", 1.0
-    for cfg in (labelcount.WeakConfig(cyclic(2), cyclic(2)), cfg_m2, cfg_m3):
+    for cfg in (WeakConfig(cyclic(2), cyclic(2)), cfg_m2, cfg_m3):
         av = labelcount.averaged_evaluation(cp2_embedded(), cfg)
         brute = labelcount.averaged_by_brute_force(cp2_embedded(), cfg)
         if not av == brute:
@@ -355,14 +350,10 @@ def criterion_9():
         iv = bracket.invariant(standard_s4(), bracket.BracketConfig(t))
         if not iv == 1:
             return False, f"group C={c.name},B={b.name}: invariant(S4) != 1", 1.0
-    for cfg in (labelcount.WeakConfig(cyclic(2), cyclic(3)), labelcount.WeakConfig(cyclic(3), cyclic(2))):
+    for cfg in (WeakConfig(cyclic(2), cyclic(3)), WeakConfig(cyclic(3), cyclic(2))):
         if not labelcount.group_count_invariant(standard_s4(), cfg) == cfg.msize:
             return False, "group_count_invariant(S4, point) != 1", 1.0
-    k22 = product(cyclic(2), opposite(cyclic(2)))
-    for cfg in (
-        labelcount.WeakConfig(cyclic(2), cyclic(3)),
-        labelcount.WeakConfig(cyclic(2), cyclic(2), coset_gset(k22, [3])),
-    ):
+    for cfg in (WeakConfig(cyclic(2), cyclic(3)), _cosets(cyclic(2), cyclic(2), [3])):
         for d in (standard_s4(), cp2(), moves.stabilize(cp2())):
             rep = labelcount.coincidence_check(d, cfg)
             if not rep.ok:

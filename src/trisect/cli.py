@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import acceptance, bracket, diagram, hopf, labelcount, moves
 from .errors import TrisectError
-from .groups import coset_gset, gset_from_json, parse_group, point_gset, regular_gset
+from .groups import WeakConfig, bimodule_group, coset_gset, gset_from_json, parse_group, point_gset, regular_gset
 from .scalars import Cyc, render, to_complex
 
 
@@ -95,9 +96,7 @@ def parse_triplet(spec: str, backend: str = "exact") -> hopf.HopfTriplet:
 
 
 def _parse_gset(spec: str, c_group, b_group):
-    from .groups import opposite, product
-
-    k = product(c_group, opposite(b_group), name=f"{c_group.name}x{b_group.name}^op")
+    k = bimodule_group(c_group, b_group)
     if spec == "point":
         return point_gset(k)
     if spec == "regular":
@@ -193,9 +192,16 @@ def main(argv: list[str] | None = None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
     except TrisectError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout early (``trisect ... | head -1``): point
+        # stdout at devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 
@@ -279,21 +285,18 @@ def _dispatch_eval(args) -> int:
     if args.what == "count":
         e = _load_diagram(args.diagram, embedded=True)
         c_group, b_group = parse_group(args.C), parse_group(args.B)
-        cfg = labelcount.WeakConfig(c_group, b_group, _parse_gset(args.M, c_group, b_group))
-        if isinstance(e, diagram.EmbeddedDiagram):
-            if e.base.kind == "disc":
-                count = labelcount.count_admissible(e, cfg, boundary_label=args.boundary or 0)
-            else:
-                count = labelcount.count_admissible(e, cfg)
-            genus = e.base.genus
+        cfg = WeakConfig(c_group, b_group, _parse_gset(args.M, c_group, b_group))
+        if isinstance(e, diagram.EmbeddedDiagram) and e.base.kind == "disc":
+            # a disc's count fixes the boundary label; its invariant counts the base's curve labellings
+            count = labelcount.count_admissible(e, cfg, boundary_label=args.boundary or 0)
+            inv = labelcount.group_count_invariant(e.base, cfg)
         else:
-            count = cfg.msize * labelcount.count_curve_labellings(e, cfg)
-            genus = e.genus
-        inv = labelcount.group_count_invariant(_base(e), cfg)
+            inv = labelcount.group_count_invariant(e, cfg)
+            count = int(inv.coeff.as_fraction())
         payload = {
             "count": count,
             "invariant": _scalar_json(inv.approx()),
-            "genus": genus,
+            "genus": inv.genus,
         }
         _emit(args, payload, f"l={count}, invariant={render(inv.approx())}")
         return 0

@@ -4,6 +4,12 @@ Groups carry element labels and an index-based multiplication table; the
 identity is always index 0.  Characters of abelian groups are produced
 exactly, as exponent vectors of a fixed primitive root of unity of the
 group exponent.
+
+``WeakConfig`` is the one description of a transitive C x B^op-set M, the
+datum that both the weak triplet (``hopf.weak_triplet``) and the labelling
+counts (``labelcount``) are built from: its group K (``bimodule_group``), the
+point set by default, its checks, and the index of C and B in K.  A G-set
+file that is not of the shape ``gset_from_json`` reads is a ``TrisectError``.
 """
 
 from __future__ import annotations
@@ -215,18 +221,6 @@ def product(g: Group, h: Group, name: str | None = None) -> Group:
     return Group(name or f"{g.name}x{h.name}", labels, tuple(table))
 
 
-def from_json(data: dict, name: str = "G") -> Group:
-    elements = data.get("elements")
-    table = data.get("table")
-    if not isinstance(elements, list) or not isinstance(table, list):
-        raise TrisectError("group file needs 'elements' and 'table'")
-    idx = {e: i for i, e in enumerate(elements)}
-    rows = tuple(tuple(idx[x] for x in row) for row in table)
-    g = Group(name, tuple(str(e) for e in elements), rows)
-    g.check_axioms()
-    return g
-
-
 _BUILTIN = {"s3": symmetric(3), "s4": symmetric(4), "d4": dihedral(4)}
 
 
@@ -263,6 +257,8 @@ class GSet:
         k, m = self.group.order, len(self.labels)
         if len(self.act) != k or any(len(row) != m for row in self.act):
             raise TrisectError("action table has wrong shape")
+        if all(row == tuple(range(m)) for row in self.act):
+            return  # every element acts as the identity, as on a point
         for g in range(k):
             for h in range(k):
                 gh = self.group.mul(g, h)
@@ -333,17 +329,68 @@ def coset_gset(k: Group, subgroup_members: list[int]) -> GSet:
     return GSet(k, labels, act)
 
 
-def gset_from_json(k: Group, data: dict) -> GSet:
-    labels = data.get("set")
-    table = data.get("action")
-    if not isinstance(labels, list) or not isinstance(table, dict):
-        raise TrisectError("gset file needs 'set' and 'action'")
-    pos = {m: i for i, m in enumerate(labels)}
-    gidx = {lab: i for i, lab in enumerate(k.labels)}
+def gset_from_json(k: Group, data) -> GSet:
+    """The K-set of a G-set file: ``{"set": [point, ...], "action": {label: [image, ...]}}``.
+
+    ``action`` maps the label of every element of K to the images of the
+    points of ``set``, in order.  Points are compared by their string form.
+    A file of any other shape is a ``TrisectError``.
+    """
+    if not isinstance(data, dict) or not isinstance(data.get("set"), list) or not isinstance(data.get("action"), dict):
+        raise TrisectError("gset file needs an object with a list 'set' and an object 'action'")
+    points = [str(m) for m in data["set"]]
+    pos = {m: i for i, m in enumerate(points)}
+    if len(pos) != len(points):
+        raise TrisectError("gset file: the points of 'set' are not distinct")
     act = []
     for lab in k.labels:
-        row = table.get(lab)
+        row = data["action"].get(lab)
         if row is None:
             raise TrisectError(f"action missing group element {lab!r}")
-        act.append(tuple(pos[m] for m in row))
-    return GSet(k, tuple(str(m) for m in labels), tuple(act))
+        if not isinstance(row, list) or len(row) != len(points) or any(str(m) not in pos for m in row):
+            raise TrisectError(f"the action of {lab!r} must be a list of {len(points)} points of 'set'")
+        act.append(tuple(pos[str(m)] for m in row))
+    return GSet(k, tuple(points), tuple(act))
+
+
+def bimodule_group(c: Group, b: Group) -> Group:
+    """K = C x B^op, which acts on the set M of a bimodule category over (C, B)."""
+    return product(c, opposite(b), name=f"{c.name}x{b.name}^op")
+
+
+@dataclass
+class WeakConfig:
+    """A transitive C x B^op-set M: the bimodule category of group data.
+
+    K = C x B^op indexes (c, b) at c * |B| + b; ``k_of_c`` and ``k_of_b``
+    embed C and B^op in K, and ``act_c`` and ``act_b`` act on M through them.
+    """
+
+    c_group: Group
+    b_group: Group
+    mset: GSet | None = None  # action of C x B^op; point action when omitted
+
+    def __post_init__(self):
+        self.k_group = bimodule_group(self.c_group, self.b_group)
+        if self.mset is None:
+            self.mset = point_gset(self.k_group)
+        if self.mset.group.table != self.k_group.table:
+            raise TrisectError("the G-set must carry an action of C x B^op")
+        if not self.mset.is_transitive():
+            raise TrisectError("the action must be transitive")
+
+    @property
+    def msize(self) -> int:
+        return self.mset.size
+
+    def k_of_c(self, c: int) -> int:
+        return c * self.b_group.order
+
+    def k_of_b(self, b: int) -> int:
+        return b
+
+    def act_c(self, c: int, m: int) -> int:
+        return self.mset.apply(self.k_of_c(c), m)
+
+    def act_b(self, m: int, b: int) -> int:
+        return self.mset.apply(self.k_of_b(b), m)

@@ -6,8 +6,10 @@ contract: ``mult[(i, j, k)]`` is the coefficient of e_k in e_i e_j,
 ``antipode[(i, j)]`` that of e_j in S(e_i); ``unit`` and ``counit`` are sparse
 vectors.  Absent keys are zero.  Scalars are exact cyclotomics (or complex for
 the float backend).  Group algebras use group elements as basis, function
-algebras delta functions, weak crossed products the triples from the group
-action.
+algebras delta functions, weak crossed products the triples (m, n, k) of a
+transitive K-set M, at the index ``crossed_index`` gives them.  The weak
+triplet reads its C x B^op-set, and the place of C and B in K, from
+``groups.WeakConfig``.
 
 The checkers state each identity once, as a pair of small networks over the
 structure tensors, and contract both sides with ``contraction.contract_network``.
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 from .contraction import Node, contract_network
 from .errors import MissingIrreps, NonSemisimple, TrisectError
-from .groups import GSet, Group, opposite, product
+from .groups import GSet, Group, WeakConfig, opposite
 from .scalars import Cyc, approx_eq, to_complex
 
 Vec = dict[int, object]          # sparse vector: basis index -> scalar
@@ -488,19 +490,16 @@ def kashaev_triplet(n: int) -> HopfTriplet:
 
 def group_triplet(c_group: Group, b_group: Group) -> HopfTriplet:
     """Function algebra of C x B^op paired against the two group algebras."""
-    b_op = opposite(b_group)
-    k = product(c_group, b_op, name=f"{c_group.name}x{b_group.name}^op")
+    cfg = WeakConfig(c_group, b_group)
+    k = cfg.k_group
     a = cop(function_algebra(k))
     a.name = f"C^({k.name})"
-    bt = group_algebra(b_op)
+    bt = group_algebra(opposite(b_group))
     ct = op(cop(group_algebra(c_group)))
-    nb = b_group.order
-    # K = C x B^op indexes (c,b) as c*|B| + b, so (e,b) sits at index b
-    tau_ab: Mat = {(b_idx, b_idx): ONE for b_idx in range(nb)}
-    tau_ca: Mat = {(c_idx, c_idx * nb): ONE for c_idx in range(c_group.order)}
-    tau_bc: Mat = {
-        (i, j): ONE for i in range(nb) for j in range(c_group.order)
-    }
+    nb, nc = b_group.order, c_group.order
+    tau_ab: Mat = {(cfg.k_of_b(b), b): ONE for b in range(nb)}
+    tau_ca: Mat = {(c, cfg.k_of_c(c)): ONE for c in range(nc)}
+    tau_bc: Mat = {(b, c): ONE for b in range(nb) for c in range(nc)}
     return HopfTriplet(
         f"group:C={c_group.name},B={b_group.name}", a, bt, ct, tau_ab, tau_bc, tau_ca
     )
@@ -548,8 +547,14 @@ def check_integral(h: HopfAlgebra, ell: Vec) -> dict[str, float]:
 # weak Hopf algebras from group actions
 
 
-def _weak_index(m: int, n: int, k: int, msize: int, ksize: int) -> int:
-    return (m * msize + n) * ksize + k
+def crossed_index(mset: GSet):
+    """The basis index ``ix(m, n, k)`` of d_m d_n (x) k in the crossed product of ``mset``.
+
+    The crossed product C^{MxM} x| C[K], its dual and their representations
+    all use this one order: m, then n, then k fastest.
+    """
+    msz, ksz = mset.size, mset.group.order
+    return lambda m, n, k: (m * msz + n) * ksz + k
 
 
 def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra, HopfAlgebra]:
@@ -558,10 +563,7 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
         raise TrisectError("the action must be transitive")
     k = mset.group
     msz, ksz = mset.size, k.order
-
-    def ix(m, n, kk):
-        return _weak_index(m, n, kk, msz, ksz)
-
+    ix = crossed_index(mset)
     lab = mset.labels
     basis = tuple(
         f"d{lab[m]}d{lab[n]}(x){k.labels[kk]}" for m in range(msz) for n in range(msz) for kk in range(ksz)
@@ -602,12 +604,8 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
 
 def weak_integrals_from_action(mset: GSet) -> tuple[Vec, Vec]:
     """Integrals of the crossed product and of its dual (in that order)."""
-    k = mset.group
-    msz, ksz = mset.size, k.order
-
-    def ix(m, n, kk):
-        return _weak_index(m, n, kk, msz, ksz)
-
+    msz, ksz = mset.size, mset.group.order
+    ix = crossed_index(mset)
     lam = {ix(m, m, g): ONE for m in range(msz) for g in range(ksz)}
     ell = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
     return lam, ell
@@ -615,92 +613,41 @@ def weak_integrals_from_action(mset: GSet) -> tuple[Vec, Vec]:
 
 def weak_triplet(c_group: Group, b_group: Group, mset: GSet | None = None) -> HopfTriplet:
     """The weak Hopf triplet from a transitive C x B^op action on a finite set."""
-    from .groups import point_gset
-
-    b_op = opposite(b_group)
-    k = product(c_group, b_op, name=f"{c_group.name}x{b_group.name}^op")
-    if mset is None:
-        mset = point_gset(k)
-    if mset.group.table != k.table:
-        raise TrisectError("the G-set must be an action of C x B^op")
-    if not mset.is_transitive():
-        raise TrisectError("the action must be transitive")
-    msz = mset.size
+    cfg = WeakConfig(c_group, b_group, mset)
+    mset, ms = cfg.mset, range(cfg.msize)
     nb, nc = b_group.order, c_group.order
-
-    def kidx(c_idx: int, b_idx: int) -> int:
-        return c_idx * nb + b_idx
-
-    def act_c(c_idx: int, m: int) -> int:
-        return mset.apply(kidx(c_idx, 0), m)
-
-    def act_b(b_idx: int, m: int) -> int:
-        return mset.apply(kidx(0, b_idx), m)
-
     _, h_a = weak_hopf_from_action(mset)
-    a_t = cop(h_a)
-
-    def restricted(group: Group, emb) -> GSet:
-        act = tuple(tuple(mset.apply(emb(g), m) for m in range(msz)) for g in range(group.order))
-        return GSet(group, mset.labels, act)
-
-    m_b = restricted(b_op, lambda b: kidx(0, b))
-    m_c = restricted(c_group, lambda c: kidx(c, 0))
+    # the restrictions of M to B^op and to C, which need not be transitive
+    m_b = GSet(opposite(b_group), mset.labels, tuple(tuple(cfg.act_b(m, b) for m in ms) for b in range(nb)))
+    m_c = GSet(c_group, mset.labels, tuple(tuple(cfg.act_c(c, m) for m in ms) for c in range(nc)))
     h_b, _ = weak_hopf_from_action(m_b, strict=False)
     h_c, _ = weak_hopf_from_action(m_c, strict=False)
-    b_t = h_b
-    c_t = op(cop(h_c))
-
-    def ixk(m, n, kk):
-        return _weak_index(m, n, kk, msz, k.order)
-
-    def ixb(m, n, b):
-        return _weak_index(m, n, b, msz, nb)
-
-    def ixc(m, n, c):
-        return _weak_index(m, n, c, msz, nc)
-
-    tau_ca: Mat = {}
-    for p in range(msz):
-        for q in range(msz):
-            for c in range(nc):
-                tau_ca[(ixc(p, q, c), ixk(p, q, kidx(c, 0)))] = ONE
-    tau_ab: Mat = {}
-    for p in range(msz):
-        for q in range(msz):
-            for b in range(nb):
-                tau_ab[(ixk(p, q, kidx(0, b)), ixb(p, q, b))] = ONE
-    tau_bc: Mat = {}
-    for p in range(msz):
-        for q in range(msz):
-            for b in range(nb):
-                for m in range(msz):
-                    for n in range(msz):
-                        for c in range(nc):
-                            if n == p and n == act_c(c, q) and p == act_b(b, m):
-                                tau_bc[(ixb(p, q, b), ixc(m, n, c))] = ONE
-    name = f"weak:C={c_group.name},B={b_group.name},|M|={msz}"
+    ixk, ixb, ixc = crossed_index(mset), crossed_index(m_b), crossed_index(m_c)
+    tau_ca: Mat = {(ixc(p, q, c), ixk(p, q, cfg.k_of_c(c))): ONE for p in ms for q in ms for c in range(nc)}
+    tau_ab: Mat = {(ixk(p, q, cfg.k_of_b(b)), ixb(p, q, b)): ONE for p in ms for q in ms for b in range(nb)}
+    tau_bc: Mat = {
+        (ixb(p, q, b), ixc(m, p, c)): ONE
+        for p in ms for q in ms for b in range(nb) for m in ms for c in range(nc)
+        if p == cfg.act_c(c, q) and p == cfg.act_b(m, b)
+    }
+    name = f"weak:C={c_group.name},B={b_group.name},|M|={cfg.msize}"
     ints = {
         "A": weak_integrals_from_action(mset)[1],
         "B": weak_integrals_from_action(m_b)[0],
         "C": weak_integrals_from_action(m_c)[0],
     }
-    return HopfTriplet(name, a_t, b_t, c_t, tau_ab, tau_bc, tau_ca, default_integrals=ints)
+    return HopfTriplet(name, cop(h_a), h_b, op(cop(h_c)), tau_ab, tau_bc, tau_ca, default_integrals=ints)
 
 
-def weak_simple_reps(mset: GSet, stabilizer_irreps: dict | None = None) -> list[Rep]:
+def weak_simple_reps(mset: GSet) -> list[Rep]:
     """Simple representations of the crossed product, one per (orbit, character).
 
-    Stabilizer characters are generated automatically for abelian stabilizers;
-    anything else must be supplied via ``stabilizer_irreps`` keyed by orbit
-    basepoint.
+    Each is induced from a character of the stabilizer of the orbit's
+    basepoint pair, so every such stabilizer must be abelian.
     """
     k = mset.group
     msz, ksz = mset.size, k.order
-
-    def ix(m, n, kk):
-        return _weak_index(m, n, kk, msz, ksz)
-
+    ix = crossed_index(mset)
     reps: list[Rep] = []
     for orbit in mset.pair_orbits():
         m1, m2 = orbit["base"]
@@ -709,18 +656,10 @@ def weak_simple_reps(mset: GSet, stabilizer_irreps: dict | None = None) -> list[
         stab_members = mset.stabilizer_pair(m1, m2)
         sub, members = k.subgroup(stab_members, name=f"Stab{m1},{m2}")
         pos_in_sub = {g: i for i, g in enumerate(members)}
-        if stabilizer_irreps and (m1, m2) in stabilizer_irreps:
-            psis = stabilizer_irreps[(m1, m2)]
-        elif sub.is_abelian():
-            e = sub.exponent()
-            psis = [
-                Rep(f"chi{r}", 1, [{(0, 0): Cyc.zeta(e, x)} for x in vec])
-                for r, vec in enumerate(sub.characters())
-            ]
-        else:
-            raise MissingIrreps(
-                f"stabilizer of {m1},{m2} is nonabelian; supply its representations"
-            )
+        if not sub.is_abelian():
+            raise MissingIrreps(f"stabilizer of {m1},{m2} is nonabelian; its representations are not known")
+        e = sub.exponent()
+        psis = [Rep(f"chi{r}", 1, [{(0, 0): Cyc.zeta(e, x)} for x in vec]) for r, vec in enumerate(sub.characters())]
         for psi in psis:
             dim = len(pairs) * psi.dim
             mats: list[Mat] = [dict() for _ in range(msz * msz * ksz)]

@@ -1,7 +1,8 @@
 """Admissible-labelling counts and region-based evaluation for group data.
 
 Green and blue curves carry group elements, regions carry points of a finite
-transitive C x B^op set; a labelling is admissible when region labels
+transitive C x B^op set, described by ``groups.WeakConfig`` (imported here,
+so ``labelcount.WeakConfig`` names the same class); a labelling is admissible when region labels
 transform across segments by the curve labels and the signed ordered product
 along every red curve is trivial.  The count, suitably normalized, is a
 4-manifold invariant.
@@ -13,9 +14,10 @@ in K = C x B^op along each red curve is pinned at the identity at both ends;
 one node per green or blue segment relates the points of M on its two sides.
 The depth-first enumeration (``iter_curve_labellings`` with ``red_product``,
 and ``iter_region_labellings``) is kept as the oracle the tests compare the
-network with.  The region-based evaluation with explicit simple
-representations is an independent oracle for the averaged count; it
-enumerates every labelling and is capped.
+network with.  The region-based evaluation with the simple representations
+of ``hopf.weak_simple_reps``, read through ``hopf.crossed_index``, is an
+independent oracle for the averaged count; it enumerates every labelling and
+is capped.
 """
 
 from __future__ import annotations
@@ -23,14 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .bracket import BracketConfig, CheckReport, InvariantValue, invariant
 from .contraction import Node, contract_network
 from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, validate_embedded
 from .errors import ResourceExceeded, TrisectError
-from .groups import GSet, Group, opposite, point_gset, product
-from .hopf import Rep, group_triplet, weak_simple_reps
+from .groups import WeakConfig
+from .hopf import Rep, crossed_index, group_triplet, weak_simple_reps
 from .hopf import _acc as _add_entry
 from .scalars import Cyc
 
@@ -38,43 +39,6 @@ ONE = Cyc.rational(1)
 
 # the most labellings the brute-force oracles enumerate (about 10 s of work)
 BRUTE_FORCE_CAP = 100_000
-
-
-@dataclass
-class WeakConfig:
-    c_group: Group
-    b_group: Group
-    mset: GSet | None = None  # action of C x B^op; point action when omitted
-    stabilizer_irreps: dict | None = None
-
-    def __post_init__(self):
-        self.k_group = product(self.c_group, opposite(self.b_group),
-                               name=f"{self.c_group.name}x{self.b_group.name}^op")
-        if self.mset is None:
-            self.mset = point_gset(self.k_group)
-        if self.mset.group.table != self.k_group.table:
-            raise TrisectError("the G-set must carry an action of C x B^op")
-        if not self.mset.is_transitive():
-            raise TrisectError("the action must be transitive")
-
-    @property
-    def msize(self) -> int:
-        return self.mset.size
-
-    def k_of_c(self, c: int) -> int:
-        return c * self.b_group.order
-
-    def k_of_b(self, b: int) -> int:
-        return b
-
-    def act_c(self, c: int, m: int) -> int:
-        return self.mset.apply(self.k_of_c(c), m)
-
-    def act_b(self, m: int, b: int) -> int:
-        return self.mset.apply(self.k_of_b(b), m)
-
-    def simple_reps(self) -> list[Rep]:
-        return weak_simple_reps(self.mset, self.stabilizer_irreps)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +364,7 @@ def brute_force_evaluation(
     boundary_label: int | None = None,
 ):
     """Evaluate one full labelling: delta factors per segment, a trace per red curve."""
-    msz, ksz = cfg.msize, cfg.k_group.order
-
-    def ix(m, n, k):
-        return (m * msz + n) * ksz + k
-
+    msz, ix = cfg.msize, crossed_index(cfg.mset)
     total = None
     for regions in _all_region_labellings(e, cfg, boundary_label):
         ok = True
@@ -499,7 +459,7 @@ def averaged_by_brute_force(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label:
     Independent oracle for ``averaged_evaluation``: no admissibility shortcut
     is taken anywhere.
     """
-    reps = cfg.simple_reps()
+    reps = weak_simple_reps(cfg.mset)
     greens = sorted(c.id for c in e.base.curves_of_color(GREEN))
     blues = sorted(c.id for c in e.base.curves_of_color(BLUE))
     reds = sorted(c.id for c in e.base.curves_of_color(RED))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +162,57 @@ def test_malformed_specs_are_domain_errors(capsys, argv, message):
     # a malformed spec is a domain error, never a traceback
     code, _, err = run(capsys, *argv)
     assert code == 1 and err.startswith("error: ") and message in err
+
+
+# the cosets:(1,1) action of Z/2 x Z/2^op, written out as a G-set file
+_GSET = {"set": ["x", "y"], "action": {"(0,0)": ["x", "y"], "(0,1)": ["y", "x"], "(1,0)": ["y", "x"], "(1,1)": ["x", "y"]}}
+
+
+def _gset_commands(path):
+    return [
+        ("eval", "count", "--C", "Z/2", "--B", "Z/2", "--M", str(path), "cp2"),
+        ("eval", "bracket", "--triplet", f"weak:C=Z/2;B=Z/2;M={path}", "cp2"),
+    ]
+
+
+def test_gset_file_reads_like_its_cosets_spec(capsys, tmp_path):
+    f = tmp_path / "gset.json"
+    f.write_text(json.dumps(_GSET))
+    for argv, spec in zip(_gset_commands(f), _gset_commands("cosets:(1,1)")):
+        assert run(capsys, *argv) == run(capsys, *spec)
+    code, out, _ = run(capsys, *_gset_commands(f)[0])
+    assert code == 0 and out.startswith("l=2,")
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "needs an object"),
+    ({"set": ["x", "y"], "action": {**_GSET["action"], "(1,1)": ["x", "z"]}}, "action of '(1,1)'"),
+    ({"set": ["x", "y"], "action": {**_GSET["action"], "(0,1)": "yx"}}, "action of '(0,1)'"),
+    ({"set": ["x", "y"], "action": {**_GSET["action"], "(0,1)": ["y"]}}, "action of '(0,1)'"),
+    ({"set": ["x", "x"], "action": _GSET["action"]}, "not distinct"),
+    ({"set": ["x", "y"], "action": {"(0,0)": ["x", "y"]}}, "missing group element '(0,1)'"),
+])
+def test_malformed_gset_files_are_domain_errors(capsys, tmp_path, data, message):
+    # a point outside "set" and a top level that is not an object used to end in tracebacks
+    f = tmp_path / "gset.json"
+    f.write_text(json.dumps(data))
+    for argv in _gset_commands(f):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: ") and message in err, argv
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # as in ``trisect axioms --algebra fun:S3 | head -1`` when head has already exited
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "trisect.cli", "axioms", "--algebra", "fun:S3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b"" and proc.returncode == 1
 
 
 def test_eval_has_no_tolerance_option():

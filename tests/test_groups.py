@@ -2,10 +2,10 @@ import pytest
 
 from trisect.errors import TrisectError
 from trisect.groups import (
+    GSet,
     coset_gset,
     cyclic,
     dihedral,
-    from_json,
     gset_from_json,
     opposite,
     parse_group,
@@ -63,11 +63,12 @@ def test_parse_group():
         parse_group("E8")
 
 
-def test_group_json_roundtrip():
-    g = cyclic(3)
-    data = {"elements": list(g.labels), "table": [[g.labels[g.mul(i, j)] for j in range(3)] for i in range(3)]}
-    h = from_json(data)
-    assert h.table == g.table
+def test_action_tables_are_checked():
+    k = cyclic(2)
+    assert GSet(k, ("x", "y"), ((0, 1), (0, 1))).size == 2  # the trivial action is one
+    for rows in (((0, 1), (0, 0)), ((1, 0), (1, 0))):
+        with pytest.raises(TrisectError, match="not a group action"):
+            GSet(k, ("x", "y"), rows)
 
 
 def test_point_and_regular_actions():

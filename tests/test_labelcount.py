@@ -21,6 +21,7 @@ from trisect.diagram import (
 )
 from trisect.errors import ResourceExceeded, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, regular_gset, symmetric
+from trisect.hopf import weak_simple_reps
 from trisect.scalars import Cyc
 
 
@@ -134,7 +135,7 @@ def test_boundary_label_without_a_boundary_region_is_rejected():
 
 def test_brute_force_single_labelling_values():
     cfg = cfg_point(2, 2)
-    reps = cfg.simple_reps()
+    reps = weak_simple_reps(cfg.mset)
     labels = {"b": 0, "g": 0}
     total = sum(
         (rep.dim * lc.brute_force_evaluation(cp2_embedded(), cfg, labels, {"a": rep}) for rep in reps),

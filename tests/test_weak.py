@@ -3,7 +3,7 @@ import pytest
 from trisect import hopf
 from trisect.acceptance import _weak_suite
 from trisect.errors import MissingIrreps, TrisectError
-from trisect.groups import coset_gset, cyclic, opposite, point_gset, product, regular_gset
+from trisect.groups import GSet, coset_gset, cyclic, opposite, point_gset, product, regular_gset
 from trisect.scalars import Cyc
 
 ONE = Cyc.rational(1)
@@ -87,6 +87,37 @@ def test_weak_triplet_integrals_are_the_action_integrals():
             "B": {(p * msz + p) * b.order + x: ONE for p in range(msz) for x in range(b.order)},
             "C": {(p * msz + p) * c.order + x: ONE for p in range(msz) for x in range(c.order)},
         }
+
+
+@pytest.mark.parametrize("c, b, gens, msz", [(cyclic(2), cyclic(2), [3], 2), (cyclic(3), cyclic(2), [1], 3)])
+def test_weak_triplet_pairings_are_the_action_pairings(c, b, gens, msz):
+    # (c, b) sits in K at c * |B| + b; basis (p, q, x) of a crossed product at (p * |M| + q) * |group| + x
+    k = product(c, opposite(b))
+    m = coset_gset(k, gens)
+    t = hopf.weak_triplet(c, b, m)
+    assert m.size == msz
+    nb, nc, pts = b.order, c.order, range(msz)
+
+    def at(p, q, x, order):
+        return (p * msz + q) * order + x
+
+    assert t.tau_AB == {(at(p, q, y, k.order), at(p, q, y, nb)): ONE for p in pts for q in pts for y in range(nb)}
+    assert t.tau_CA == {(at(p, q, x, nc), at(p, q, x * nb, k.order)): ONE for p in pts for q in pts for x in range(nc)}
+    # tau_BC pairs (p, q, y) with (r, p, x) when x moves q to p and y moves r to p
+    assert t.tau_BC == {
+        (at(p, q, y, nb), at(r, p, x, nc)): ONE
+        for p in pts for q in pts for y in range(nb) for r in pts for x in range(nc)
+        if m.apply(x * nb, q) == p and m.apply(y, r) == p
+    }
+
+
+def test_weak_triplet_rejects_a_bad_action():
+    k = product(cyclic(2), opposite(cyclic(2)))
+    fixed = GSet(k, ("x", "y"), tuple((0, 1) for _ in range(k.order)))
+    with pytest.raises(TrisectError, match="the action must be transitive"):
+        hopf.weak_triplet(cyclic(2), cyclic(2), fixed)
+    with pytest.raises(TrisectError, match="must carry an action of C x B"):
+        hopf.weak_triplet(cyclic(2), cyclic(2), coset_gset(product(cyclic(3), opposite(cyclic(2))), [1]))
 
 
 def test_weak_integrals():
