@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .contraction import Node, Tensor, contract_network
-from .diagram import BLUE, GREEN, PAIR_FIRST, RED, TrisectionDiagram, standard_s4, validate
+from .diagram import BLUE, GREEN, RED, TrisectionDiagram, ends_in_pair_order, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
 from .hopf import HopfTriplet, compute_integral, convolution_inverse
 from .scalars import Cyc, approx_eq, render, to_complex
@@ -88,14 +88,10 @@ class BracketConfig:
 
 def _crossing_slot_wires(d: TrisectionDiagram, x) -> tuple[tuple[str, str], tuple[str, str]]:
     """((slotX, wireX), (slotY, wireY)) with slot order following the colour pairs."""
-    (c1, i1), (c2, i2) = x.ends
-    col1, col2 = d.curve(c1).color, d.curve(c2).color
-    if PAIR_FIRST[frozenset((col1, col2))] != col1:
-        (c1, i1), (c2, i2) = (c2, i2), (c1, i1)
-        col1, col2 = col2, col1
+    (c1, i1), (c2, i2) = ends_in_pair_order(d, x)
     return (
-        (COLOR_SLOT[col1], f"s:{c1}:{i1}"),
-        (COLOR_SLOT[col2], f"s:{c2}:{i2}"),
+        (COLOR_SLOT[c1.color], f"s:{c1.id}:{i1}"),
+        (COLOR_SLOT[c2.color], f"s:{c2.id}:{i2}"),
     )
 
 

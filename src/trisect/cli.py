@@ -290,6 +290,8 @@ def _dispatch_eval(args) -> int:
             # a disc's count fixes the boundary label; its invariant counts the base's curve labellings
             count = labelcount.count_admissible(e, cfg, boundary_label=args.boundary or 0)
             inv = labelcount.group_count_invariant(e.base, cfg)
+        elif args.boundary is not None:
+            raise TrisectError(f"boundary label {args.boundary} given, but the diagram has no boundary region")
         else:
             inv = labelcount.group_count_invariant(e, cfg)
             count = int(inv.coeff.as_fraction())

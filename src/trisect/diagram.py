@@ -213,20 +213,25 @@ def validate(d: TrisectionDiagram, strict: bool = False) -> ValidationReport:
     return rep
 
 
+def ends_in_pair_order(d: TrisectionDiagram, x: Crossing) -> tuple[tuple[Curve, int], tuple[Curve, int]]:
+    """The (curve, visit index) of both ends of ``x``, the curve whose colour comes first in its pair first."""
+    (c1, i1), (c2, i2) = x.ends
+    a, b = d.curve(c1), d.curve(c2)
+    if PAIR_FIRST[frozenset((a.color, b.color))] != a.color:
+        return (b, i2), (a, i1)
+    return (a, i1), (b, i2)
+
+
 def _halfedges(e: EmbeddedDiagram, xid: str):
     """Incoming/outgoing (left,right) sides of both strands at a crossing.
 
     Strand 1 is the curve whose colour comes first in the cyclic pair order.
     """
-    d = e.base
-    x = d.crossing(xid)
-    (ca, ia), (cb, ib) = x.ends
-    col_a, col_b = d.curve(ca).color, d.curve(cb).color
-    if PAIR_FIRST[frozenset((col_a, col_b))] != col_a:
-        (ca, ia), (cb, ib) = (cb, ib), (ca, ia)
-    n1, n2 = e.n_segments(ca), e.n_segments(cb)
-    s1_in, s1_out = e.sides(ca, (ia - 1) % n1), e.sides(ca, ia % n1)
-    s2_in, s2_out = e.sides(cb, (ib - 1) % n2), e.sides(cb, ib % n2)
+    x = e.base.crossing(xid)
+    (a, ia), (b, ib) = ends_in_pair_order(e.base, x)
+    n1, n2 = e.n_segments(a.id), e.n_segments(b.id)
+    s1_in, s1_out = e.sides(a.id, (ia - 1) % n1), e.sides(a.id, ia % n1)
+    s2_in, s2_out = e.sides(b.id, (ib - 1) % n2), e.sides(b.id, ib % n2)
     return s1_in, s1_out, s2_in, s2_out, x.sign
 
 

@@ -12,16 +12,20 @@ green or blue label is one wire, shared by the nodes of its red crossings
 (and, for ``count_admissible``, of its segments); a chain of multiplications
 in K = C x B^op along each red curve is pinned at the identity at both ends;
 one node per green or blue segment relates the points of M on its two sides.
-The depth-first enumeration (``iter_curve_labellings`` with ``red_product``,
-and ``iter_region_labellings``) is kept as the oracle the tests compare the
-network with.  The region-based evaluation with the simple representations
-of ``hopf.weak_simple_reps``, read through ``hopf.crossed_index``, is an
-independent oracle for the averaged count; it enumerates every labelling and
-is capped.
+The enumerations the tests compare the network with state each condition
+once more: ``iter_curve_labellings`` searches the curve labellings depth
+first with ``red_product``, and ``iter_region_labellings`` tries every region
+labelling against the segments.  The region-based evaluation with the simple
+representations of ``hopf.weak_simple_reps``, read through
+``hopf.crossed_index``, is an independent oracle for the averaged count; it
+enumerates every labelling and is capped.  The oracles share
+``_crossing_factor``; the network states the crossing factors and the
+segment condition again, apart from them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -30,12 +34,13 @@ from .bracket import BracketConfig, CheckReport, InvariantValue, invariant
 from .contraction import Node, contract_network
 from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, validate_embedded
 from .errors import ResourceExceeded, TrisectError
-from .groups import WeakConfig
+from .groups import Group, WeakConfig
 from .hopf import Rep, crossed_index, group_triplet, weak_simple_reps
 from .hopf import _acc as _add_entry
 from .scalars import Cyc
 
 ONE = Cyc.rational(1)
+ZERO = Cyc.rational(0)
 
 # the most labellings the brute-force oracles enumerate (about 10 s of work)
 BRUTE_FORCE_CAP = 100_000
@@ -53,22 +58,24 @@ def red_product(d: TrisectionDiagram, curve_id: str, curve_labels: dict[str, int
     k = cfg.k_group
     acc = k.identity
     for xid in lam.visits:
-        partner, _ = d.end_on(xid, curve_id)
-        color = d.curve(partner).color
-        if partner not in curve_labels:
-            raise TrisectError(f"curve {partner!r} is unlabelled")
-        label = curve_labels[partner]
-        eps = d.crossing(xid).sign
-        if color == GREEN:
-            c = cfg.c_group.inverse(label) if eps == 1 else label
-            factor = cfg.k_of_c(c)
-        elif color == BLUE:
-            b = label if eps == 1 else cfg.b_group.inverse(label)
-            factor = cfg.k_of_b(b)
-        else:
-            raise TrisectError("red curves may not cross red curves")
-        acc = k.mul(acc, factor)
+        acc = k.mul(acc, _crossing_factor(d, xid, curve_id, curve_labels, cfg))
     return acc
+
+
+def _crossing_factor(d: TrisectionDiagram, xid: str, curve_id: str, curve_labels: dict[str, int],
+                     cfg: WeakConfig) -> int:
+    """The factor in K of crossing ``xid`` on the red curve ``curve_id``, read from its partner's label."""
+    partner, _ = d.end_on(xid, curve_id)
+    if partner not in curve_labels:
+        raise TrisectError(f"curve {partner!r} is unlabelled")
+    label = curve_labels[partner]
+    color = d.curve(partner).color
+    positive = d.crossing(xid).sign == 1
+    if color == GREEN:
+        return cfg.k_of_c(cfg.c_group.inverse(label) if positive else label)
+    if color == BLUE:
+        return cfg.k_of_b(label if positive else cfg.b_group.inverse(label))
+    raise TrisectError("red curves may not cross red curves")
 
 
 def iter_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig):
@@ -123,95 +130,33 @@ def count_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig) -> int:
 # condition (i): region labels across segments
 
 
-def _segment_constraints(e: EmbeddedDiagram, curve_labels: dict[str, int], cfg: WeakConfig):
-    """Edges (left_region, right_region, map right-label -> left-label)."""
-    edges = []
+def iter_region_labellings(e: EmbeddedDiagram, curve_labels: dict[str, int], cfg: WeakConfig,
+                           boundary_label: int | None = None):
+    """Every region labelling with m_left = label . m_right across each green or blue segment.
+
+    Tries every labelling of the regions by points of M; capped up front.
+    """
+    _check_boundary_label(e, cfg, boundary_label)
+    regions = sorted(e.regions)
+    _check_enumeration(cfg.msize ** len(regions))
+    segments = []
     for c in e.base.curves:
         if c.color == RED:
             continue
         label = curve_labels[c.id]
-        for seg in range(e.n_segments(c.id)):
-            left, right = e.sides(c.id, seg)
-            if c.color == GREEN:
-                edges.append((left, right, tuple(cfg.act_c(label, m) for m in range(cfg.msize))))
-            else:
-                edges.append((left, right, tuple(cfg.act_b(m, label) for m in range(cfg.msize))))
-    return edges
-
-
-def iter_region_labellings(e: EmbeddedDiagram, curve_labels: dict[str, int], cfg: WeakConfig,
-                           boundary_label: int | None = None):
-    regions = sorted(e.regions)
-    edges = _segment_constraints(e, curve_labels, cfg)
-    adj: dict[str, list] = {r: [] for r in regions}
-    for left, right, fwd in edges:
-        inv = [None] * cfg.msize
-        for m, l in enumerate(fwd):
-            inv[l] = m
-        adj[right].append((left, fwd))
-        adj[left].append((right, tuple(inv)))
-
-    seen: set[str] = set()
-    components = []
-    for r in regions:
-        if r in seen:
-            continue
-        comp = [r]
-        seen.add(r)
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        components.append(sorted(comp))
-
-    def component_assignments(comp):
-        seed = comp[0]
-        seeds = range(cfg.msize)
-        if boundary_label is not None and e.boundary_region in comp:
-            seed = e.boundary_region
-            seeds = (boundary_label,)
-        out = []
-        for m0 in seeds:
-            assign = {seed: m0}
-            stack = [seed]
-            ok = True
-            while stack and ok:
-                u = stack.pop()
-                for v, to_v in adj[u]:
-                    val = to_v[assign[u]]
-                    if v in assign:
-                        if assign[v] != val:
-                            ok = False
-                            break
-                    else:
-                        assign[v] = val
-                        stack.append(v)
-            if not ok:
-                continue
-            good = all(assign[left] == fwd[assign[right]] for left, right, fwd in edges
-                       if left in assign and right in assign)
-            if good:
-                out.append(assign)
-        return out
-
-    per_comp = [component_assignments(c) for c in components]
-
-    def combine(i, acc):
-        if i == len(per_comp):
-            yield dict(acc)
-            return
-        for assign in per_comp[i]:
-            acc.update(assign)
-            yield from combine(i + 1, acc)
-        for k in per_comp[i][0] if per_comp[i] else ():
-            acc.pop(k, None)
-
-    if all(per_comp):
-        yield from combine(0, {})
+        if c.color == GREEN:
+            to = [cfg.act_c(label, m) for m in range(cfg.msize)]
+        else:
+            to = [cfg.act_b(m, label) for m in range(cfg.msize)]
+        segments += [(*e.sides(c.id, seg), to) for seg in range(e.n_segments(c.id))]
+    points = [
+        (boundary_label,) if boundary_label is not None and r == e.boundary_region else range(cfg.msize)
+        for r in regions
+    ]
+    for combo in itertools.product(*points):
+        m = dict(zip(regions, combo))
+        if all(m[left] == to[m[right]] for left, right, to in segments):
+            yield m
 
 
 def count_admissible(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None = None) -> int:
@@ -248,8 +193,8 @@ def averaged_evaluation(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int
 # product in K before each crossing of a red curve, the point of M on a
 # region.  Each node is 1 exactly where its variables satisfy one condition
 # and 0 elsewhere, so the contraction sums 1 over the admissible labellings.
-# The crossing factors are stated here again, apart from red_product, so that
-# the enumeration above stays an independent oracle for the network.
+# The crossing factors are stated here again, apart from _crossing_factor, so
+# that the enumerations above stay independent oracles for the network.
 
 
 def _label(cid: str) -> str:
@@ -363,75 +308,27 @@ def brute_force_evaluation(
     red_reps: dict[str, Rep],
     boundary_label: int | None = None,
 ):
-    """Evaluate one full labelling: delta factors per segment, a trace per red curve."""
+    """Evaluate one full labelling: a trace per red curve, summed over the admissible region labellings."""
     msz, ix = cfg.msize, crossed_index(cfg.mset)
-    total = None
-    for regions in _all_region_labellings(e, cfg, boundary_label):
-        ok = True
-        for c in e.base.curves:
-            if c.color == RED or not ok:
-                continue
-            label = curve_labels[c.id]
-            for seg in range(e.n_segments(c.id)):
-                left, right = e.sides(c.id, seg)
-                ml, mr = regions[left], regions[right]
-                if c.color == GREEN and ml != cfg.act_c(label, mr):
-                    ok = False
-                    break
-                if c.color == BLUE and ml != cfg.act_b(mr, label):
-                    ok = False
-                    break
-        if not ok:
-            continue
+    total = ZERO
+    for regions in iter_region_labellings(e, curve_labels, cfg, boundary_label):
         term = ONE
         for lam in e.base.curves_of_color(RED):
             rep = red_reps[lam.id]
             n = len(lam.visits)
-            base_seg = (n - 1) % max(1, n)
-            left, right = e.sides(lam.id, base_seg)
-            m1, m2 = regions[right], regions[left]
-            mat = _rep_matrix_of(rep, [ix(m1, m2, 0)])
+            left, right = e.sides(lam.id, (n - 1) % max(1, n))
+            mat = _rep_matrix_of(rep, [ix(regions[right], regions[left], 0)])
             for xid in lam.visits:
-                partner, _ = e.base.end_on(xid, lam.id)
-                color = e.base.curve(partner).color
-                label = curve_labels[partner]
-                eps = e.base.crossing(xid).sign
-                if color == GREEN:
-                    c = cfg.c_group.inverse(label) if eps == 1 else label
-                    kk = cfg.k_of_c(c)
-                else:
-                    b = label if eps == 1 else cfg.b_group.inverse(label)
-                    kk = cfg.k_of_b(b)
-                step = _rep_matrix_of(rep, [ix(m, n, kk) for m in range(msz) for n in range(msz)])
-                mat = _mat_mul(mat, step)
-            tr = None
-            for r in range(rep.dim):
-                v = mat.get((r, r))
-                if v is not None:
-                    tr = v if tr is None else tr + v
-            if tr is None:
-                term = None
-                break
-            term = term * tr
-        if term:
-            total = term if total is None else total + term
-    return ONE * 0 if total is None else total
+                k = _crossing_factor(e.base, xid, lam.id, curve_labels, cfg)
+                mat = _mat_mul(mat, _rep_matrix_of(rep, [ix(m1, m2, k) for m1 in range(msz) for m2 in range(msz)]))
+            term = term * sum(mat.get((r, r), 0) for r in range(rep.dim))
+        total = total + term
+    return total
 
 
 def _check_enumeration(count: int) -> None:
     if count > BRUTE_FORCE_CAP:
         raise ResourceExceeded(count, BRUTE_FORCE_CAP, "labellings to enumerate")
-
-
-def _all_region_labellings(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label: int | None):
-    _check_boundary_label(e, cfg, boundary_label)
-    regions = sorted(e.regions)
-    _check_enumeration(cfg.msize ** len(regions))
-    combos = itertools.product(range(cfg.msize), repeat=len(regions))
-    assigns = (dict(zip(regions, combo)) for combo in combos)
-    if boundary_label is None:
-        return assigns
-    return (assign for assign in assigns if assign.get(e.boundary_region) == boundary_label)
 
 
 def _rep_matrix_of(rep: Rep, indices: list[int]) -> dict:
@@ -465,18 +362,20 @@ def averaged_by_brute_force(e: EmbeddedDiagram, cfg: WeakConfig, boundary_label:
     reds = sorted(c.id for c in e.base.curves_of_color(RED))
     _check_enumeration(cfg.c_group.order ** len(greens) * cfg.b_group.order ** len(blues)
                        * len(reps) ** len(reds) * cfg.msize ** len(e.regions))
-    total = None
-    for gl in itertools.product(range(cfg.c_group.order), repeat=len(greens)):
-        for bl in itertools.product(range(cfg.b_group.order), repeat=len(blues)):
-            labels = dict(zip(greens, gl)) | dict(zip(blues, bl))
-            for rp in itertools.product(reps, repeat=len(reds)):
-                weight = 1
-                for rep in rp:
-                    weight *= rep.dim
-                ev = brute_force_evaluation(e, cfg, labels, dict(zip(reds, rp)), boundary_label)
-                term = Cyc.rational(weight) * ev
-                total = term if total is None else total + term
-    return ONE * 0 if total is None else total
+    labellings = (
+        dict(zip(greens, gl)) | dict(zip(blues, bl))
+        for gl in itertools.product(range(cfg.c_group.order), repeat=len(greens))
+        for bl in itertools.product(range(cfg.b_group.order), repeat=len(blues))
+    )
+    return sum(
+        (
+            Cyc.rational(math.prod(rep.dim for rep in rp))
+            * brute_force_evaluation(e, cfg, labels, dict(zip(reds, rp)), boundary_label)
+            for labels in labellings
+            for rp in itertools.product(reps, repeat=len(reds))
+        ),
+        ZERO,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +394,16 @@ def group_count_invariant(t: TrisectionDiagram | EmbeddedDiagram, cfg: WeakConfi
     return InvariantValue(Cyc.rational(count), Cyc.rational(base), genus)
 
 
+@functools.lru_cache(maxsize=8)
+def _point_bracket_config(c: Group, b: Group) -> BracketConfig:
+    """The bracket configuration of the point triplet of (C, B); it keeps its S^4 bracket."""
+    return BracketConfig(group_triplet(c, b))
+
+
 def coincidence_check(t: TrisectionDiagram, cfg: WeakConfig) -> CheckReport:
     """Counting invariant == |M| times the bracket invariant of the point triplet."""
     counted = group_count_invariant(t, cfg)
-    strong = group_triplet(cfg.c_group, cfg.b_group)
-    ccc = invariant(t, BracketConfig(strong))
+    ccc = invariant(t, _point_bracket_config(cfg.c_group, cfg.b_group))
     ok = counted == ccc.scaled(cfg.msize)
     return CheckReport(
         "counting vs bracket invariant",

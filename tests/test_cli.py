@@ -157,6 +157,7 @@ def test_usage_error_exit_code():
     (["eval", "bracket", "--triplet", "group:C=S3", "cp2"], "missing the parameter B="),
     (["eval", "bracket", "--triplet", "weak:C=Z/2", "cp2"], "missing the parameter B="),
     (["axioms", "--algebra", "double:kashaev:q"], "bad parameter 'q'"),
+    (["eval", "count", "--C", "Z/2", "--B", "Z/2", "--boundary", "5", "cp2"], "has no boundary region"),
 ])
 def test_malformed_specs_are_domain_errors(capsys, argv, message):
     # a malformed spec is a domain error, never a traceback

@@ -21,7 +21,7 @@ from trisect.diagram import (
 )
 from trisect.errors import ResourceExceeded, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, regular_gset, symmetric
-from trisect.hopf import weak_simple_reps
+from trisect.hopf import group_triplet, weak_simple_reps
 from trisect.scalars import Cyc
 
 
@@ -182,6 +182,21 @@ def test_coincidence_check():
             assert lc.coincidence_check(d, cfg).ok
 
 
+def test_coincidence_checks_share_the_point_triplet(monkeypatch):
+    built = []
+
+    def counting(c, b):
+        built.append((c.name, b.name))
+        return group_triplet(c, b)
+
+    monkeypatch.setattr(lc, "group_triplet", counting)
+    lc._point_bracket_config.cache_clear()
+    cfg = cfg_point(2, 3)
+    assert lc.coincidence_check(cp2(), cfg).ok
+    assert lc.coincidence_check(standard_s4(), lc.WeakConfig(cyclic(2), cyclic(3))).ok
+    assert built == [("Z/2", "Z/3")]
+
+
 def test_nonabelian_counting_works():
     cfg = lc.WeakConfig(symmetric(3), cyclic(2))
     assert lc.count_curve_labellings(standard_s4(), cfg) == 12  # b_1, c_2 free
@@ -321,4 +336,10 @@ def test_brute_force_oracles_are_capped_up_front():
     with pytest.raises(ResourceExceeded, match="labellings to enumerate") as exc:
         lc.brute_force_evaluation(standard_s4_embedded(), big, {}, {})
     assert exc.value.cost == 18**4
+    # the region enumeration alone, before it yields or reads a curve label
+    with pytest.raises(ResourceExceeded, match="labellings to enumerate") as exc:
+        next(lc.iter_region_labellings(standard_s4_embedded(), {}, big))
+    assert exc.value.cost == 18**4
     assert time.perf_counter() - start < 1.0
+    with pytest.raises(TrisectError, match="no boundary region"):
+        next(lc.iter_region_labellings(cp2_embedded(), {"b": 0, "g": 0}, cfg_point(2, 2), 0))
