@@ -285,6 +285,11 @@ class CheckReport:
         return f"{flag} {self.name}: {items}"
 
 
+def _shown(x) -> str:
+    """An exact value's ``str``; a complex one in the decimal format of ``render``."""
+    return render(x) if isinstance(x, complex) else str(x)
+
+
 def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram, cfg: BracketConfig) -> CheckReport:
     from .diagram import connected_sum
 
@@ -295,7 +300,7 @@ def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram,
     return CheckReport(
         "connected-sum multiplicativity",
         ok,
-        {"sum": str(bs), "product": str(b1 * b2)},
+        {"sum": _shown(bs), "product": _shown(b1 * b2)},
     )
 
 
@@ -304,9 +309,9 @@ def cross_check(d: TrisectionDiagram, cfg: BracketConfig, tol: float = 1e-9) -> 
     be = trisection_bracket(d, replace(cfg, evaluator="element"))
     br = trisection_bracket(d, replace(cfg, evaluator="rep"))
     ok = approx_eq(be, br, tol)
-    details = {"element": str(be), "rep": str(br)}
+    details = {"element": _shown(be), "rep": _shown(br)}
     if not ok and br:
         ratio = be / br if isinstance(be, Cyc) and isinstance(br, Cyc) else to_complex(be) / to_complex(br)
-        details["ratio"] = str(ratio)
+        details["ratio"] = _shown(ratio)
         details["note"] = f"a per-integral rescaling by z changes the bracket by z^{d.genus}"
     return CheckReport("backend agreement", ok, details)

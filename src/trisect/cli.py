@@ -19,8 +19,8 @@ from .groups import WeakConfig, bimodule_group, coset_gset, gset_from_json, pars
 from .scalars import Cyc, render, to_complex
 
 
-def _load_diagram(arg: str, embedded: bool = False):
-    """Resolve a catalog name or file path; prefer embedding data when asked."""
+def _load_diagram(arg: str, embedded: bool = False, strict: bool = False):
+    """Resolve a catalog name or file path; prefer embedding data, or read a file strictly, when asked."""
     if embedded and arg in diagram.CATALOG_EMBEDDED:
         return diagram.CATALOG_EMBEDDED[arg]()
     if arg in diagram.CATALOG:
@@ -29,7 +29,7 @@ def _load_diagram(arg: str, embedded: bool = False):
         return diagram.CATALOG_EMBEDDED[arg]()
     if not Path(arg).exists():
         raise TrisectError(f"no catalog entry or file named {arg!r}")
-    return diagram.from_json(_read_json(arg))
+    return diagram.from_json(_read_json(arg), strict=strict)
 
 
 def _read_json(path) -> object:
@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.cmd == "validate":
-        d = _load_diagram(args.diagram)
+        d = _load_diagram(args.diagram, strict=args.strict)
         if isinstance(d, diagram.EmbeddedDiagram):
             rep = diagram.validate_embedded(d, strict=args.strict)
         else:

@@ -3,15 +3,16 @@
 Tensors are dicts from index tuples to scalars.  A wire that appears on two
 or more nodes is summed over, once, like an index shared by several factors
 of an einsum; a wire on exactly one node is open and must be listed in
-``open_wires``.  The network factorizes over connected components.  Inside
-one component the greedy order repeatedly contracts the pair of connected
-nodes whose result has the smallest dense size (product of the remaining
-wire dimensions, open wires included, and shared wires that a third node
-still carries), with a deterministic tie break on node names.  The
-components' results are then multiplied together as an outer product over
-the open wires.  The cap bounds the dense size of every pairwise result and
-of the final tensor, not the sparse storage actually used.  Only exact zeros
-are dropped from the sparse storage.
+``open_wires``.  The network factorizes over the connected components that
+``connected`` finds, the one component search (``diagram`` groups its curves
+with it too).  Inside one component the greedy order repeatedly contracts
+the pair of connected nodes whose result has the smallest dense size
+(product of the remaining wire dimensions, open wires included, and shared
+wires that a third node still carries), with a deterministic tie break on
+node names.  The components' results are then multiplied together as an
+outer product over the open wires.  The cap bounds the dense size of every
+pairwise result and of the final tensor, not the sparse storage actually
+used.  Only exact zeros are dropped from the sparse storage.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -135,33 +136,31 @@ def _contract_pair(a: Node, b: Node, summed) -> Node:
     return Node(f"({a.name}*{b.name})", tuple(keep_a + keep_b), out)
 
 
-def _components(nodes: list[Node]) -> list[list[Node]]:
-    wire_owner: dict[str, list[int]] = {}
-    for i, n in enumerate(nodes):
-        for w in n.wires:
-            wire_owner.setdefault(w, []).append(i)
-    adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
-    for owners in wire_owner.values():
-        for i in owners:
-            for j in owners:
-                if i != j:
-                    adj[i].add(j)
-    seen: set[int] = set()
-    comps = []
-    for i in range(len(nodes)):
-        if i in seen:
-            continue
-        comp, frontier = [], [i]
-        seen.add(i)
-        while frontier:
-            u = frontier.pop()
-            comp.append(nodes[u])
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        comps.append(comp)
-    return comps
+def connected(wire_lists: Sequence[Sequence[str]]) -> list[list[int]]:
+    """The positions of ``wire_lists`` in connected components, two positions joined when they share a wire.
+
+    Components come in the order of their first position, and the positions
+    in each component are increasing.
+    """
+    # union-find in which every root is the least position of its component
+    parent = list(range(len(wire_lists)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first: dict[str, int] = {}
+    for i, wires in enumerate(wire_lists):
+        for w in wires:
+            a, b = root(i), root(first.setdefault(w, i))
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    comps: dict[int, list[int]] = {}
+    for i in range(len(wire_lists)):
+        comps.setdefault(root(i), []).append(i)
+    return list(comps.values())
 
 
 def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_000_000,
@@ -175,8 +174,8 @@ def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_00
     if size > cap:
         raise ResourceExceeded(size, cap)
     out = None
-    for comp in _components(nodes):
-        part = _contract_component(comp, dims, cap)
+    for comp in connected([n.wires for n in nodes]):
+        part = _contract_component([nodes[i] for i in comp], dims, cap)
         out = part if out is None else _contract_pair(out, part, ())
     if out is None:
         out = Node("1", (), {(): 1})
@@ -213,8 +212,6 @@ def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int) -> No
                 key = (cost, nodes[i].name, nodes[j].name)
                 if best is None or key < best[0]:
                     best = (key, i, j)
-        if best is None:
-            raise AssertionError("disconnected nodes inside one component")
         (cost, _, _), i, j = best
         if cost > cap:
             raise ResourceExceeded(cost, cap)

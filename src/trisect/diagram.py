@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
+from .contraction import connected
 from .errors import DiagramParseError, TrisectError
 
 RED, BLUE, GREEN = "red", "blue", "green"
@@ -85,28 +86,8 @@ class TrisectionDiagram:
         return [c for c in self.curves if c.color == color]
 
     def components(self) -> list[list[str]]:
-        """Connected components of the curve/crossing incidence graph."""
-        adj: dict[str, set[str]] = {c.id: set() for c in self.curves}
-        for x in self.crossings:
-            (a, _), (b, _) = x.ends
-            adj[a].add(b)
-            adj[b].add(a)
-        seen: set[str] = set()
-        comps = []
-        for c in self.curves:
-            if c.id in seen:
-                continue
-            comp, frontier = [], [c.id]
-            seen.add(c.id)
-            while frontier:
-                u = frontier.pop()
-                comp.append(u)
-                for v in sorted(adj[u]):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components of the curves, two joined by a crossing both visit: sorted ids, in curve order."""
+        return [sorted(self.curves[i].id for i in comp) for comp in connected([c.visits for c in self.curves])]
 
 
 @dataclass(frozen=True)

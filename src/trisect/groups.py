@@ -170,36 +170,26 @@ def cyclic(n: int) -> Group:
     return Group(f"Z/{n}", labels, table)
 
 
+def _permutation_group(name: str, labels: tuple[str, ...], perms: list[tuple[int, ...]]) -> Group:
+    """The group of ``perms``, identity first, with g_i * g_j the composite perms[i] o perms[j]."""
+    idx = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(idx[tuple([p[x] for x in q])] for q in perms) for p in perms)
+    return Group(name, labels, table)
+
+
 def symmetric(n: int) -> Group:
     if n not in (3, 4):
         raise TrisectError("only S3 and S4 are built in")
-    perms = sorted(itertools.permutations(range(n)))
-    perms.sort(key=lambda p: p != tuple(range(n)))  # identity first
-    idx = {p: i for i, p in enumerate(perms)}
-    labels = tuple("".join(str(x) for x in p) for p in perms)
-    table = tuple(
-        tuple(idx[tuple(p[q[k]] for k in range(n))] for q in perms) for p in perms
-    )
-    return Group(f"S{n}", labels, table)
+    perms = list(itertools.permutations(range(n)))  # lexicographic: the identity first
+    return _permutation_group(f"S{n}", tuple("".join(str(x) for x in p) for p in perms), perms)
 
 
 def dihedral(n: int) -> Group:
     """Dihedral group of order 2n (rotations r^k, reflections sr^k)."""
     labels = tuple(f"r{k}" for k in range(n)) + tuple(f"s{k}" for k in range(n))
-
-    def as_perm(a: int):
-        f, k = divmod(a, n)
-        if f == 0:
-            return tuple((x + k) % n for x in range(n))
-        return tuple((k - x) % n for x in range(n))
-
-    perms = [as_perm(a) for a in range(2 * n)]
-    idx = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(idx[tuple(perms[a][perms[b][x]] for x in range(n))] for b in range(2 * n))
-        for a in range(2 * n)
-    )
-    return Group(f"D{n}", labels, table)
+    rotations = [tuple((x + k) % n for x in range(n)) for k in range(n)]
+    reflections = [tuple((k - x) % n for x in range(n)) for k in range(n)]
+    return _permutation_group(f"D{n}", labels, rotations + reflections)
 
 
 def opposite(g: Group) -> Group:

@@ -267,14 +267,12 @@ def group_algebra(g: Group) -> HopfAlgebra:
     comult = {(i, i, i): ONE for i in range(n)}
     counit = {i: ONE for i in range(n)}
     antipode = {(i, g.inverse(i)): ONE for i in range(n)}
-    irreps = None
-    if g.is_abelian():
-        # the dual of C[G] is the function algebra; its irreducibles are the
-        # evaluation characters at group elements
-        irreps = [
-            Rep(f"ev_{g.labels[h]}", 1, [({(0, 0): ONE} if i == h else {}) for i in range(n)])
-            for h in range(n)
-        ]
+    # the dual of C[G] is the function algebra C^G, commutative for every G;
+    # its irreducibles are the evaluation characters at group elements
+    irreps = [
+        Rep(f"ev_{g.labels[h]}", 1, [({(0, 0): ONE} if i == h else {}) for i in range(n)])
+        for h in range(n)
+    ]
     return HopfAlgebra(f"C[{g.name}]", g.labels, mult, {0: ONE}, comult, counit, antipode, False, irreps)
 
 

@@ -37,7 +37,7 @@ from .errors import ResourceExceeded, TrisectError
 from .groups import Group, WeakConfig
 from .hopf import Rep, crossed_index, group_triplet, weak_simple_reps
 from .hopf import _acc as _add_entry
-from .scalars import Cyc
+from .scalars import Cyc, render
 
 ONE = Cyc.rational(1)
 ZERO = Cyc.rational(0)
@@ -95,9 +95,6 @@ def iter_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig):
         partners = {d.end_on(x, rid)[0] for x in d.curve(rid).visits}
         step = max((pos[p] for p in partners), default=-1)
         ready_at.setdefault(step, []).append(rid)
-    for rid in ready_at.get(-1, []):
-        if red_product(d, rid, {}, cfg) != cfg.k_group.identity:
-            return
 
     labels: dict[str, int] = {}
 
@@ -409,7 +406,7 @@ def coincidence_check(t: TrisectionDiagram, cfg: WeakConfig) -> CheckReport:
         "counting vs bracket invariant",
         ok,
         {
-            "count_invariant": str(counted.approx()),
-            "|M| * bracket_invariant": str(ccc.scaled(cfg.msize).approx()),
+            "count_invariant": render(counted.approx()),
+            "|M| * bracket_invariant": render(ccc.scaled(cfg.msize).approx()),
         },
     )

@@ -8,7 +8,9 @@ positive ``int`` denominator ``den``, in lowest terms: gcd(den, *num) == 1,
 so zero is ``num`` all 0 over ``den`` 1, and two values of one level are
 equal exactly when their ``(num, den)`` are.  Phi_n is monic with integer
 coefficients, so products and the reduction of powers z^k >= z^d stay in
-integers.  ``coords`` is the read-only ``Fraction`` view of ``num / den``.
+integers.  So does the inverse: the product of the other Galois conjugates
+over the norm, which is rational; no field operation does ``Fraction``
+arithmetic.  ``coords`` is the read-only ``Fraction`` view of ``num / den``.
 Arithmetic between different levels promotes to the lcm level.  Plain
 ``complex`` is accepted everywhere as the approximate backend.
 
@@ -151,18 +153,20 @@ class Cyc:
     def degree(self) -> int:
         return len(self.num)
 
-    def _promoted(self, m: int) -> "Cyc":
-        if m == self.level:
-            return self
-        step = m // self.level
+    def _substituted(self, m: int, j: int) -> "Cyc":
+        """The value with z replaced by z_m^j, at level ``m``: the same value when
+        m = j * level, a Galois conjugate when m = level and gcd(j, m) = 1."""
         rows = _reduction_rows(m)
         out = [0] * len(rows[0])
         for k, c in enumerate(self.num):
             if c:
-                for j, r in enumerate(rows[k * step]):
+                for i, r in enumerate(rows[k * j % m]):
                     if r:
-                        out[j] += c * r
+                        out[i] += c * r
         return _make(m, tuple(out), self.den)
+
+    def _promoted(self, m: int) -> "Cyc":
+        return self if m == self.level else self._substituted(m, m // self.level)
 
     @staticmethod
     def _coerce(x) -> "Cyc":
@@ -254,31 +258,17 @@ class Cyc:
         return out
 
     def inverse(self) -> "Cyc":
-        """Field inverse via exact Gaussian elimination."""
-        d = self.degree
+        """The product of the other Galois conjugates divided by the norm, which is rational."""
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        # columns: coordinates of self * z^j
-        cols = []
-        zj = Cyc.rational(1)._promoted(self.level) if self.level > 1 else Cyc.rational(1)
-        for j in range(d):
-            cols.append((self * zj).coords)
-            zj = zj * Cyc.zeta(self.level) if self.level > 1 else zj
-        mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-        rhs = [Fraction(1 if i == 0 else 0) for i in range(d)]
-        for col in range(d):
-            piv = next(r for r in range(col, d) if mat[r][col] != 0)
-            mat[col], mat[piv] = mat[piv], mat[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / mat[col][col]
-            mat[col] = [x * inv for x in mat[col]]
-            rhs[col] *= inv
-            for r in range(d):
-                if r != col and mat[r][col]:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                    rhs[r] -= f * rhs[col]
-        return Cyc(self.level, rhs)
+        n = self.level
+        others = Cyc.rational(1)._promoted(n)
+        for j in range(2, n):
+            if gcd(j, n) == 1:
+                others = others * self._substituted(n, j)
+        norm = self * others  # rational: num[0] / den
+        s = norm.den if norm.num[0] > 0 else -norm.den
+        return _make(n, tuple([s * x for x in others.num]), others.den * abs(norm.num[0]))
 
     def __truediv__(self, other):
         if isinstance(other, complex):

@@ -55,10 +55,18 @@ def test_nonabelian_group_triplet_bracket():
     assert trisection_bracket(standard_s4(), cfg) == Cyc.rational(12**4)
 
 
+def _group_algebras(g):
+    """C[G] in every slot, paired trivially: its dual C^G has the evaluation characters as irreducibles, for any G."""
+    h = hopf.group_algebra(g)
+    tau = hopf.trivial_pairing(h, h)
+    return hopf.HopfTriplet(f"C[{g.name}]^3", h, h, h, tau, tau, tau)
+
+
 @pytest.mark.parametrize("tname,t", [
     ("kashaev2", hopf.kashaev_triplet(2)),
     ("kashaev3", hopf.kashaev_triplet(3)),
     ("group", hopf.group_triplet(cyclic(2), cyclic(3))),
+    ("group-algebras-S3", _group_algebras(symmetric(3))),
 ])
 def test_backends_agree(tname, t):
     for d in (standard_s4(), cp2(), moves.stabilize(cp2())):

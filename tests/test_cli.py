@@ -23,15 +23,33 @@ def test_catalog_listing(capsys):
 def test_catalog_emits_parseable_diagram(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "s4")
     assert code == 0
-    from trisect.diagram import parse, standard_s4
+    from trisect.diagram import cp2, parse, standard_s4
 
     # catalog names resolve to the embedded variant when one exists
     assert parse(out).base == standard_s4()
+    # --json prints the same diagram on one line, with sorted keys
+    code, out, _ = run(capsys, "--json", "catalog", "cp2")
+    assert code == 0 and out.count("\n") == 1 and out.startswith('{"crossings": [{"ends": [["a", 0], ["b", 0]]')
+    assert parse(out).base == cp2()
 
 
 def test_validate_catalog(capsys):
-    code, out, _ = run(capsys, "validate", "s4", "--strict")
-    assert code == 0 and "valid" in out
+    for name in ("s4", "s4-disc"):
+        code, out, _ = run(capsys, "validate", name, "--strict")
+        assert code == 0 and out == "valid\n", name
+
+
+def test_strict_validate_rejects_unknown_top_level_keys(capsys, tmp_path):
+    # --strict used to stop at catalog names: a file with an unknown key printed "valid"
+    code, out, _ = run(capsys, "catalog", "cp2")
+    data = json.loads(out)
+    data["colour_map"] = {}
+    f = tmp_path / "extra.json"
+    f.write_text(json.dumps(data))
+    code, _, err = run(capsys, "validate", "--strict", str(f))
+    assert code == 1 and err == "error: unknown keys ['colour_map']\n"
+    code, out, _ = run(capsys, "validate", str(f))
+    assert code == 0 and out == "valid\n"
 
 
 def test_validate_bad_file(capsys, tmp_path):
@@ -58,6 +76,11 @@ def test_eval_rep_backend(capsys):
 def test_eval_count_matches_spec_example(capsys):
     code, out, _ = run(capsys, "eval", "count", "--C", "Z/2", "--B", "Z/3", "s4")
     assert code == 0 and out.strip() == "l=6, invariant=1"
+    # a disc fixes its boundary label, 0 unless given
+    code, out, _ = run(capsys, "eval", "count", "--C", "Z/2", "--B", "Z/3", "s4-disc")
+    assert code == 0 and out == "l=6, invariant=1\n"
+    code, out, _ = run(capsys, "eval", "count", "--C", "Z/2", "--B", "Z/2", "--M", "cosets:(1,1)", "--boundary", "1", "s4-disc")
+    assert code == 0 and out == "l=4, invariant=2\n"
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -93,6 +116,11 @@ def test_moves_apply_pipeline(capsys, tmp_path):
     code2, out2, _ = run(capsys, "--json", "eval", "invariant", "--triplet", "kashaev:n=3", "cp2")
     assert code == 0 and code2 == 0
     assert json.loads(out1)["value"] == json.loads(out2)["value"]
+    # without --out the diagram goes to stdout: as the file holds it, or as one sorted JSON line
+    code, out, _ = run(capsys, "moves", "apply", "cp2", "--moves", str(mv))
+    assert code == 0 and out == out_file.read_text()
+    code, out, _ = run(capsys, "--json", "moves", "apply", "cp2", "--moves", str(mv))
+    assert code == 0 and out == json.dumps(json.loads(out_file.read_text()), sort_keys=True) + "\n"
 
 
 def test_malformed_move_specs_are_domain_errors(capsys, tmp_path):
@@ -119,6 +147,11 @@ def test_json_determinism(capsys):
 def test_axioms_command(capsys):
     code, out, _ = run(capsys, "axioms", "--algebra", "group:Z/4")
     assert code == 0 and "antipode" in out
+    for algebra, header in (("fun:S3", "C^S3 (dim 6)"), ("double:kashaev:n=3", "D(C^Z/3,C^Z/3) (dim 9)")):
+        code, out, _ = run(capsys, "axioms", "--algebra", algebra)
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == header and len(lines) == 9, algebra
+        assert all(line.endswith(": 0.0") for line in lines[1:]), algebra
     code, out, _ = run(capsys, "--json", "axioms", "--algebra", "weak:C=Z/2;B=Z/2;M=cosets:(1,1)")
     assert code == 0 and json.loads(out)["weak"] is True
 
@@ -126,6 +159,12 @@ def test_axioms_command(capsys):
 def test_crosscheck_command(capsys):
     code, out, _ = run(capsys, "crosscheck", "--triplet", "kashaev:n=2", "cp2")
     assert code == 0 and "PASS" in out
+    # exact values print as they are, float ones in render's decimal format, not as
+    # "element=(1.7763568394002505e-15+5.196152422706632j)"
+    code, out, _ = run(capsys, "crosscheck", "--triplet", "kashaev:n=3", "cp2")
+    assert code == 0 and out == "PASS backend agreement: element=3 + 6*z3, rep=3 + 6*z3\n"
+    code, out, _ = run(capsys, "crosscheck", "--backend", "float", "--triplet", "kashaev:n=3", "cp2")
+    assert code == 0 and out == "PASS backend agreement: element=5.19615242271i, rep=5.19615242271i\n"
 
 
 def test_float_backend(capsys):

@@ -180,6 +180,10 @@ def test_coincidence_check():
     for cfg in (cfg_point(2, 3), cfg_m2()):
         for d in (standard_s4(), cp2(), moves.stabilize(cp2())):
             assert lc.coincidence_check(d, cfg).ok
+    # the decimals print in render's format, not as "count_invariant=(0.5503212081491045+0j)"
+    assert str(lc.coincidence_check(cp2(), cfg_point(2, 3))) == (
+        "PASS counting vs bracket invariant: count_invariant=0.550321208149, |M| * bracket_invariant=0.550321208149"
+    )
 
 
 def test_coincidence_checks_share_the_point_triplet(monkeypatch):
