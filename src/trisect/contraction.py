@@ -14,6 +14,15 @@ outer product over the open wires.  The cap bounds the dense size of every
 pairwise result and of the final tensor, not the sparse storage actually
 used.  Only exact zeros are dropped from the sparse storage.
 
+The order depends on the nodes' names, wires and dims alone, so it is found
+once, as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its pairwise
+steps on the nodes' data; ``contract_network`` is the two in turn.  A plan
+runs as well on any other data for the same nodes, such as the slices of one
+node that the identity checkers compare one at a time.  Given the previous
+run's step results, the executor reuses every step whose two operands are
+the same objects as in that run, so the steps that do not reach a changed
+node are computed once.
+
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
 ``Tensor`` looks its keys up through an index on one wire position instead
@@ -33,6 +42,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import ResourceExceeded
 from .scalars import Cyc
@@ -84,29 +94,29 @@ def _dense_size(wires, dims) -> int:
     return size
 
 
-def _contract_pair(a: Node, b: Node, summed) -> Node:
-    """Join ``a`` and ``b`` on their shared wires, sum those in ``summed``, keep the rest once, as in ``a``."""
-    shared = [w for w in a.wires if w in b.wires]
-    keep_a = [w for w in a.wires if w not in summed]
-    keep_b = [w for w in b.wires if w not in shared]
+def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
+    """Join ``a`` and ``b`` where their keys agree at ``sh_a`` and ``sh_b``; key each product by ``keep_a + keep_b``.
+
+    The positions lists are a step of a ``Plan``: the shared wires' positions
+    in each operand, then the positions each operand keeps.
+    """
     # bucket the smaller operand by its shared indices and scan the larger one;
     # keys stay keep_a + keep_b and every product stays a-value * b-value
-    bucket_a = len(a.data) < len(b.data)
-    small, large = (a, b) if bucket_a else (b, a)
-    pos_sh_s = [small.wires.index(w) for w in shared]
-    pos_keep_s = [small.wires.index(w) for w in (keep_a if bucket_a else keep_b)]
-    pos_sh_l = [large.wires.index(w) for w in shared]
-    pos_keep_l = [large.wires.index(w) for w in (keep_b if bucket_a else keep_a)]
+    bucket_a = len(a) < len(b)
+    if bucket_a:
+        small, pos_sh_s, pos_keep_s, large, pos_sh_l, pos_keep_l = a, sh_a, keep_a, b, sh_b, keep_b
+    else:
+        small, pos_sh_s, pos_keep_s, large, pos_sh_l, pos_keep_l = b, sh_b, keep_b, a, sh_a, keep_a
 
     buckets: dict[tuple, list] = {}
-    for key, val in small.data.items():
+    for key, val in small.items():
         sh = tuple([key[p] for p in pos_sh_s])
         buckets.setdefault(sh, []).append((tuple([key[p] for p in pos_keep_s]), val))
 
-    items = large.data.items()
-    if shared and isinstance(large.data, Tensor):
+    items = large.items()
+    if pos_sh_l and isinstance(large, Tensor):
         # only keys whose first shared value meets the smaller operand can hit
-        items = large.data.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
+        items = large.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
     out: dict[tuple[int, ...], object] = {}
     for key, val in items:
         hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
@@ -133,7 +143,7 @@ def _contract_pair(a: Node, b: Node, summed) -> Node:
                     out[k] = new
                 else:
                     out.pop(k, None)
-    return Node(f"({a.name}*{b.name})", tuple(keep_a + keep_b), out)
+    return out
 
 
 def connected(wire_lists: Sequence[Sequence[str]]) -> list[list[int]]:
@@ -163,64 +173,130 @@ def connected(wire_lists: Sequence[Sequence[str]]) -> list[list[int]]:
     return list(comps.values())
 
 
-def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_000_000,
-                     open_wires: Sequence[str] = ()):
-    """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
+class Plan(NamedTuple):
+    """The pairwise steps that contract a network, fixed by its names, wires and dims alone.
 
-    The tensor is a sparse dict keyed by index tuples in the order of
-    ``open_wires``.
+    Operand ``k`` of a step is the data of node ``k`` when the network has
+    more than ``k`` nodes, else the result of step ``k - len(nodes)``.  A step
+    is ``(a, b, sh_a, keep_a, sh_b, keep_b)``: operands ``a`` and ``b``, then
+    the positions ``_contract_pair`` takes.  ``result`` is the operand that
+    ends the network (``None`` for a network without nodes), and ``perm`` the
+    positions of the open wires in its keys.
+    """
+
+    steps: tuple[tuple, ...]
+    result: int | None
+    perm: tuple[int, ...]
+
+
+def plan_network(nodes: Sequence[Node], dims: dict[str, int], cap: float = 10_000_000,
+                 open_wires: Sequence[str] = ()) -> Plan:
+    """The greedy contraction order of ``nodes``, as the ``Plan`` that ``execute_plan`` runs on any data.
+
+    Raises ``ResourceExceeded`` when the open wires or a planned step exceed
+    ``cap`` in dense size.
     """
     size = _dense_size(open_wires, dims)
     if size > cap:
         raise ResourceExceeded(size, cap)
+    names = [n.name for n in nodes]
+    wires = [n.wires for n in nodes]
+    steps: list[tuple] = []
     out = None
-    for comp in connected([n.wires for n in nodes]):
-        part = _contract_component([nodes[i] for i in comp], dims, cap)
-        out = part if out is None else _contract_pair(out, part, ())
-    if out is None:
-        out = Node("1", (), {(): 1})
-    if sorted(out.wires) != sorted(open_wires):
-        raise AssertionError(f"open wires {out.wires}, expected {tuple(open_wires)}")
-    if not open_wires:
-        return _exact(out.data.get((), 0))
-    pos = [out.wires.index(w) for w in open_wires]
-    return {tuple(key[p] for p in pos): _exact(val) for key, val in out.data.items()}
+    for comp in connected(wires):
+        part = _plan_component(comp, names, wires, dims, cap, steps)
+        out = part if out is None else _plan_step(out, part, (), names, wires, steps)
+    out_wires = () if out is None else wires[out]
+    if sorted(out_wires) != sorted(open_wires):
+        raise AssertionError(f"open wires {out_wires}, expected {tuple(open_wires)}")
+    return Plan(tuple(steps), out, tuple(out_wires.index(w) for w in open_wires))
 
 
-def _exact(val):
-    """An ``int`` result as the level-1 ``Cyc`` it stands for; any other value as it is."""
-    return Cyc.rational(val) if type(val) is int else val
+def _plan_step(i: int, j: int, summed, names: list, wires: list, steps: list) -> int:
+    """Append the step that joins operands ``i`` and ``j`` and sums ``summed``; return the new operand."""
+    wa, wb = wires[i], wires[j]
+    shared = [w for w in wa if w in wb]
+    keep_a = [w for w in wa if w not in summed]
+    keep_b = [w for w in wb if w not in shared]
+    steps.append((i, j, [wa.index(w) for w in shared], [wa.index(w) for w in keep_a],
+                  [wb.index(w) for w in shared], [wb.index(w) for w in keep_b]))
+    wires.append(tuple(keep_a + keep_b))
+    names.append(f"({names[i]}*{names[j]})")
+    return len(wires) - 1
 
 
-def _contract_component(nodes: list[Node], dims: dict[str, int], cap: int) -> Node:
-    nodes = sorted(nodes, key=lambda n: n.name)
-    # how many of the remaining nodes carry each wire; a wire is summed when
-    # the last two that carry it are merged
+def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, int], cap, steps: list) -> int:
+    live = sorted(comp, key=names.__getitem__)
+    # how many of the live operands carry each wire; a wire is summed when
+    # the last two that carry it are joined
     carriers: dict[str, int] = {}
-    for n in nodes:
-        for w in n.wires:
+    for k in live:
+        for w in wires[k]:
             carriers[w] = carriers.get(w, 0) + 1
-    while len(nodes) > 1:
+    while len(live) > 1:
         best = None
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if not any(w in nodes[j].wires for w in nodes[i].wires):
+        for i in range(len(live)):
+            wi, ni = wires[live[i]], names[live[i]]
+            for j in range(i + 1, len(live)):
+                wj = wires[live[j]]
+                if not any(w in wj for w in wi):
                     continue
-                wires = [w for w in nodes[i].wires if w not in nodes[j].wires or carriers[w] > 2]
-                wires += [w for w in nodes[j].wires if w not in nodes[i].wires]
-                cost = _dense_size(wires, dims)
-                key = (cost, nodes[i].name, nodes[j].name)
+                kept = [w for w in wi if w not in wj or carriers[w] > 2]
+                kept += [w for w in wj if w not in wi]
+                key = (_dense_size(kept, dims), ni, names[live[j]])
                 if best is None or key < best[0]:
                     best = (key, i, j)
         (cost, _, _), i, j = best
         if cost > cap:
             raise ResourceExceeded(cost, cap)
+        a, b = live[i], live[j]
         summed = []
-        for w in nodes[i].wires:
-            if w in nodes[j].wires:
+        for w in wires[a]:
+            if w in wires[b]:
                 carriers[w] -= 1
                 if carriers[w] == 1:
                     summed.append(w)
-        merged = _contract_pair(nodes[i], nodes[j], summed)
-        nodes = [n for k, n in enumerate(nodes) if k not in (i, j)] + [merged]
-    return nodes[0]
+        live = [k for n, k in enumerate(live) if n not in (i, j)]
+        live.append(_plan_step(a, b, summed, names, wires, steps))
+    return live[0]
+
+
+def execute_plan(plan: Plan, data: Sequence[dict], last: dict | None = None):
+    """Run ``plan`` on the nodes' ``data``: a scalar, or a dict keyed in the order of the open wires.
+
+    ``last`` maps each step to its operands and result from the previous run
+    of the same plan, and is updated in place; a step whose two operands are
+    the same objects as then returns that result again without recomputing it.
+    """
+    ops = list(data)
+    for s, (a, b, *pos) in enumerate(plan.steps):
+        seen = None if last is None else last.get(s)
+        if seen is not None and seen[0] is ops[a] and seen[1] is ops[b]:
+            out = seen[2]
+        else:
+            out = _contract_pair(ops[a], ops[b], *pos)
+            if last is not None:
+                last[s] = (ops[a], ops[b], out)
+        # each operand feeds one step only: drop it, so no intermediate outlives its use
+        ops[a] = ops[b] = None
+        ops.append(out)
+    out = {(): 1} if plan.result is None else ops[plan.result]
+    perm = plan.perm
+    if not perm:
+        return _exact(out.get((), 0))
+    return {tuple([key[p] for p in perm]): _exact(val) for key, val in out.items()}
+
+
+def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_000_000,
+                     open_wires: Sequence[str] = ()):
+    """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
+
+    The tensor is a sparse dict keyed by index tuples in the order of
+    ``open_wires``.  It is ``plan_network`` followed by ``execute_plan``.
+    """
+    return execute_plan(plan_network(nodes, dims, cap, open_wires), [n.data for n in nodes])
+
+
+def _exact(val):
+    """An ``int`` result as the level-1 ``Cyc`` it stands for; any other value as it is."""
+    return Cyc.rational(val) if type(val) is int else val

@@ -185,7 +185,13 @@ def symmetric(n: int) -> Group:
 
 
 def dihedral(n: int) -> Group:
-    """Dihedral group of order 2n (rotations r^k, reflections sr^k)."""
+    """Dihedral group of order 2n (rotations r^k, reflections sr^k), for n >= 3.
+
+    Below 3 the action on the n vertices is not faithful, so it cannot
+    build D1 (Z/2) or D2 (Z/2xZ/2); those are built as products of cyclic groups.
+    """
+    if n < 3:
+        raise TrisectError(f"D{n} is not built as a dihedral group: use Z/2 for D1 and Z/2xZ/2 for D2")
     labels = tuple(f"r{k}" for k in range(n)) + tuple(f"s{k}" for k in range(n))
     rotations = [tuple((x + k) % n for x in range(n)) for k in range(n)]
     reflections = [tuple((k - x) % n for x in range(n)) for k in range(n)]

@@ -12,10 +12,12 @@ triplet reads its C x B^op-set, and the place of C and B in K, from
 ``groups.WeakConfig``.
 
 The checkers state each identity once, as a pair of small networks over the
-structure tensors, and contract both sides with ``contraction.contract_network``.
-The open wires of a side are the identity's free indices.  The two sides are
-compared exactly, one basis element of the first open wire at a time; the
-residual reported for an identity is the largest |lhs - rhs| over all indices.
+structure tensors.  The open wires of a side are the identity's free indices.
+The two sides are compared exactly, one basis element of the first open wire
+at a time: each side is planned once (``contraction.plan_network``) and the
+plan is run on every slice (``contraction.execute_plan``), reusing the steps
+that do not meet the cut node.  The residual reported for an identity is the
+largest |lhs - rhs| over all indices.
 The generalized double is built the same way: each of its five structure maps
 is one network over the tensors of its two factors and the pairing.
 """
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .contraction import Node, contract_network
+from .contraction import Node, Tensor, contract_network, execute_plan, plan_network
 from .errors import MissingIrreps, NonSemisimple, TrisectError
 from .groups import GSet, Group, WeakConfig, opposite
 from .scalars import Cyc, approx_eq, to_complex
@@ -157,28 +159,29 @@ def _network(tensors: Tensors, spec: str) -> tuple[list[Node], dict[str, int]]:
     return nodes, dims
 
 
-def _slices(nodes: list[Node], wire: str) -> dict[int, list[Node]]:
-    """The network once per basis element on ``wire``, with that wire cut out.
+def _slices(nodes: list[Node], wire: str | None) -> dict[int, list[dict]]:
+    """The data of the network's nodes once per basis element on ``wire``, or once whole for ``None``.
 
     The node carrying ``wire`` keeps only its entries at that basis element,
-    and drops the wire, so the greedy order sees the slice's true dense size.
+    under their whole keys; every other node keeps its own data object, so
+    one plan runs on every slice and reuses the steps that do not meet the cut.
     """
+    data = [n.data for n in nodes]
+    if wire is None:
+        return {0: data}
     k = next(k for k, n in enumerate(nodes) if wire in n.wires)
-    node, pos = nodes[k], nodes[k].wires.index(wire)
-    wires = node.wires[:pos] + node.wires[pos + 1:]
+    pos = nodes[k].wires.index(wire)
     parts: dict[int, dict] = {}
-    for key, val in node.data.items():
-        parts.setdefault(key[pos], {})[key[:pos] + key[pos + 1:]] = val
-    return {i: nodes[:k] + [Node(node.name, wires, part)] + nodes[k + 1:] for i, part in parts.items()}
+    for key, val in data[k].items():
+        parts.setdefault(key[pos], {})[key] = val
+    return {i: data[:k] + [part] + data[k + 1:] for i, part in parts.items()}
 
 
-def _tensor(nodes: list[Node] | None, dims: dict[str, int], wires: list[str]) -> dict:
-    """The network contracted over ``wires``; ``None``, a slice with no entries, is zero.
+def _tensor(nodes: list[Node], dims: dict[str, int], wires: list[str]) -> dict:
+    """The network contracted over ``wires``.
 
     The checks are polynomial in the dimension, so no cap applies to them.
     """
-    if nodes is None:
-        return {}
     t = contract_network(nodes, dims, cap=math.inf, open_wires=wires)
     return t if wires else {(): t}
 
@@ -186,25 +189,39 @@ def _tensor(nodes: list[Node] | None, dims: dict[str, int], wires: list[str]) ->
 def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
     """max |lhs - rhs| over every index of the open wires ``out``, compared exactly.
 
-    The sides are compared one basis element of the first open wire at a
-    time, so neither is ever built as a whole tensor over all open wires.
+    Each side is planned once, on the whole network with every wire of
+    ``out`` open, and that plan is run once per basis element of the first
+    open wire (``_slices``), so neither side is ever built as a whole tensor
+    over all open wires.  A step that does not meet the cut node gets the
+    same operands in every slice; it is computed in the first and reused.
     """
-    sides = [_network(tensors, spec) for spec in (lhs, rhs)]
-    cut, *rest = out.split() or [None]
-    cuts = [_slices(nodes, cut) if cut else {0: nodes} for nodes, _ in sides]
+    wires = out.split()
     zero = ONE * 0
+    runs = []
+    for spec in (lhs, rhs):
+        nodes, dims = _network(tensors, spec)
+        plan = plan_network(nodes, dims, cap=math.inf, open_wires=wires)
+        runs.append((plan, _slices(nodes, wires[0] if wires else None), {}))
     worst = 0.0
-    for i in cuts[0].keys() | cuts[1].keys():
-        a, b = (_tensor(part.get(i), dims, rest) for part, (_, dims) in zip(cuts, sides))
+    for i in runs[0][1].keys() | runs[1][1].keys():
+        a, b = ({} if i not in parts else execute_plan(plan, parts[i], last) for plan, parts, last in runs)
+        if not wires:
+            a, b = {(): a}, {(): b}
         for key in a.keys() | b.keys():
-            diff = a.get(key, zero) - b.get(key, zero)
-            if diff:
-                worst = max(worst, abs(to_complex(diff)))
+            x, y = a.get(key, zero), b.get(key, zero)
+            if x != y:
+                worst = max(worst, abs(to_complex(x - y)))
     return worst
 
 
 def _residuals(tensors: Tensors, identities) -> dict[str, float]:
-    """Residual by key; a key's residual is the largest over its network pairs."""
+    """Residual by key; a key's residual is the largest over its network pairs.
+
+    Every network reads the tensors as a ``Tensor``, built here once for all
+    of them, so a step looks up only the keys that can match and multiplies
+    level-1 integer entries as ``int``.
+    """
+    tensors = {name: (Tensor(data), shape) for name, (data, shape) in tensors.items()}
     return {key: max(_residual(tensors, *pair) for pair in pairs) for key, pairs in identities}
 
 

@@ -127,6 +127,8 @@ class Cyc:
 
     @classmethod
     def rational(cls, q) -> "Cyc":
+        if type(q) is int:
+            return _make(1, (q,), 1)
         q = Fraction(q)
         return _make(1, (q.numerator,), q.denominator)
 

@@ -29,6 +29,14 @@ def test_orders_and_abelianness():
     assert symmetric(4).order == 24
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_small_dihedral_groups_name_their_builds(n):
+    # the n-point action is not faithful below 3, so D1 and D2 come as products
+    with pytest.raises(TrisectError, match=r"Z/2 for D1 and Z/2xZ/2 for D2"):
+        dihedral(n)
+    assert parse_group("Z/2xZ/2").order == 4 and parse_group("Z/2xZ/2").is_abelian()
+
+
 def test_opposite_group():
     s3 = symmetric(3)
     op = opposite(s3)

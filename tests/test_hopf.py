@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from trisect import hopf
+from trisect.contraction import Node, contract_network
 from trisect.errors import NonSemisimple, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
-from trisect.scalars import Cyc
+from trisect.scalars import Cyc, to_complex
 
 ONE = Cyc.rational(1)
 TWO = Cyc.rational(2)
@@ -60,6 +61,8 @@ STRONG_BREAKS = [
     ("unit_counit_compat", lambda h: h.counit.update({1: TWO})),
     ("unit_counit_compat", lambda h: _set_row(h.comult, (0,), {(0, 0): ONE, (1, 2): ONE})),
     ("unit_counit_compat", lambda h: h.counit.update({0: TWO})),
+    # no product of e_1 at all: the left side has no slice at i = 1, the right side does
+    ("unit_counit_compat", lambda h: _set_row(h.mult, (1,), {})),
     ("antipode", lambda h: _set_row(h.antipode, (1,), {(2,): TWO})),
     ("antipode_involutive", lambda h: _set_row(h.antipode, (1,), {(1,): ONE})),
 ]
@@ -166,6 +169,62 @@ def test_every_network_pair_reads_nonzero_on_a_broken_input(monkeypatch):
               hopf._CYCLIC, hopf._INTEGRAL, hopf._WEAK_INTEGRAL, hopf._ANTIPODE_FIXES)
     missing = [(key, pair) for table in tables for key, pairs in table for pair in pairs if pair not in seen]
     assert not missing
+
+
+def _per_slice_residual(tensors, out, lhs, rhs):
+    """The residual as one fresh ``contract_network`` per basis element of the first open wire.
+
+    The oracle for the planned replay of ``hopf._residual``: each slice drops
+    the cut wire from the node that carries it and is ordered on its own.
+    """
+    def cut(nodes, wire):
+        k = next(k for k, n in enumerate(nodes) if wire in n.wires)
+        pos = nodes[k].wires.index(wire)
+        wires = nodes[k].wires[:pos] + nodes[k].wires[pos + 1:]
+        parts = {}
+        for key, val in nodes[k].data.items():
+            parts.setdefault(key[pos], {})[key[:pos] + key[pos + 1:]] = val
+        return {i: nodes[:k] + [Node(nodes[k].name, wires, part)] + nodes[k + 1:] for i, part in parts.items()}
+
+    def tensor(nodes, dims, wires):
+        if nodes is None:
+            return {}
+        t = contract_network(nodes, dims, cap=float("inf"), open_wires=wires)
+        return t if wires else {(): t}
+
+    sides = [hopf._network(tensors, spec) for spec in (lhs, rhs)]
+    first, *rest = out.split() or [None]
+    cuts = [cut(nodes, first) if first else {0: nodes} for nodes, _ in sides]
+    worst = 0.0
+    for i in cuts[0].keys() | cuts[1].keys():
+        a, b = (tensor(part.get(i), dims, rest) for part, (_, dims) in zip(cuts, sides))
+        for key in a.keys() | b.keys():
+            diff = a.get(key, ONE * 0) - b.get(key, ONE * 0)
+            if diff:
+                worst = max(worst, abs(to_complex(diff)))
+    return worst
+
+
+def _replay_reports():
+    """Reports of every check on broken inputs, on the double D(S3) and on a float algebra."""
+    for reports in (_broken_axiom_reports(), _broken_pairing_reports(),
+                    _broken_triplet_reports(), _broken_integral_reports()):
+        yield from (rep for _, rep in reports)
+    s3 = hopf.group_algebra(symmetric(3))
+    s3sc = hopf.cop(hopf.dual(s3))
+    yield hopf.check_hopf_axioms(hopf.generalized_double(s3sc, s3, hopf.canonical_pairing(s3sc, s3)))
+    yield hopf.check_triplet(hopf.group_triplet(symmetric(3), cyclic(3)))
+    h = hopf.group_algebra(cyclic(3))
+    STRONG_BREAKS[0][1](h)
+    yield hopf.check_hopf_axioms(hopf.float_algebra(h))
+
+
+def test_replayed_residuals_equal_the_per_slice_loop(monkeypatch):
+    got = list(_replay_reports())
+    monkeypatch.setattr(hopf, "_residual", _per_slice_residual)
+    want = list(_replay_reports())
+    assert got == want
+    assert sum(v > 0 for rep in got for v in rep.values()) > 40
 
 
 def test_dual_of_group_algebra_is_function_algebra():

@@ -118,6 +118,15 @@ def test_equal_values_hash_equal():
     assert hash(Cyc.rational(Fraction(3, 2))) == hash(Fraction(3, 2))
 
 
+@given(st.integers(-10**30, 10**30))
+def test_rational_of_an_int_is_the_rational_of_its_fraction(n):
+    # an int skips the Fraction; the stored form, the value and the hash are those of the Fraction's
+    got, want = Cyc.rational(n), Cyc.rational(Fraction(n))
+    assert (got.level, got.num, got.den) == (want.level, want.num, want.den) == (1, (n,), 1)
+    assert got == want == n and hash(got) == hash(want) == hash(n)
+    assert Cyc.rational(True) == 1 and type(Cyc.rational(True).num[0]) is int
+
+
 @settings(max_examples=60, deadline=None)
 @given(cyclotomics(), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12]))
 def test_promotion_keeps_the_hash(a, m):
