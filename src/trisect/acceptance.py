@@ -67,29 +67,22 @@ def _suite_algebras() -> list[hopf.HopfAlgebra]:
     return out
 
 
-def _kashaev_doubles(ns=(2, 3, 4, 5, 6)) -> list[tuple[hopf.HopfAlgebra, dict, dict]]:
-    """Doubles D(C, A) for the root-of-unity pairing, with their split integrals."""
-    out = []
-    for n in ns:
+def _doubles() -> list[tuple[hopf.HopfAlgebra, dict]]:
+    """Each double with its split integral: D(C, A) of the Kashaev triplets, D(trivial) and D(S3)."""
+    factors = []
+    for n in range(2, 7):
         t = hopf.kashaev_triplet(n)
-        d = hopf.generalized_double(t.C, t.A, t.tau_CA, name=f"D(kashaev {n})")
-        la, lb = hopf.compute_integral(t.C), hopf.compute_integral(t.A)
-        ell = {i * t.A.dim + j: a * b for i, a in la.items() for j, b in lb.items()}
-        out.append((d, la, ell))
-    return out
-
-
-def _extra_doubles():
+        factors.append((f"D(kashaev {n})", t.C, t.A, t.tau_CA))
     a2, b3 = hopf.group_algebra(cyclic(2)), hopf.group_algebra(cyclic(3))
-    triv = hopf.generalized_double(a2, b3, hopf.trivial_pairing(a2, b3), name="D(trivial)")
+    factors.append(("D(trivial)", a2, b3, hopf.trivial_pairing(a2, b3)))
     s3 = hopf.group_algebra(symmetric(3))
     s3sc = hopf.cop(hopf.dual(s3))
-    drin = hopf.generalized_double(s3sc, s3, hopf.canonical_pairing(s3sc, s3), name="D(S3)")
+    factors.append(("D(S3)", s3sc, s3, hopf.canonical_pairing(s3sc, s3)))
     out = []
-    for d, a, b in ((triv, a2, b3), (drin, s3sc, s3)):
+    for name, a, b, tau in factors:
         la, lb = hopf.compute_integral(a), hopf.compute_integral(b)
         ell = {i * b.dim + j: x * y for i, x in la.items() for j, y in lb.items()}
-        out.append((d, la, ell))
+        out.append((hopf.generalized_double(a, b, tau, name=name), ell))
     return out
 
 
@@ -128,7 +121,7 @@ def criterion_1():
         if max(rep.values()) != 0.0:
             return False, f"{h.name} fails: {rep}", max(rep.values())
         checked += 1
-    for d, _, _ in _kashaev_doubles() + _extra_doubles():
+    for d, _ in _doubles():
         rep = hopf.check_hopf_axioms(d)
         if max(rep.values()) != 0.0:
             return False, f"{d.name} fails: {rep}", max(rep.values())
@@ -163,7 +156,7 @@ def criterion_3():
         if max(rep.values()) != 0.0 or not eps == Cyc.rational(h.dim):
             return False, f"{h.name}: integral fails ({rep}, eps={eps})", max(rep.values())
         checked += 1
-    for d, _, ell in _kashaev_doubles() + _extra_doubles():
+    for d, ell in _doubles():
         rep = hopf.check_integral(d, ell)
         if max(rep.values()) != 0.0:
             return False, f"{d.name}: split integral fails {rep}", max(rep.values())

@@ -25,7 +25,7 @@ import cmath
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .contraction import Node, Tensor, contract_network
+from .contraction import DEFAULT_CAP, Node, Tensor, contract_network
 from .diagram import BLUE, GREEN, RED, TrisectionDiagram, ends_in_pair_order, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
 from .hopf import HopfTriplet, compute_integral, convolution_inverse
@@ -48,7 +48,7 @@ class BracketConfig:
 
     triplet: HopfTriplet
     evaluator: str = "element"  # "element" | "rep"
-    contraction_cap: int = 10_000_000
+    contraction_cap: int = DEFAULT_CAP
     integral_scale: dict[str, object] = field(default_factory=dict)
 
     def resolved_integrals(self) -> dict[str, dict]:
@@ -279,6 +279,13 @@ class CheckReport:
     ok: bool
     details: dict
 
+    @classmethod
+    def agreement(cls, name: str, values: dict, tol: float = 1e-9) -> "CheckReport":
+        """Pass when every value ``approx_eq``s the first; each value is shown by ``_shown``."""
+        first, *rest = values.values()
+        ok = all(approx_eq(first, v, tol) for v in rest)
+        return cls(name, ok, {k: _shown(v) for k, v in values.items()})
+
     def __str__(self) -> str:
         flag = "PASS" if self.ok else "FAIL"
         items = ", ".join(f"{k}={v}" for k, v in self.details.items())
@@ -286,7 +293,9 @@ class CheckReport:
 
 
 def _shown(x) -> str:
-    """An exact value's ``str``; a complex one in the decimal format of ``render``."""
+    """An exact value's ``str``; a complex one, or an invariant's approximation, as ``render`` writes it."""
+    if isinstance(x, InvariantValue):
+        return render(x.approx())
     return render(x) if isinstance(x, complex) else str(x)
 
 
@@ -296,22 +305,16 @@ def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram,
     b1 = trisection_bracket(t1, cfg)
     b2 = trisection_bracket(t2, cfg)
     bs = trisection_bracket(connected_sum(t1, t2), cfg)
-    ok = approx_eq(bs, b1 * b2)
-    return CheckReport(
-        "connected-sum multiplicativity",
-        ok,
-        {"sum": _shown(bs), "product": _shown(b1 * b2)},
-    )
+    return CheckReport.agreement("connected-sum multiplicativity", {"sum": bs, "product": b1 * b2})
 
 
 def cross_check(d: TrisectionDiagram, cfg: BracketConfig, tol: float = 1e-9) -> CheckReport:
     """Element vs representation backend under the same normalization."""
     be = trisection_bracket(d, replace(cfg, evaluator="element"))
     br = trisection_bracket(d, replace(cfg, evaluator="rep"))
-    ok = approx_eq(be, br, tol)
-    details = {"element": _shown(be), "rep": _shown(br)}
-    if not ok and br:
+    rep = CheckReport.agreement("backend agreement", {"element": be, "rep": br}, tol)
+    if not rep.ok and br:
         ratio = be / br if isinstance(be, Cyc) and isinstance(br, Cyc) else to_complex(be) / to_complex(br)
-        details["ratio"] = _shown(ratio)
-        details["note"] = f"a per-integral rescaling by z changes the bracket by z^{d.genus}"
-    return CheckReport("backend agreement", ok, details)
+        rep.details["ratio"] = _shown(ratio)
+        rep.details["note"] = f"a per-integral rescaling by z changes the bracket by z^{d.genus}"
+    return rep

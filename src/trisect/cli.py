@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import acceptance, bracket, diagram, hopf, labelcount, moves
+from .contraction import DEFAULT_CAP
 from .errors import TrisectError
 from .groups import WeakConfig, bimodule_group, coset_gset, gset_from_json, parse_group, point_gset, regular_gset
 from .scalars import Cyc, render, to_complex
@@ -159,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         q.add_argument("--triplet", required=True)
         q.add_argument("--backend", choices=("exact", "float"), default="exact")
         q.add_argument("--evaluator", choices=("element", "rep"), default="element")
-        q.add_argument("--cap", type=int, default=10_000_000)
+        q.add_argument("--cap", type=int, default=DEFAULT_CAP)
         if what == "invariant":
             q.add_argument("--all-roots", action="store_true")
     q = ev.add_parser("count")
@@ -185,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--triplet", required=True)
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--cap", type=int, default=10_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
     p.add_argument("--only", type=_criteria, default=None, help="comma-separated criterion numbers")

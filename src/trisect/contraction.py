@@ -47,6 +47,9 @@ from typing import NamedTuple
 from .errors import ResourceExceeded
 from .scalars import Cyc
 
+# the largest dense size of any pairwise result or final tensor, unless a caller sets its own
+DEFAULT_CAP = 10_000_000
+
 
 class Tensor(dict):
     """Sparse node data shared by many nodes, with an index on each wire position.
@@ -189,7 +192,7 @@ class Plan(NamedTuple):
     perm: tuple[int, ...]
 
 
-def plan_network(nodes: Sequence[Node], dims: dict[str, int], cap: float = 10_000_000,
+def plan_network(nodes: Sequence[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
                  open_wires: Sequence[str] = ()) -> Plan:
     """The greedy contraction order of ``nodes``, as the ``Plan`` that ``execute_plan`` runs on any data.
 
@@ -287,7 +290,7 @@ def execute_plan(plan: Plan, data: Sequence[dict], last: dict | None = None):
     return {tuple([key[p] for p in perm]): _exact(val) for key, val in out.items()}
 
 
-def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = 10_000_000,
+def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
                      open_wires: Sequence[str] = ()):
     """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import TrisectError
-from .scalars import Cyc
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,6 @@ class Group:
         if len(chars) != n:
             raise TrisectError(f"character search for {self.name} found {len(chars)} != {n}")
         return sorted(chars)
-
-    def character_values(self) -> list[list[Cyc]]:
-        e = self.exponent()
-        return [[Cyc.zeta(e, x) for x in vec] for vec in self.characters()]
 
     def __str__(self) -> str:
         return self.name

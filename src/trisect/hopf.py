@@ -9,7 +9,9 @@ the float backend).  Group algebras use group elements as basis, function
 algebras delta functions, weak crossed products the triples (m, n, k) of a
 transitive K-set M, at the index ``crossed_index`` gives them.  The weak
 triplet reads its C x B^op-set, and the place of C and B in K, from
-``groups.WeakConfig``.
+``groups.WeakConfig``.  ``weak_simple_reps`` is the one builder of
+irreducibles of group data: those of a crossed product, and on a point those
+of C[G], the dual of ``function_algebra(G)``.
 
 The checkers state each identity once, as a pair of small networks over the
 structure tensors.  The open wires of a side are the identity's free indices.
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from .contraction import Node, Tensor, contract_network, execute_plan, plan_network
 from .errors import MissingIrreps, NonSemisimple, TrisectError
-from .groups import GSet, Group, WeakConfig, opposite
+from .groups import GSet, Group, WeakConfig, opposite, point_gset
 from .scalars import Cyc, approx_eq, to_complex
 
 Vec = dict[int, object]          # sparse vector: basis index -> scalar
@@ -301,13 +303,8 @@ def function_algebra(g: Group) -> HopfAlgebra:
     comult = {(g.mul(j, k), j, k): ONE for j in range(n) for k in range(n)}
     counit = {0: ONE}
     antipode = {(i, g.inverse(i)): ONE for i in range(n)}
-    irreps = None
-    if g.is_abelian():
-        vals = g.character_values()
-        irreps = [
-            Rep(f"chi{r}", 1, [{(0, 0): vals[r][i]} for i in range(n)])
-            for r in range(n)
-        ]
+    # the dual C[G] is the crossed product of G acting on a point
+    irreps = weak_simple_reps(point_gset(g)) if g.is_abelian() else None
     return HopfAlgebra(f"C^{g.name}", basis, mult, unit, comult, counit, antipode, False, irreps)
 
 
@@ -583,15 +580,15 @@ def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra,
     basis = tuple(
         f"d{lab[m]}d{lab[n]}(x){k.labels[kk]}" for m in range(msz) for n in range(msz) for kk in range(ksz)
     )
+    # (d_m d_n (x) g)(d_p d_q (x) h) is nonzero only at (p, q) = g^-1 (m, n)
     mult: Tensor3 = {}
     for m in range(msz):
         for n in range(msz):
             for g in range(ksz):
-                for p in range(msz):
-                    for q in range(msz):
-                        if mset.apply(g, p) == m and mset.apply(g, q) == n:
-                            for h in range(ksz):
-                                mult[(ix(m, n, g), ix(p, q, h), ix(m, n, k.mul(g, h)))] = ONE
+                gi = k.inverse(g)
+                p, q = mset.apply(gi, m), mset.apply(gi, n)
+                for h in range(ksz):
+                    mult[(ix(m, n, g), ix(p, q, h), ix(m, n, k.mul(g, h)))] = ONE
     unit = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
     comult = {
         (ix(m, n, g), ix(m, p, g), ix(p, n, g)): ONE
@@ -658,7 +655,10 @@ def weak_simple_reps(mset: GSet) -> list[Rep]:
     """Simple representations of the crossed product, one per (orbit, character).
 
     Each is induced from a character of the stabilizer of the orbit's
-    basepoint pair, so every such stabilizer must be abelian.
+    basepoint pair, so every such stabilizer must be abelian.  On a point the
+    crossed product is C[K], so these are the irreducibles of C[K], one per
+    character of ``Group.characters`` in its order; ``function_algebra``
+    takes them as the irreducibles of its dual.
     """
     k = mset.group
     msz, ksz = mset.size, k.order

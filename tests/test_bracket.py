@@ -92,6 +92,23 @@ def test_cross_check_detects_rescaled_integrals():
     assert "ratio" in rep.details and rep.details["ratio"] == "2"
 
 
+def test_agreement_report_compares_every_value_with_the_first():
+    two = Cyc.rational(2)
+    rep = bracket.CheckReport.agreement("agree", {"x": two, "y": two, "z": 2 + 0j})
+    assert rep.ok and str(rep) == "PASS agree: x=2, y=2, z=2"
+    rep = bracket.CheckReport.agreement("agree", {"x": two, "y": two, "z": Cyc.rational(3)})
+    assert not rep.ok and str(rep) == "FAIL agree: x=2, y=2, z=3"
+    # an invariant is shown by its decimal approximation
+    rep = bracket.CheckReport.agreement("agree", {"x": bracket.InvariantValue(2, 8, 1), "y": bracket.InvariantValue(1, 1, 0)})
+    assert rep.ok and rep.details == {"x": "1", "y": "1"}
+
+
+def test_invariant_against_a_scalar_off_a_multiple_of_three():
+    # genus 1: the cubes are compared exactly, then the branch of the cube root
+    assert bracket.InvariantValue(2, 8, 1) == 1
+    assert bracket.InvariantValue(2 * Cyc.zeta(3), 8, 1) != 1  # the same cube, another branch
+
+
 def test_multiplicativity():
     for t in (hopf.kashaev_triplet(2), hopf.group_triplet(cyclic(2), cyclic(3))):
         cfg = BracketConfig(t)

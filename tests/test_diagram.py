@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -87,6 +88,65 @@ def test_validation_catches_defects():
     # strict curve counts
     rep = validate(TrisectionDiagram(2, "closed", good.curves, good.crossings, 0), strict=True)
     assert any(v.code == "curve-count" for v in rep.violations)
+
+
+def _with_curve(d, cid, **changes):
+    return replace(d, curves=tuple(replace(c, **changes) if c.id == cid else c for c in d.curves))
+
+
+def _with_crossing(d, xid, **changes):
+    return replace(d, crossings=tuple(replace(x, **changes) if x.id == xid else x for x in d.crossings))
+
+
+# one minimal defect of cp2 per violation branch: (defect, code, part of the message)
+CP2_DEFECTS = [
+    pytest.param(lambda d: replace(d, kind="sphere"), "kind", "unknown kind 'sphere'", id="kind"),
+    pytest.param(lambda d: replace(d, genus=0), "genus", "got 0", id="genus"),
+    pytest.param(lambda d: replace(d, curves=d.curves + (Curve("a", "red", ()),)),
+                 "duplicate-id", "duplicate curve id", id="duplicate-curve"),
+    pytest.param(lambda d: replace(d, crossings=d.crossings + d.crossings[:1]),
+                 "duplicate-id", "duplicate crossing id", id="duplicate-crossing"),
+    pytest.param(lambda d: _with_curve(d, "g", color="purple"), "color", "'purple'", id="color"),
+    pytest.param(lambda d: _with_curve(d, "a", visits=("p_ab", "zz")),
+                 "dangling-visit", "unknown crossing 'zz'", id="dangling-visit"),
+    pytest.param(lambda d: _with_curve(d, "a", visits=("p_ca", "p_ab")),
+                 "end-mismatch", "'p_ca' does not list end (a,0)", id="end-mismatch-curve"),
+    pytest.param(lambda d: _with_crossing(d, "p_ab", ends=(("a", 1), ("b", 0))),
+                 "end-mismatch", "curve 'a' visit 1 is not 'p_ab'", id="end-mismatch-crossing"),
+    pytest.param(lambda d: _with_crossing(d, "p_ab", sign=0), "sign", "got 0", id="sign"),
+    pytest.param(lambda d: _with_crossing(d, "p_ab", ends=(("a", 0), ("a", 1))),
+                 "self-crossing", "twice", id="self-crossing"),
+    pytest.param(lambda d: _with_crossing(d, "p_ab", ends=(("a", 5), ("b", 0))),
+                 "dangling-end", "end index 5 out of range", id="dangling-end-range"),
+    pytest.param(lambda d: replace(d, declared_k=2), "k-range", "declared k=2", id="k-range"),
+]
+
+
+@pytest.mark.parametrize("defect, code, message", CP2_DEFECTS)
+def test_each_defect_of_cp2_has_its_code(defect, code, message):
+    rep = validate(defect(cp2()), strict=True)
+    assert any(v.code == code and message in v.message for v in rep.violations), str(rep)
+
+
+# one minimal defect of the embedded cp2 per violation branch of the embedding
+CP2_EMBEDDED_DEFECTS = [
+    pytest.param(lambda e: replace(e, segment_sides={k: v for k, v in e.segment_sides.items() if k != "a"}),
+                 "segments", "curve 'a' needs 2", id="segments"),
+    pytest.param(lambda e: replace(e, segment_sides={**e.segment_sides, "a": (("S", "X"), ("D", "S"))}),
+                 "unknown-region", "segment side names unknown region 'X'", id="unknown-region-side"),
+    pytest.param(lambda e: replace(e, boundary_region="X"),
+                 "unknown-region", "boundary region 'X' not declared", id="unknown-region-boundary"),
+    pytest.param(lambda e: replace(e, base=replace(e.base, kind="disc")),
+                 "boundary", "without a boundary region", id="boundary"),
+    pytest.param(lambda e: replace(e, regions=e.regions + ("X",)), "unused-region", "'X'", id="unused-region"),
+]
+
+
+@pytest.mark.parametrize("defect, code, message", CP2_EMBEDDED_DEFECTS)
+def test_each_defect_of_embedded_cp2_has_its_code(defect, code, message):
+    assert validate_embedded(cp2_embedded(), strict=True).ok
+    rep = validate_embedded(defect(cp2_embedded()), strict=True)
+    assert any(v.code == code and message in v.message for v in rep.violations), str(rep)
 
 
 def test_connected_sum():

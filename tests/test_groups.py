@@ -14,6 +14,8 @@ from trisect.groups import (
     regular_gset,
     symmetric,
 )
+from trisect.hopf import function_algebra
+from trisect.scalars import Cyc
 
 
 @pytest.mark.parametrize("g", [cyclic(1), cyclic(5), symmetric(3), symmetric(4), dihedral(4),
@@ -47,14 +49,26 @@ def test_opposite_group():
 
 
 def test_abelian_characters_orthogonality():
+    # the characters of G are the irreducibles of C[G], the dual of C^G
     for g in (cyclic(4), cyclic(6), product(cyclic(2), cyclic(2)), product(cyclic(2), cyclic(4))):
-        chars = g.character_values()
+        chars = [[rep.mats[i][(0, 0)] for i in range(g.order)] for rep in function_algebra(g).dual_irreps]
         assert len(chars) == g.order
         n = g.order
         for r, row in enumerate(chars):
             for s, row2 in enumerate(chars):
                 total = sum((row[i] * row2[i].inverse() for i in range(n)), row[0] * 0)
                 assert total == (n if r == s else 0)
+
+
+def test_function_algebra_irreps_are_the_characters_in_their_order():
+    # the values zeta_e^x of ``Group.characters``, written out: the oracle
+    for g in (cyclic(2), cyclic(5), cyclic(8), product(cyclic(2), cyclic(2)), product(cyclic(2), cyclic(4)),
+              product(cyclic(3), cyclic(3))):
+        e = g.exponent()
+        want = [[{(0, 0): Cyc.zeta(e, x)} for x in vec] for vec in g.characters()]
+        assert [rep.mats for rep in function_algebra(g).dual_irreps] == want
+    for g in (symmetric(3), dihedral(4), symmetric(4)):
+        assert function_algebra(g).dual_irreps is None
 
 
 def test_nonabelian_characters_rejected():

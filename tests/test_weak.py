@@ -75,6 +75,35 @@ def test_weak_structure_tensors_are_mutual_transposes():
             assert getattr(vec, field) == getattr(want, field), (m.size, field)
 
 
+def _mult_over_all_pairs(mset):
+    """The crossed product's product by a search over every (m, n, g, p, q): the oracle."""
+    k = mset.group
+    msz, ksz = mset.size, k.order
+    ix = hopf.crossed_index(mset)
+    mult = {}
+    for m in range(msz):
+        for n in range(msz):
+            for g in range(ksz):
+                for p in range(msz):
+                    for q in range(msz):
+                        if mset.apply(g, p) == m and mset.apply(g, q) == n:
+                            for h in range(ksz):
+                                mult[(ix(m, n, g), ix(p, q, h), ix(m, n, k.mul(g, h)))] = ONE
+    return mult
+
+
+def test_crossed_product_mult_matches_the_search_over_all_pairs():
+    swap = GSet(cyclic(2), ("x", "y", "z"), ((0, 1, 2), (1, 0, 2)))  # not transitive
+    actions = [m for _, m in _weak_suite()] + [swap]
+    actions += [regular_gset(product(cyclic(2), opposite(cyclic(2)))), regular_gset(cyclic(3)),
+                regular_gset(product(cyclic(3), opposite(cyclic(4))))]
+    for m in actions:
+        cross, _ = hopf.weak_hopf_from_action(m, strict=False)
+        want = _mult_over_all_pairs(m)
+        assert sorted(cross.mult.items()) == sorted(want.items()), m.size
+        assert list(cross.mult) == list(want), m.size  # in the same order, too
+
+
 def test_weak_triplet_integrals_are_the_action_integrals():
     # the formulas the triplet's default integrals were written out with
     for c, b, spec in ((cyclic(2), cyclic(3), None), (cyclic(2), cyclic(2), [3])):
