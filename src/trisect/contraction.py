@@ -9,7 +9,11 @@ with it too).  Inside one component the greedy order repeatedly contracts
 the pair of connected nodes whose result has the smallest dense size
 (product of the remaining wire dimensions, open wires included, and shared
 wires that a third node still carries), with a deterministic tie break on
-node names.  The components' results are then multiplied together as an
+node names.  Each pair that shares a wire is scored once, and the scores are
+kept in a heap between steps: a join lowers a carrier count only on a wire
+that both joined nodes carry, so any other pair on that wire still has a
+third carrier and keeps its score, and only the new node's pairs are scored.
+The components' results are then multiplied together as an
 outer product over the open wires.  The cap bounds the dense size of every
 pairwise result and of the final tensor, not the sparse storage actually
 used.  Only exact zeros are dropped from the sparse storage.
@@ -41,6 +45,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain
 from typing import NamedTuple
 
@@ -236,32 +241,56 @@ def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, i
     for k in live:
         for w in wires[k]:
             carriers[w] = carriers.get(w, 0) + 1
-    while len(live) > 1:
-        best = None
-        for i in range(len(live)):
-            wi, ni = wires[live[i]], names[live[i]]
-            for j in range(i + 1, len(live)):
-                wj = wires[live[j]]
-                if not any(w in wj for w in wi):
-                    continue
-                kept = [w for w in wi if w not in wj or carriers[w] > 2]
-                kept += [w for w in wj if w not in wi]
-                key = (_dense_size(kept, dims), ni, names[live[j]])
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        (cost, _, _), i, j = best
+    # the live operands on each wire, and every pair of them that shares a
+    # wire, scored once: a join changes no other pair's score
+    on: dict[str, list[int]] = {w: [] for w in carriers}
+    heap: list[tuple] = []
+    alive = set(live)
+
+    def add(k: int) -> None:
+        # operands come in order, the nodes by name and then each joined one
+        # as it is made, so k comes after every live operand; a pair ranks by
+        # its score, the name of its earlier operand, that of its later one,
+        # then their numbers, which among equal names follow the same order
+        wk = wires[k]
+        for p in {p: None for w in wk for p in on[w]}:
+            wp = wires[p]
+            size = 1
+            for w in wp:
+                if w not in wk or carriers[w] > 2:
+                    size *= dims[w]
+            for w in wk:
+                if w not in wp:
+                    size *= dims[w]
+            heappush(heap, (size, names[p], names[k], p, k))
+        for w in wk:
+            on[w].append(k)
+
+    for k in live:
+        add(k)
+    out = live[0]
+    for _ in range(len(live) - 1):
+        # a pair whose operand was joined since it was scored is dropped here
+        cost, _, _, a, b = heappop(heap)
+        while a not in alive or b not in alive:
+            cost, _, _, a, b = heappop(heap)
         if cost > cap:
             raise ResourceExceeded(cost, cap)
-        a, b = live[i], live[j]
+        wb = wires[b]
         summed = []
         for w in wires[a]:
-            if w in wires[b]:
+            on[w].remove(a)
+            if w in wb:
                 carriers[w] -= 1
                 if carriers[w] == 1:
                     summed.append(w)
-        live = [k for n, k in enumerate(live) if n not in (i, j)]
-        live.append(_plan_step(a, b, summed, names, wires, steps))
-    return live[0]
+        for w in wb:
+            on[w].remove(b)
+        alive -= {a, b}
+        out = _plan_step(a, b, summed, names, wires, steps)
+        alive.add(out)
+        add(out)
+    return out
 
 
 def execute_plan(plan: Plan, data: Sequence[dict], last: dict | None = None):

@@ -397,13 +397,16 @@ def _point_bracket_config(c: Group, b: Group) -> BracketConfig:
     return BracketConfig(group_triplet(c, b))
 
 
-def coincidence_check(t: TrisectionDiagram, cfg: WeakConfig) -> CheckReport:
+def coincidence_check(t: TrisectionDiagram | EmbeddedDiagram, cfg: WeakConfig) -> CheckReport:
     """Counting invariant == |M| times the bracket invariant of the point triplet.
 
-    The count is computed before the point bracket: in the other order its
-    intermediates coexist with the cached point triplet, and peak memory rises.
+    An embedded diagram is counted over its regions and bracketed as its base
+    diagram.  The count is computed before the point bracket: in the other
+    order its intermediates coexist with the cached point triplet, and peak
+    memory rises.
     """
+    d = t.base if isinstance(t, EmbeddedDiagram) else t
     return CheckReport.agreement("counting vs bracket invariant", {
         "count_invariant": group_count_invariant(t, cfg),
-        "|M| * bracket_invariant": invariant(t, _point_bracket_config(cfg.c_group, cfg.b_group)).scaled(cfg.msize),
+        "|M| * bracket_invariant": invariant(d, _point_bracket_config(cfg.c_group, cfg.b_group)).scaled(cfg.msize),
     })

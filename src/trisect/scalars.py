@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Number
 
 _cyclo_cache: dict[int, list[int]] = {}
 _reduce_cache: dict[int, list[tuple[int, ...]]] = {}
@@ -339,9 +340,17 @@ def to_complex(x) -> complex:
 
 
 def approx_eq(a, b, tol: float = 1e-9) -> bool:
-    """Exact ``==`` unless a side is complex; then equal within ``tol``, relative."""
+    """Exact ``==`` unless a side is complex; then equal within ``tol``, relative.
+
+    A side that is not a scalar, such as a normalized invariant, is compared
+    by its own ``==``.
+    """
     if not (isinstance(a, complex) or isinstance(b, complex)):
         return a == b
+    if not isinstance(a, (Cyc, Number)):
+        return a == b
+    if not isinstance(b, (Cyc, Number)):
+        return b == a
     x, y = to_complex(a), to_complex(b)
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 

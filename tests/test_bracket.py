@@ -103,6 +103,15 @@ def test_agreement_report_compares_every_value_with_the_first():
     assert rep.ok and rep.details == {"x": "1", "y": "1"}
 
 
+def test_agreement_report_compares_an_invariant_with_a_float_scalar():
+    # the invariant is compared by its own ==, on either side
+    one = bracket.InvariantValue(2, 8, 1)
+    assert bracket.CheckReport.agreement("x", {"a": one, "b": 1 + 0j}).ok
+    assert bracket.CheckReport.agreement("x", {"b": 1 + 0j, "a": one}).ok
+    rep = bracket.CheckReport.agreement("x", {"a": one, "b": 1.5 + 0j})
+    assert not rep.ok and str(rep) == "FAIL x: a=1, b=1.5"
+
+
 def test_invariant_against_a_scalar_off_a_multiple_of_three():
     # genus 1: the cubes are compared exactly, then the branch of the cube root
     assert bracket.InvariantValue(2, 8, 1) == 1
@@ -157,6 +166,14 @@ def test_resource_cap():
     with pytest.raises(ResourceExceeded) as exc:
         trisection_bracket(cp2(), cfg)
     assert exc.value.cost > 3
+
+
+def test_cap_boundary_of_the_kashaev_invariant():
+    # under kashaev:n=3 the largest intermediate of the cp2 and the S^4 brackets has 9 entries
+    with pytest.raises(ResourceExceeded, match=r"^needs 9 entries in a contraction intermediate \(cap 8\)$"):
+        invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3), contraction_cap=8))
+    capped = invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3), contraction_cap=9))
+    assert capped == invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3)))
 
 
 def test_float_backend_keeps_small_values():

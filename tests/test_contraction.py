@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect import contraction
-from trisect.contraction import Node, Tensor, contract_network, execute_plan, plan_network
+from trisect import bracket, contraction, hopf, moves
+from trisect.contraction import DEFAULT_CAP, Node, Tensor, contract_network, execute_plan, plan_network
+from trisect.diagram import cp2
 from trisect.errors import ResourceExceeded
+from trisect.groups import symmetric
 from trisect.scalars import Cyc
 
 ONE = Cyc.rational(1)
@@ -276,3 +279,130 @@ def test_tensor_leaves_the_callers_dict_untouched():
     assert all(type(x) is Cyc for k, x in data.items() if k != (3,))
     assert type(t[(0,)]) is int and t[(0,)] == 1
     assert t == data and [type(t[k]) for k in ((1,), (2,), (3,))] == [Cyc, Cyc, complex]
+
+
+# ---------------------------------------------------------------------------
+# the planner against the planner that rescans every pair at every step
+
+
+def _rescanning_plan_component(comp: list[int], names: list, wires: list, dims: dict[str, int], cap, steps: list) -> int:
+    """The greedy order found by rescoring every pair of live operands at every step.
+
+    The reference for ``contraction._plan_component``, which keeps the scores
+    between steps and must find the same order and refuse the same step.
+    """
+    live = sorted(comp, key=names.__getitem__)
+    # how many of the live operands carry each wire; a wire is summed when
+    # the last two that carry it are joined
+    carriers: dict[str, int] = {}
+    for k in live:
+        for w in wires[k]:
+            carriers[w] = carriers.get(w, 0) + 1
+    while len(live) > 1:
+        best = None
+        for i in range(len(live)):
+            wi, ni = wires[live[i]], names[live[i]]
+            for j in range(i + 1, len(live)):
+                wj = wires[live[j]]
+                if not any(w in wj for w in wi):
+                    continue
+                kept = [w for w in wi if w not in wj or carriers[w] > 2]
+                kept += [w for w in wj if w not in wi]
+                key = (contraction._dense_size(kept, dims), ni, names[live[j]])
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        (cost, _, _), i, j = best
+        if cost > cap:
+            raise ResourceExceeded(cost, cap)
+        a, b = live[i], live[j]
+        summed = []
+        for w in wires[a]:
+            if w in wires[b]:
+                carriers[w] -= 1
+                if carriers[w] == 1:
+                    summed.append(w)
+        live = [k for n, k in enumerate(live) if n not in (i, j)]
+        live.append(contraction._plan_step(a, b, summed, names, wires, steps))
+    return live[0]
+
+
+def planned(nodes, dims, cap=DEFAULT_CAP, open_wires=(), rescanning=False):
+    """``plan_network``'s plan, or the cost of the step it refuses; with the rescanning planner if asked."""
+    kept = contraction._plan_component
+    if rescanning:
+        contraction._plan_component = _rescanning_plan_component
+    try:
+        return plan_network(nodes, dims, cap, open_wires)
+    except ResourceExceeded as e:
+        return ("refused", e.cost, str(e))
+    finally:
+        contraction._plan_component = kept
+
+
+def planner_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
+    """Names, wires and dims only, in one to three parts on disjoint wires.
+
+    A wire sits on one node (open) up to four; the dims are often all equal,
+    so that equal scores fall to the names, and a name can repeat.
+    """
+    nodes, dims = [], {}
+    for part in "pqr"[: rng.randint(1, 3)]:
+        count = rng.randint(1, 8)
+        wire_lists: list[list[str]] = [[] for _ in range(count)]
+        sizes = rng.choice(((2,), (2,), (1, 2, 3), (2, 4)))
+        for w in range(rng.randint(1, 10)):
+            name = f"{part}{w}"
+            dims[name] = rng.choice(sizes)
+            for k in rng.sample(range(count), min(count, rng.choice((1, 2, 2, 3, 3, 4)))):
+                wire_lists[k].append(name)
+        for k, wires in enumerate(wire_lists):
+            name = f"{part}n{rng.randrange(count) if rng.random() < 0.2 else k}"
+            nodes.append(Node(name, tuple(wires), {}))
+    rng.shuffle(nodes)
+    ends = [w for n in nodes for w in n.wires]
+    open_wires = [w for w in dims if ends.count(w) == 1]
+    rng.shuffle(open_wires)
+    return nodes, dims, open_wires
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8, 16, 64, DEFAULT_CAP]))
+def test_plans_are_those_of_the_rescanning_planner(seed, cap):
+    nodes, dims, open_wires = planner_network(random.Random(seed))
+    want = planned(nodes, dims, cap, open_wires, rescanning=True)
+    assert planned(nodes, dims, cap, open_wires) == want
+
+
+@pytest.mark.parametrize("triplet", ["kashaev:n=3", "S4xS3"])
+def test_bracket_plans_are_those_of_the_rescanning_planner(monkeypatch, triplet):
+    # every network of seeded random-move walks on cp2 stabilized to genus 7
+    networks = []
+    monkeypatch.setattr(bracket, "contract_network", lambda nodes, dims, cap: networks.append((nodes, dims)) or 1)
+    if triplet == "S4xS3":
+        cfg = bracket.BracketConfig(hopf.group_triplet(symmetric(4), symmetric(3)))
+    else:
+        cfg = bracket.BracketConfig(hopf.kashaev_triplet(3))
+    start = cp2()
+    while start.genus < 7:
+        start = moves.stabilize(start)
+    for seed in range(3):
+        rng, d = random.Random(seed), start
+        for _ in range(4):
+            _, d = moves.random_move(d, rng)
+            bracket.trisection_bracket(d, cfg)
+    assert len(networks) == 12
+    for nodes, dims in networks:
+        plan = planned(nodes, dims)
+        assert isinstance(plan, contraction.Plan) and plan == planned(nodes, dims, rescanning=True)
+
+
+def test_a_dense_ring_over_the_cap_is_refused_before_any_step():
+    # twelve nodes in a ring, each a full 4 x 4 matrix: every join needs 16 entries
+    dims = {f"r{k}": 4 for k in range(12)}
+    full = {(i, j): ONE for i in range(4) for j in range(4)}
+    nodes = [Node(f"n{k}", (f"r{k}", f"r{(k + 1) % 12}"), dict(full)) for k in range(12)]
+    start = time.perf_counter()
+    with pytest.raises(ResourceExceeded, match=r"needs 16 entries in a contraction intermediate \(cap 10\)"):
+        contract_network(nodes, dims, cap=10)
+    assert time.perf_counter() - start < 0.1
+    assert planned(nodes, dims, 10) == planned(nodes, dims, 10, rescanning=True)

@@ -186,6 +186,13 @@ def test_coincidence_check():
     )
 
 
+def test_coincidence_check_on_embedded_diagrams():
+    # counted over the regions, bracketed as the base diagram
+    for e in (cp2_embedded(), standard_s4_embedded()):
+        assert lc.coincidence_check(e, cfg_point(2, 3)).ok
+    assert str(lc.coincidence_check(cp2_embedded(), cfg_point(2, 3))) == str(lc.coincidence_check(cp2(), cfg_point(2, 3)))
+
+
 def test_coincidence_checks_share_the_point_triplet(monkeypatch):
     built = []
 
