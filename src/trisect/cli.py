@@ -264,22 +264,20 @@ def _dispatch(args) -> int:
         _emit(args, {"ok": rep.ok, "details": rep.details}, str(rep))
         return 0 if rep.ok else 1
 
-    if args.cmd == "selftest":
-        results = acceptance.run_all(args.only)
-        ok = all(r.ok for r in results)
-        if args.json:
-            payload = [
-                {"criterion": r.number, "name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in results
-            ]
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            for r in results:
-                print(r.line())
-            print("selftest:", "PASS" if ok else "FAIL")
-        return 0 if ok else 1
-
-    raise TrisectError(f"unhandled command {args.cmd!r}")
+    # selftest, the one command left
+    results = acceptance.run_all(args.only)
+    ok = all(r.ok for r in results)
+    if args.json:
+        payload = [
+            {"criterion": r.number, "name": r.name, "ok": r.ok, "detail": r.detail}
+            for r in results
+        ]
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for r in results:
+            print(r.line())
+        print("selftest:", "PASS" if ok else "FAIL")
+    return 0 if ok else 1
 
 
 def _dispatch_eval(args) -> int:
@@ -319,7 +317,7 @@ def _dispatch_eval(args) -> int:
         "value": _scalar_json(inv.approx()),
     }
     text = f"invariant = {render(inv.approx())} (= {render(inv.coeff)} x <S4>^(-g/3), g={inv.genus})"
-    if getattr(args, "all_roots", False):
+    if args.all_roots:
         payload["all_roots"] = [[z.real, z.imag] for z in inv.all_roots()]
         text += "\n  roots: " + ", ".join(render(z) for z in inv.all_roots())
     _emit(args, payload, text)

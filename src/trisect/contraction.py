@@ -19,13 +19,11 @@ pairwise result and of the final tensor, not the sparse storage actually
 used.  Only exact zeros are dropped from the sparse storage.
 
 The order depends on the nodes' names, wires and dims alone, so it is found
-once, as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its pairwise
-steps on the nodes' data; ``contract_network`` is the two in turn.  A plan
-runs as well on any other data for the same nodes, such as the slices of one
-node that the identity checkers compare one at a time.  Given the previous
-run's step results, the executor reuses every step whose two operands are
-the same objects as in that run, so the steps that do not reach a changed
-node are computed once.
+as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its pairwise steps
+on the nodes' data and returns the final operand as they leave it;
+``contract_network`` is the two in turn, then puts the result's keys in the
+order of the open wires.  The identity checkers compare two such raw results
+directly, reading the keys of one in the other through the plans' ``perm``.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -35,9 +33,9 @@ each product, stay those of the scan.
 
 A ``Tensor`` stores each entry that is a level-1 integer ``Cyc`` as a plain
 ``int``, whose products and sums cost a fraction of a ``Cyc``'s; a ``Cyc``
-or ``complex`` operand takes an ``int`` through its own arithmetic.  Every
-``int`` a contraction ends with is coerced back to ``Cyc``, so every result
-is a ``Cyc`` (or a ``complex`` on the float backend).
+or ``complex`` operand takes an ``int`` through its own arithmetic.
+``contract_network`` coerces every ``int`` it ends with back to ``Cyc``, so
+each of its results is a ``Cyc`` (or a ``complex`` on the float backend).
 """
 
 from __future__ import annotations
@@ -293,30 +291,20 @@ def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, i
     return out
 
 
-def execute_plan(plan: Plan, data: Sequence[dict], last: dict | None = None):
-    """Run ``plan`` on the nodes' ``data``: a scalar, or a dict keyed in the order of the open wires.
+def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
+    """Run ``plan`` on the nodes' ``data``; return the final operand as the steps leave it.
 
-    ``last`` maps each step to its operands and result from the previous run
-    of the same plan, and is updated in place; a step whose two operands are
-    the same objects as then returns that result again without recomputing it.
+    Its keys hold the wires in the plan's own order, ``plan.perm`` giving the
+    place of each open wire, and the entries of a ``Tensor`` may still be
+    ``int``.  A network without nodes gives ``{(): 1}``.
     """
     ops = list(data)
-    for s, (a, b, *pos) in enumerate(plan.steps):
-        seen = None if last is None else last.get(s)
-        if seen is not None and seen[0] is ops[a] and seen[1] is ops[b]:
-            out = seen[2]
-        else:
-            out = _contract_pair(ops[a], ops[b], *pos)
-            if last is not None:
-                last[s] = (ops[a], ops[b], out)
+    for a, b, *pos in plan.steps:
+        out = _contract_pair(ops[a], ops[b], *pos)
         # each operand feeds one step only: drop it, so no intermediate outlives its use
         ops[a] = ops[b] = None
         ops.append(out)
-    out = {(): 1} if plan.result is None else ops[plan.result]
-    perm = plan.perm
-    if not perm:
-        return _exact(out.get((), 0))
-    return {tuple([key[p] for p in perm]): _exact(val) for key, val in out.items()}
+    return {(): 1} if plan.result is None else ops[plan.result]
 
 
 def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
@@ -326,7 +314,12 @@ def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAU
     The tensor is a sparse dict keyed by index tuples in the order of
     ``open_wires``.  It is ``plan_network`` followed by ``execute_plan``.
     """
-    return execute_plan(plan_network(nodes, dims, cap, open_wires), [n.data for n in nodes])
+    plan = plan_network(nodes, dims, cap, open_wires)
+    out = execute_plan(plan, [n.data for n in nodes])
+    perm = plan.perm
+    if not perm:
+        return _exact(out.get((), 0))
+    return {tuple([key[p] for p in perm]): _exact(val) for key, val in out.items()}
 
 
 def _exact(val):

@@ -435,7 +435,8 @@ def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram
     def need(key: str, typ) -> object:
         if key not in data:
             raise DiagramParseError(f"missing key {key!r}")
-        if not isinstance(data[key], typ):
+        # a JSON true or false is a bool, which Python counts as an int
+        if not isinstance(data[key], typ) or isinstance(data[key], bool):
             raise DiagramParseError(f"key {key!r} has wrong type", where=key)
         return data[key]
 
@@ -451,11 +452,14 @@ def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram
     for i, x in enumerate(need("crossings", list)):
         try:
             (c1, i1), (c2, i2) = x["ends"]
-            crossings.append(Crossing(str(x["id"]), int(x["sign"]), ((str(c1), int(i1)), (str(c2), int(i2)))))
+            crossing = Crossing(str(x["id"]), x["sign"], ((str(c1), i1), (str(c2), i2)))
         except (KeyError, TypeError, ValueError) as exc:
             raise DiagramParseError(f"bad crossing entry: {exc}", where=f"crossings[{i}]") from exc
+        if not all(type(v) is int for v in (crossing.sign, i1, i2)):
+            raise DiagramParseError("a crossing's sign and end indices must be integers", where=f"crossings[{i}]")
+        crossings.append(crossing)
     k = data.get("k")
-    if k is not None and not isinstance(k, int):
+    if k is not None and type(k) is not int:
         raise DiagramParseError("key 'k' must be an integer", where="k")
     base = TrisectionDiagram(genus, kind, tuple(curves), tuple(crossings), k)
     if "regions" not in data and "segment_sides" not in data:

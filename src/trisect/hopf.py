@@ -15,11 +15,11 @@ of C[G], the dual of ``function_algebra(G)``.
 
 The checkers state each identity once, as a pair of small networks over the
 structure tensors.  The open wires of a side are the identity's free indices.
-The two sides are compared exactly, one basis element of the first open wire
-at a time: each side is planned once (``contraction.plan_network``) and the
-plan is run on every slice (``contraction.execute_plan``), reusing the steps
-that do not meet the cut node.  The residual reported for an identity is the
-largest |lhs - rhs| over all indices.
+Each side is contracted once, as a whole (``contraction.plan_network`` and
+``contraction.execute_plan``), and the two raw results are compared exactly,
+key by key, each key read in the other side through the two plans' ``perm``.
+The residual reported for an identity is the largest |lhs - rhs| over all
+indices.  Memory grows with the nonzero entries of an identity's sides.
 The generalized double is built the same way: each of its five structure maps
 is one network over the tensors of its two factors and the pairing.
 """
@@ -106,11 +106,7 @@ class HopfAlgebra:
 
     def antipode_involutive(self) -> bool:
         """S^2 = id, exactly; within ``approx_eq``'s tolerance on the float backend."""
-        out, *sides = _INVOLUTIVE
-        tensors = _tensors(self)
-        lhs, rhs = (_tensor(*_network(tensors, spec), out.split()) for spec in sides)
-        zero = ONE * 0
-        return all(approx_eq(lhs.get(k, zero), rhs.get(k, zero)) for k in lhs.keys() | rhs.keys())
+        return all(approx_eq(x, y) for x, y in _pairs(_tensors(self), *_INVOLUTIVE))
 
     def __str__(self) -> str:
         return f"{self.name} (dim {self.dim}{', weak' if self.weak else ''})"
@@ -161,59 +157,37 @@ def _network(tensors: Tensors, spec: str) -> tuple[list[Node], dict[str, int]]:
     return nodes, dims
 
 
-def _slices(nodes: list[Node], wire: str | None) -> dict[int, list[dict]]:
-    """The data of the network's nodes once per basis element on ``wire``, or once whole for ``None``.
+def _pairs(tensors: Tensors, out: str, lhs: str, rhs: str):
+    """(lhs, rhs) at every index of the open wires ``out`` where either side is nonzero.
 
-    The node carrying ``wire`` keeps only its entries at that basis element,
-    under their whole keys; every other node keeps its own data object, so
-    one plan runs on every slice and reuses the steps that do not meet the cut.
-    """
-    data = [n.data for n in nodes]
-    if wire is None:
-        return {0: data}
-    k = next(k for k, n in enumerate(nodes) if wire in n.wires)
-    pos = nodes[k].wires.index(wire)
-    parts: dict[int, dict] = {}
-    for key, val in data[k].items():
-        parts.setdefault(key[pos], {})[key] = val
-    return {i: data[:k] + [part] + data[k + 1:] for i, part in parts.items()}
-
-
-def _tensor(nodes: list[Node], dims: dict[str, int], wires: list[str]) -> dict:
-    """The network contracted over ``wires``.
-
-    The checks are polynomial in the dimension, so no cap applies to them.
-    """
-    t = contract_network(nodes, dims, cap=math.inf, open_wires=wires)
-    return t if wires else {(): t}
-
-
-def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
-    """max |lhs - rhs| over every index of the open wires ``out``, compared exactly.
-
-    Each side is planned once, on the whole network with every wire of
-    ``out`` open, and that plan is run once per basis element of the first
-    open wire (``_slices``), so neither side is ever built as a whole tensor
-    over all open wires.  A step that does not meet the cut node gets the
-    same operands in every slice; it is computed in the first and reused.
+    Each side is contracted once, as a whole, and kept as ``execute_plan``
+    leaves it: keyed in its own plan's wire order, with a ``Tensor``'s integer
+    entries still ``int``.  A key of one side is read in the other through
+    the two plans' ``perm``.  The checks are polynomial in the dimension, so
+    no cap applies to them.
     """
     wires = out.split()
-    zero = ONE * 0
-    runs = []
+    sides = []
     for spec in (lhs, rhs):
         nodes, dims = _network(tensors, spec)
         plan = plan_network(nodes, dims, cap=math.inf, open_wires=wires)
-        runs.append((plan, _slices(nodes, wires[0] if wires else None), {}))
-    worst = 0.0
-    for i in runs[0][1].keys() | runs[1][1].keys():
-        a, b = ({} if i not in parts else execute_plan(plan, parts[i], last) for plan, parts, last in runs)
-        if not wires:
-            a, b = {(): a}, {(): b}
-        for key in a.keys() | b.keys():
-            x, y = a.get(key, zero), b.get(key, zero)
-            if x != y:
-                worst = max(worst, abs(to_complex(x - y)))
-    return worst
+        sides.append((execute_plan(plan, [n.data for n in nodes]), plan.perm))
+    (a, perm_a), (b, perm_b) = sides
+    # position q of a key of b holds the wire at position from_a[q] of a key
+    # of a, and position p of a key of a that at from_b[p] of a key of b
+    from_a, from_b = [0] * len(wires), [0] * len(wires)
+    for p, q in zip(perm_a, perm_b):
+        from_a[q], from_b[p] = p, q
+    for key, x in a.items():
+        yield x, b.get(tuple([key[p] for p in from_a]), 0)
+    for key, y in b.items():
+        if tuple([key[q] for q in from_b]) not in a:
+            yield 0, y
+
+
+def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
+    """max |lhs - rhs| over every index of the open wires ``out``, compared exactly."""
+    return max((abs(to_complex(x - y)) for x, y in _pairs(tensors, out, lhs, rhs) if x != y), default=0.0)
 
 
 def _residuals(tensors: Tensors, identities) -> dict[str, float]:
@@ -421,7 +395,7 @@ def generalized_double(a: HopfAlgebra, b: HopfAlgebra, tau: Mat, name: str | Non
     tensors = {**_tensors(a, "A"), **_tensors(b, "B"), "T": (tau, (a.dim, nb))}
     maps = {}
     for key, (out, spec) in _DOUBLE.items():
-        t = _tensor(*_network(tensors, spec), out.split())
+        t = contract_network(*_network(tensors, spec), cap=math.inf, open_wires=out.split())
         maps[key] = {tuple(k[n] * nb + k[n + 1] for n in range(0, len(k), 2)): c for k, c in t.items()}
     unit = {x: c for (x,), c in maps["unit"].items()}
     counit = {x: c for (x,), c in maps["counit"].items()}
@@ -775,10 +749,9 @@ def _entries(data: dict, key: str, shape: tuple[int, ...]) -> dict:
 
 def algebra_from_json(data: dict, name: str = "H") -> HopfAlgebra:
     """An algebra from dense structure constants, on the axes of the stored tensors."""
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrisectError(f"bad structure-constant file for {name}: no valid dim") from exc
+    dim = data.get("dim") if isinstance(data, dict) else None
+    if type(dim) is not int:
+        raise TrisectError(f"bad structure-constant file for {name}: no valid dim")
     basis = data.get("basis", [f"e{i}" for i in range(dim)])
     if dim < 1 or not isinstance(basis, list) or len(basis) != dim:
         raise TrisectError(f"bad structure-constant file for {name}: dim {dim} needs a basis of {dim} names")

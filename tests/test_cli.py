@@ -340,6 +340,28 @@ def test_malformed_files_are_domain_errors(capsys, tmp_path):
     assert code == 1 and "error: bad structure-constant file: tau_BC" in err
 
 
+@pytest.mark.parametrize("cmd, change", [
+    ("validate", lambda d: d.update(genus=True)),
+    ("validate", lambda d: d["crossings"][0].update(sign=True)),
+    ("axioms", lambda d: d.update(dim=2.9)),
+])
+def test_non_integer_fields_are_domain_errors(capsys, tmp_path, cmd, change):
+    # "genus": true passed strict validation, "sign": true read as +1 and "dim": 2.9 as 2
+    from trisect import hopf
+
+    if cmd == "validate":
+        _, out, _ = run(capsys, "catalog", "cp2")
+        data = json.loads(out)
+    else:
+        data = _triplet_data(hopf.kashaev_triplet(2))["B"]
+    change(data)
+    f = tmp_path / "data.json"
+    f.write_text(json.dumps(data))
+    argv = ("validate", "--strict", str(f)) if cmd == "validate" else ("axioms", "--algebra", f"file:{f}")
+    code, _, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("error: ")
+
+
 def test_unreadable_files_are_domain_errors(capsys, tmp_path):
     # a missing file, truncated JSON or bytes that are not UTF-8 end in "error: ...", not a traceback
     missing = tmp_path / "missing.json"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect import bracket, contraction, hopf, moves
-from trisect.contraction import DEFAULT_CAP, Node, Tensor, contract_network, execute_plan, plan_network
+from trisect.contraction import DEFAULT_CAP, Node, Tensor, contract_network, plan_network
 from trisect.diagram import cp2
 from trisect.errors import ResourceExceeded
 from trisect.groups import symmetric
@@ -64,7 +64,9 @@ def test_open_wire_contraction_matches_brute_force(seed):
     # two networks on disjoint wires: at least two connected components
     nodes_p, dims_p = random_network(rng, "p")
     nodes_q, dims_q = random_network(rng, "q")
-    nodes, dims = nodes_p + nodes_q, {**dims_p, **dims_q}
+    # about half the nodes as a Tensor: indexed lookups and int entries, coerced back to Cyc
+    nodes = [Node(n.name, n.wires, Tensor(n.data)) if rng.random() < 0.5 else n for n in nodes_p + nodes_q]
+    dims = {**dims_p, **dims_q}
     ends = [w for n in nodes for w in n.wires]
     open_wires = [w for w in sorted(dims) if ends.count(w) == 1]
     rng.shuffle(open_wires)
@@ -74,52 +76,7 @@ def test_open_wire_contraction_matches_brute_force(seed):
         assert got == want
     else:
         assert got == want.get((), ZERO)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_one_plan_replayed_on_every_slice_matches_a_fresh_contraction(seed):
-    rng = random.Random(seed)
-    nodes_p, dims_p = random_network(rng, "p")
-    nodes_q, dims_q = random_network(rng, "q")
-    nodes = [Node(n.name, n.wires, Tensor(n.data)) if rng.random() < 0.5 else n for n in nodes_p + nodes_q]
-    dims = {**dims_p, **dims_q}
-    ends = [w for n in nodes for w in n.wires]
-    open_wires = [w for w in sorted(dims) if ends.count(w) == 1]
-    rng.shuffle(open_wires)
-    # cut one node on any of its wires, open or summed, as the identity checks do on an open one
-    k = rng.choice([k for k, n in enumerate(nodes) if n.wires])
-    pos = rng.randrange(len(nodes[k].wires))
-    plan = plan_network(nodes, dims, open_wires=open_wires)
-    last: dict = {}
-    values = sorted({key[pos] for key in nodes[k].data})
-    rng.shuffle(values)
-    # a slice run again after others must not pick up their results
-    for v in values + values[:1]:
-        part = {key: x for key, x in nodes[k].data.items() if key[pos] == v}
-        sliced = nodes[:k] + [Node(nodes[k].name, nodes[k].wires, part)] + nodes[k + 1:]
-        got = execute_plan(plan, [n.data for n in sliced], last)
-        assert got == contract_network(sliced, dims, open_wires=open_wires)
-    assert execute_plan(plan, [n.data for n in nodes], last) == contract_network(nodes, dims, open_wires=open_wires)
-
-
-def test_replay_reuses_the_steps_whose_operands_are_unchanged(monkeypatch):
-    # a chain a - b - c - d: the greedy joins d, c and b first, then a, the cut node
-    dims = {"i": 3, "x": 2, "y": 2, "z": 2}
-    a = {(i, x): Cyc.rational(i + x + 1) for i in range(3) for x in range(2)}
-    nodes = [Node("a", ("i", "x"), a), Node("b", ("x", "y"), {(0, 1): ONE, (1, 0): ONE}),
-             Node("c", ("y", "z"), {(0, 0): ONE, (1, 1): Cyc.rational(2)}), Node("d", ("z",), {(1,): ONE})]
-    plan = plan_network(nodes, dims, open_wires=("i",))
-    assert [step[:2] for step in plan.steps] == [(2, 3), (1, 4), (0, 5)]
-    calls = []
-    pair = contraction._contract_pair
-    monkeypatch.setattr(contraction, "_contract_pair", lambda *args: calls.append(1) or pair(*args))
-    last: dict = {}
-    for i in range(3):
-        part = {key: v for key, v in a.items() if key[0] == i}
-        got = execute_plan(plan, [part] + [n.data for n in nodes[1:]], last)
-        assert got == {(i,): Cyc.rational(2 * (i + 1))}
-    assert len(calls) == 3 + 1 + 1
+    assert all(type(v) is Cyc for v in (got.values() if open_wires else [got]))
 
 
 def test_open_wires_follow_the_requested_order():

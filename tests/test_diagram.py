@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 
 import pytest
@@ -173,6 +174,12 @@ def test_serialize_parse_roundtrip():
         assert serialize(back) == text
 
 
+def _cp2_text(change) -> str:
+    data = json.loads(serialize(cp2()))
+    change(data)
+    return json.dumps(data)
+
+
 def test_parse_errors():
     with pytest.raises(DiagramParseError):
         parse("{ not json")
@@ -182,6 +189,18 @@ def test_parse_errors():
         parse('{"genus": 1, "kind": "closed", "curves": [], "crossings": [], "zzz": 1}', strict=True)
     with pytest.raises(DiagramParseError):
         parse('{"genus": 1, "kind": "closed", "curves": [{"id": "a"}], "crossings": []}')
+    # JSON integers only: true is not 1, 1.0 and "0" are not integers
+    for change in (
+        lambda d: d.update(genus=True),
+        lambda d: d.update(genus=1.0),
+        lambda d: d.update(k=True),
+        lambda d: d["crossings"][0].update(sign=True),
+        lambda d: d["crossings"][0].update(sign=1.0),
+        lambda d: d["crossings"][0]["ends"][0].__setitem__(1, "0"),
+        lambda d: d["crossings"][0]["ends"][1].__setitem__(1, False),
+    ):
+        with pytest.raises(DiagramParseError):
+            parse(_cp2_text(change), strict=True)
 
 
 def _search_region_assignment(d, max_regions):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trisect import hopf
-from trisect.contraction import Node, contract_network
+from trisect.contraction import Node, Tensor, contract_network, plan_network
 from trisect.errors import NonSemisimple, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc, to_complex
@@ -225,6 +225,22 @@ def test_replayed_residuals_equal_the_per_slice_loop(monkeypatch):
     want = list(_replay_reports())
     assert got == want
     assert sum(v > 0 for rep in got for v in rep.values()) > 40
+
+
+def test_residual_reads_each_side_in_its_own_plan_order():
+    # one network in two term orders, the second over a copy N of M: the two
+    # plans key their results in different wire orders
+    h = hopf.group_algebra(cyclic(3))
+    tensors = {name: (Tensor(data), shape) for name, (data, shape) in hopf._tensors(h).items()}
+    tensors["N"] = (Tensor(h.mult), (3, 3, 3))
+    out, lhs, rhs = "i j k o", "M i j t, M t k o", "N t k o, N i j t"
+    perms = [plan_network(*hopf._network(tensors, spec), open_wires=out.split()).perm for spec in (lhs, rhs)]
+    assert perms[0] != perms[1]
+    assert hopf._residual(tensors, out, lhs, rhs) == 0.0
+    raised = dict(h.mult)
+    raised[(1, 2, 0)] += 2
+    tensors["N"] = (Tensor(raised), (3, 3, 3))
+    assert hopf._residual(tensors, out, lhs, rhs) == 2.0
 
 
 def test_dual_of_group_algebra_is_function_algebra():
@@ -496,6 +512,8 @@ def test_algebra_json_roundtrip():
     lambda d: d.update(dim="two"),
     lambda d: d["mult"][0][0].__setitem__(0, "1/0"),        # not a scalar
     lambda d: d["counit"].__setitem__(1, ["1", 0]),
+    lambda d: d.update(dim=2.9),                            # JSON integers only: 2.9 is not 2
+    lambda d: d.update(dim=True),
 ])
 def test_malformed_structure_constant_file_is_rejected(change):
     data = _z2_file()
