@@ -6,24 +6,33 @@ of an einsum; a wire on exactly one node is open and must be listed in
 ``open_wires``.  The network factorizes over the connected components that
 ``connected`` finds, the one component search (``diagram`` groups its curves
 with it too).  Inside one component the greedy order repeatedly contracts
-the pair of connected nodes whose result has the smallest dense size
-(product of the remaining wire dimensions, open wires included, and shared
-wires that a third node still carries), with a deterministic tie break on
-node names.  Each pair that shares a wire is scored once, and the scores are
-kept in a heap between steps: a join lowers a carrier count only on a wire
-that both joined nodes carry, so any other pair on that wire still has a
-third carrier and keeps its score, and only the new node's pairs are scored.
-The components' results are then multiplied together as an
-outer product over the open wires.  The cap bounds the dense size of every
-pairwise result and of the final tensor, not the sparse storage actually
-used.  Only exact zeros are dropped from the sparse storage.
+the pair of connected nodes with the lowest score, the greedy cost of
+opt_einsum (Smith and Gray, JOSS 2018): the estimated entries of the result
+less those of the two operands.  A node is estimated at its own entry count;
+a pair at the product of its operands' estimates over the dense size of the
+wires they share, at least 1 and at most the result's dense size (the
+product of the remaining wire dimensions, open wires included, and shared
+wires that a third node still carries).  Ties fall to the dense size, then
+to the node names.  A pair whose dense size is over the cap ranks after
+every other, so ``ResourceExceeded`` is raised only when every pair left is
+over the cap, with the dense size of the cheapest.  Each pair that shares a
+wire is scored once, and the scores are kept in a heap between steps: an
+operand's estimate never changes once it is made, and a join lowers a
+carrier count only on a wire that both joined nodes carry, so any other pair
+on that wire still has a third carrier and keeps its score, and only the new
+node's pairs are scored.  The components' results are then multiplied
+together as an outer product over the open wires.  The cap bounds the dense
+size of every pairwise result and of the final tensor, not the sparse
+storage actually used.  Only exact zeros are dropped from the sparse
+storage.
 
-The order depends on the nodes' names, wires and dims alone, so it is found
-as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its pairwise steps
-on the nodes' data and returns the final operand as they leave it;
-``contract_network`` is the two in turn, then puts the result's keys in the
-order of the open wires.  The identity checkers compare two such raw results
-directly, reading the keys of one in the other through the plans' ``perm``.
+The order depends on the nodes' names, wires, dims and entry counts, so it
+is found as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its
+pairwise steps on the nodes' data and returns the final operand as they
+leave it; ``contract_network`` is the two in turn, then puts the result's
+keys in the order of the open wires.  The identity checkers compare two such
+raw results directly, reading the keys of one in the other through the
+plans' ``perm``.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -180,7 +189,10 @@ def connected(wire_lists: Sequence[Sequence[str]]) -> list[list[int]]:
 
 
 class Plan(NamedTuple):
-    """The pairwise steps that contract a network, fixed by its names, wires and dims alone.
+    """The pairwise steps that contract a network, fixed by its names, wires, dims and entry counts.
+
+    It runs on any data whose entry counts are those it was planned for;
+    other data gives the same value, by a step order that may cost more.
 
     Operand ``k`` of a step is the data of node ``k`` when the network has
     more than ``k`` nodes, else the result of step ``k - len(nodes)``.  A step
@@ -197,29 +209,35 @@ class Plan(NamedTuple):
 
 def plan_network(nodes: Sequence[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
                  open_wires: Sequence[str] = ()) -> Plan:
-    """The greedy contraction order of ``nodes``, as the ``Plan`` that ``execute_plan`` runs on any data.
+    """The greedy contraction order of ``nodes``, as the ``Plan`` that ``execute_plan`` runs on their data.
 
-    Raises ``ResourceExceeded`` when the open wires or a planned step exceed
-    ``cap`` in dense size.
+    Raises ``ResourceExceeded`` when the open wires exceed ``cap`` in dense
+    size, or when every pair left to join in a component does.
     """
     size = _dense_size(open_wires, dims)
     if size > cap:
         raise ResourceExceeded(size, cap)
     names = [n.name for n in nodes]
     wires = [n.wires for n in nodes]
+    est = [len(n.data) for n in nodes]
     steps: list[tuple] = []
     out = None
     for comp in connected(wires):
-        part = _plan_component(comp, names, wires, dims, cap, steps)
-        out = part if out is None else _plan_step(out, part, (), names, wires, steps)
+        part = _plan_component(comp, names, wires, est, dims, cap, steps)
+        if out is not None:
+            part = _plan_step(out, part, (), est[out] * est[part], names, wires, est, steps)
+        out = part
     out_wires = () if out is None else wires[out]
     if sorted(out_wires) != sorted(open_wires):
         raise AssertionError(f"open wires {out_wires}, expected {tuple(open_wires)}")
     return Plan(tuple(steps), out, tuple(out_wires.index(w) for w in open_wires))
 
 
-def _plan_step(i: int, j: int, summed, names: list, wires: list, steps: list) -> int:
-    """Append the step that joins operands ``i`` and ``j`` and sums ``summed``; return the new operand."""
+def _plan_step(i: int, j: int, summed, size: int, names: list, wires: list, est: list, steps: list) -> int:
+    """Append the step that joins operands ``i`` and ``j`` and sums ``summed``; return the new operand.
+
+    ``size`` is the new operand's estimated entry count.
+    """
     wa, wb = wires[i], wires[j]
     shared = [w for w in wa if w in wb]
     keep_a = [w for w in wa if w not in summed]
@@ -228,10 +246,12 @@ def _plan_step(i: int, j: int, summed, names: list, wires: list, steps: list) ->
                   [wb.index(w) for w in shared], [wb.index(w) for w in keep_b]))
     wires.append(tuple(keep_a + keep_b))
     names.append(f"({names[i]}*{names[j]})")
+    est.append(size)
     return len(wires) - 1
 
 
-def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, int], cap, steps: list) -> int:
+def _plan_component(comp: list[int], names: list, wires: list, est: list, dims: dict[str, int], cap,
+                    steps: list) -> int:
     live = sorted(comp, key=names.__getitem__)
     # how many of the live operands carry each wire; a wire is summed when
     # the last two that carry it are joined
@@ -247,20 +267,30 @@ def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, i
 
     def add(k: int) -> None:
         # operands come in order, the nodes by name and then each joined one
-        # as it is made, so k comes after every live operand; a pair ranks by
-        # its score, the name of its earlier operand, that of its later one,
-        # then their numbers, which among equal names follow the same order
-        wk = wires[k]
+        # as it is made, so k comes after every live operand; a pair ranks
+        # first by whether its dense size is over the cap, then by its
+        # estimated entries less those of its operands, its dense size, the
+        # name of its earlier operand, that of its later one, then their
+        # numbers, which among equal names follow the same order
+        wk, ek = wires[k], est[k]
+        full = _dense_size(wk, dims)
         for p in {p: None for w in wk for p in on[w]}:
-            wp = wires[p]
-            size = 1
-            for w in wp:
-                if w not in wk or carriers[w] > 2:
-                    size *= dims[w]
-            for w in wk:
-                if w not in wp:
-                    size *= dims[w]
-            heappush(heap, (size, names[p], names[k], p, k))
+            # one pass over p's wires: the dims p keeps, and those it shares with k
+            kept = shared = 1
+            for w in wires[p]:
+                if w in wk:
+                    shared *= dims[w]
+                    if carriers[w] > 2:
+                        kept *= dims[w]
+                else:
+                    kept *= dims[w]
+            dense = kept * full // shared
+            ep = est[p]
+            # at least 1 and at most dense, which is at least 1
+            size = ep * ek // shared or 1
+            if size > dense:
+                size = dense
+            heappush(heap, (dense > cap, size - ep - ek, dense, names[p], names[k], p, k, size))
         for w in wk:
             on[w].append(k)
 
@@ -268,12 +298,13 @@ def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, i
         add(k)
     out = live[0]
     for _ in range(len(live) - 1):
-        # a pair whose operand was joined since it was scored is dropped here
-        cost, _, _, a, b = heappop(heap)
+        # a pair whose operand was joined since it was scored is dropped here;
+        # a pair over the cap comes out only when every pair left is
+        over, _, dense, _, _, a, b, size = heappop(heap)
         while a not in alive or b not in alive:
-            cost, _, _, a, b = heappop(heap)
-        if cost > cap:
-            raise ResourceExceeded(cost, cap)
+            over, _, dense, _, _, a, b, size = heappop(heap)
+        if over:
+            raise ResourceExceeded(dense, cap)
         wb = wires[b]
         summed = []
         for w in wires[a]:
@@ -285,7 +316,7 @@ def _plan_component(comp: list[int], names: list, wires: list, dims: dict[str, i
         for w in wb:
             on[w].remove(b)
         alive -= {a, b}
-        out = _plan_step(a, b, summed, names, wires, steps)
+        out = _plan_step(a, b, summed, size, names, wires, est, steps)
         alive.add(out)
         add(out)
     return out

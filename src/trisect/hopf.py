@@ -755,13 +755,16 @@ def algebra_from_json(data: dict, name: str = "H") -> HopfAlgebra:
     basis = data.get("basis", [f"e{i}" for i in range(dim)])
     if dim < 1 or not isinstance(basis, list) or len(basis) != dim:
         raise TrisectError(f"bad structure-constant file for {name}: dim {dim} needs a basis of {dim} names")
+    weak = data.get("weak", False)
+    if type(weak) is not bool:
+        raise TrisectError(f"bad structure-constant file for {name}: weak must be true or false")
     vec, mat, cube = (dim,), (dim, dim), (dim, dim, dim)
     return HopfAlgebra(
         name, tuple(basis), _entries(data, "mult", cube),
         {i: c for (i,), c in _entries(data, "unit", vec).items()},
         _entries(data, "comult", cube),
         {i: c for (i,), c in _entries(data, "counit", vec).items()},
-        _entries(data, "antipode", mat), bool(data.get("weak", False)),
+        _entries(data, "antipode", mat), weak,
     )
 
 

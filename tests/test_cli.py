@@ -362,6 +362,20 @@ def test_non_integer_fields_are_domain_errors(capsys, tmp_path, cmd, change):
     assert code == 1 and err.startswith("error: ")
 
 
+def test_weak_flag_takes_json_booleans_only(capsys, tmp_path):
+    # "weak": "false" used to make the algebra weak
+    from trisect import hopf
+
+    f = tmp_path / "algebra.json"
+    data = _triplet_data(hopf.kashaev_triplet(2))["B"]
+    f.write_text(json.dumps({**data, "weak": "false"}))
+    code, _, err = run(capsys, "axioms", "--algebra", f"file:{f}")
+    assert code == 1 and err.startswith("error: bad structure-constant file") and "weak" in err
+    f.write_text(json.dumps({**data, "weak": False}))
+    code, out, _ = run(capsys, "axioms", "--algebra", f"file:{f}")
+    assert code == 0 and out.startswith("H (dim 2)")
+
+
 def test_unreadable_files_are_domain_errors(capsys, tmp_path):
     # a missing file, truncated JSON or bytes that are not UTF-8 end in "error: ...", not a traceback
     missing = tmp_path / "missing.json"

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -242,11 +243,15 @@ def test_tensor_leaves_the_callers_dict_untouched():
 # the planner against the planner that rescans every pair at every step
 
 
-def _rescanning_plan_component(comp: list[int], names: list, wires: list, dims: dict[str, int], cap, steps: list) -> int:
+def _rescanning_plan_component(comp: list[int], names: list, wires: list, est: list, dims: dict[str, int], cap,
+                               steps: list, sparse: bool = True) -> int:
     """The greedy order found by rescoring every pair of live operands at every step.
 
-    The reference for ``contraction._plan_component``, which keeps the scores
-    between steps and must find the same order and refuse the same step.
+    With ``sparse`` it ranks pairs as ``contraction._plan_component`` does,
+    which keeps the scores between steps and must find the same order and
+    refuse the same step: over the cap last, then by estimated entries less
+    those of the operands.  Without, it ranks them by dense size alone: an
+    order whose values the planner's must equal.
     """
     live = sorted(comp, key=names.__getitem__)
     # how many of the live operands carry each wire; a wire is summed when
@@ -258,19 +263,23 @@ def _rescanning_plan_component(comp: list[int], names: list, wires: list, dims: 
     while len(live) > 1:
         best = None
         for i in range(len(live)):
-            wi, ni = wires[live[i]], names[live[i]]
+            wi, ni, ei = wires[live[i]], names[live[i]], est[live[i]]
             for j in range(i + 1, len(live)):
-                wj = wires[live[j]]
-                if not any(w in wj for w in wi):
+                wj, ej = wires[live[j]], est[live[j]]
+                shared = [w for w in wi if w in wj]
+                if not shared:
                     continue
                 kept = [w for w in wi if w not in wj or carriers[w] > 2]
                 kept += [w for w in wj if w not in wi]
-                key = (contraction._dense_size(kept, dims), ni, names[live[j]])
+                dense = contraction._dense_size(kept, dims)
+                size = max(1, min(ei * ej // contraction._dense_size(shared, dims), dense))
+                score = (dense > cap, size - ei - ej, dense) if sparse else (dense,)
+                key = (*score, ni, names[live[j]])
                 if best is None or key < best[0]:
-                    best = (key, i, j)
-        (cost, _, _), i, j = best
-        if cost > cap:
-            raise ResourceExceeded(cost, cap)
+                    best = (key, i, j, dense, size)
+        _, i, j, dense, size = best
+        if dense > cap:
+            raise ResourceExceeded(dense, cap)
         a, b = live[i], live[j]
         summed = []
         for w in wires[a]:
@@ -279,28 +288,41 @@ def _rescanning_plan_component(comp: list[int], names: list, wires: list, dims: 
                 if carriers[w] == 1:
                     summed.append(w)
         live = [k for n, k in enumerate(live) if n not in (i, j)]
-        live.append(contraction._plan_step(a, b, summed, names, wires, steps))
+        live.append(contraction._plan_step(a, b, summed, size, names, wires, est, steps))
     return live[0]
 
 
-def planned(nodes, dims, cap=DEFAULT_CAP, open_wires=(), rescanning=False):
-    """``plan_network``'s plan, or the cost of the step it refuses; with the rescanning planner if asked."""
+def _dense_plan_component(*args) -> int:
+    return _rescanning_plan_component(*args, sparse=False)
+
+
+@contextmanager
+def planner(plan_component):
+    """``contraction`` with ``plan_component`` in place of its own ``_plan_component``."""
     kept = contraction._plan_component
-    if rescanning:
-        contraction._plan_component = _rescanning_plan_component
+    contraction._plan_component = plan_component
     try:
-        return plan_network(nodes, dims, cap, open_wires)
-    except ResourceExceeded as e:
-        return ("refused", e.cost, str(e))
+        yield
     finally:
         contraction._plan_component = kept
 
 
+def planned(nodes, dims, cap=DEFAULT_CAP, open_wires=(), rescanning=False):
+    """``plan_network``'s plan, or the cost of the step it refuses; with the rescanning planner if asked."""
+    with planner(_rescanning_plan_component if rescanning else contraction._plan_component):
+        try:
+            return plan_network(nodes, dims, cap, open_wires)
+        except ResourceExceeded as e:
+            return ("refused", e.cost, str(e))
+
+
 def planner_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
-    """Names, wires and dims only, in one to three parts on disjoint wires.
+    """Names, wires, dims and entry counts, in one to three parts on disjoint wires.
 
     A wire sits on one node (open) up to four; the dims are often all equal,
-    so that equal scores fall to the names, and a name can repeat.
+    so that equal scores fall to the names, and a name can repeat.  Each node
+    has from one entry up to its dense size, capped at 64, so the estimates
+    differ.
     """
     nodes, dims = [], {}
     for part in "pqr"[: rng.randint(1, 3)]:
@@ -314,7 +336,9 @@ def planner_network(rng: random.Random) -> tuple[list[Node], dict[str, int], lis
                 wire_lists[k].append(name)
         for k, wires in enumerate(wire_lists):
             name = f"{part}n{rng.randrange(count) if rng.random() < 0.2 else k}"
-            nodes.append(Node(name, tuple(wires), {}))
+            entries = rng.randint(1, min(64, contraction._dense_size(wires, dims)))
+            keys = itertools.product(*(range(dims[w]) for w in wires))
+            nodes.append(Node(name, tuple(wires), dict.fromkeys(itertools.islice(keys, entries), ONE)))
     rng.shuffle(nodes)
     ends = [w for n in nodes for w in n.wires]
     open_wires = [w for w in dims if ends.count(w) == 1]
@@ -351,6 +375,54 @@ def test_bracket_plans_are_those_of_the_rescanning_planner(monkeypatch, triplet)
     for nodes, dims in networks:
         plan = planned(nodes, dims)
         assert isinstance(plan, contraction.Plan) and plan == planned(nodes, dims, rescanning=True)
+
+
+def sparse_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
+    """Three to seven nodes of exact entries at mixed densities, about half of them ``Tensor``s.
+
+    A wire sits on one node (open) up to three; the open wires come in a
+    random order.
+    """
+    count = rng.randint(3, 7)
+    node_wires: list[list[str]] = [[] for _ in range(count)]
+    dims = {}
+    for w in range(rng.randint(2, 8)):
+        dims[f"w{w}"] = rng.randint(1, 3)
+        for k in rng.sample(range(count), rng.choice((1, 2, 2, 3))):
+            node_wires[k].append(f"w{w}")
+    nodes = []
+    for k, wires in enumerate(node_wires):
+        density = rng.choice((0.1, 0.3, 0.7, 1.0))
+        keys = itertools.product(*(range(dims[w]) for w in wires))
+        data = {key: rng.choice(VALUES) for key in keys if rng.random() < density}
+        nodes.append(Node(f"n{k}", tuple(wires), Tensor(data) if rng.random() < 0.5 else data))
+    ends = [w for n in nodes for w in n.wires]
+    open_wires = [w for w in dims if ends.count(w) == 1]
+    rng.shuffle(open_wires)
+    return nodes, dims, open_wires
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_values_are_those_of_the_dense_order(seed):
+    # the order by dense size alone is the oracle: a new order must not change an exact value
+    nodes, dims, open_wires = sparse_network(random.Random(seed))
+    got = contract_network(nodes, dims, open_wires=open_wires)
+    with planner(_dense_plan_component):
+        want = contract_network(nodes, dims, open_wires=open_wires)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [1, 4, 12])
+def test_walks_the_dense_order_refused_are_evaluated(seed):
+    # S4 x S3 on cp2 after random moves up to the second two-point insert:
+    # ordered by dense size, these needed 11,943,936 or 17,915,904 entries
+    cfg = bracket.BracketConfig(hopf.group_triplet(symmetric(4), symmetric(3)))
+    rng, d, inserts = random.Random(seed), cp2(), 0
+    while inserts < 2:
+        spec, d = moves.random_move(d, rng)
+        inserts += spec.variant == "two_point_insert"
+    assert bracket.invariant(d, cfg) == bracket.invariant(cp2(), cfg)
 
 
 def test_a_dense_ring_over_the_cap_is_refused_before_any_step():

@@ -514,6 +514,8 @@ def test_algebra_json_roundtrip():
     lambda d: d["counit"].__setitem__(1, ["1", 0]),
     lambda d: d.update(dim=2.9),                            # JSON integers only: 2.9 is not 2
     lambda d: d.update(dim=True),
+    lambda d: d.update(weak="false"),                       # JSON booleans only: "false" is not false
+    lambda d: d.update(weak=0),
 ])
 def test_malformed_structure_constant_file_is_rejected(change):
     data = _z2_file()
