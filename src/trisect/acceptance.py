@@ -113,72 +113,65 @@ def _move_triplets():
 # ---------------------------------------------------------------------------
 
 
+def _first_failure(checks):
+    """The failed result of the first (name, report) in ``checks`` with a residual that is not exactly 0, else None."""
+    for name, rep in checks:
+        worst = max(rep.values())
+        if worst != 0.0:
+            return False, f"{name} fails: {rep}", worst
+    return None
+
+
 def criterion_1():
     """Hopf axiom suite for group/function algebras and the Kashaev doubles."""
-    checked = 0
-    for h in _suite_algebras():
-        rep = hopf.check_hopf_axioms(h)
-        if max(rep.values()) != 0.0:
-            return False, f"{h.name} fails: {rep}", max(rep.values())
-        checked += 1
-    for d, _ in _doubles():
-        rep = hopf.check_hopf_axioms(d)
-        if max(rep.values()) != 0.0:
-            return False, f"{d.name} fails: {rep}", max(rep.values())
-        checked += 1
-    return True, f"{checked} algebras pass all axioms exactly (incl. S^2=id)", 0.0
+    algebras = _suite_algebras() + [d for d, _ in _doubles()]
+    bad = _first_failure((h.name, hopf.check_hopf_axioms(h)) for h in algebras)
+    if bad:
+        return bad
+    return True, f"{len(algebras)} algebras pass all axioms exactly (incl. S^2=id)", 0.0
 
 
 def criterion_2():
     """Skew-pairing and cyclic-compatibility identities."""
-    checked = 0
-    for n in range(2, 7):
-        rep = hopf.check_triplet(hopf.kashaev_triplet(n))
-        if max(rep.values()) != 0.0:
-            return False, f"kashaev n={n}: {rep}", max(rep.values())
-        checked += 1
-    for c in _small_groups():
-        for b in _small_groups():
-            rep = hopf.check_triplet(hopf.group_triplet(c, b))
-            if max(rep.values()) != 0.0:
-                return False, f"group C={c.name} B={b.name}: {rep}", max(rep.values())
-            checked += 1
-    return True, f"{checked} triplets satisfy all identities exactly", 0.0
+    triplets = [(f"kashaev n={n}", hopf.kashaev_triplet(n)) for n in range(2, 7)]
+    triplets += [(f"group C={c.name} B={b.name}", hopf.group_triplet(c, b))
+                 for c in _small_groups() for b in _small_groups()]
+    bad = _first_failure((name, hopf.check_triplet(t)) for name, t in triplets)
+    if bad:
+        return bad
+    return True, f"{len(triplets)} triplets satisfy all identities exactly", 0.0
 
 
 def criterion_3():
     """Integral identities on the suite algebras and split integrals of doubles."""
-    checked = 0
-    for h in _suite_algebras():
-        ell = hopf.compute_integral(h)
-        rep = hopf.check_integral(h, ell)
+    integrals = [(h, hopf.compute_integral(h)) for h in _suite_algebras()] + _doubles()
+    bad = _first_failure((f"{h.name}: integral", hopf.check_integral(h, ell)) for h, ell in integrals)
+    if bad:
+        return bad
+    for h, ell in integrals:
         eps = h.counit_of(ell)
-        if max(rep.values()) != 0.0 or not eps == Cyc.rational(h.dim):
-            return False, f"{h.name}: integral fails ({rep}, eps={eps})", max(rep.values())
-        checked += 1
-    for d, ell in _doubles():
-        rep = hopf.check_integral(d, ell)
-        if max(rep.values()) != 0.0:
-            return False, f"{d.name}: split integral fails {rep}", max(rep.values())
-        checked += 1
-    return True, f"{checked} integrals satisfy h*l=eps(h)l, S(l)=l, eps(l)=dim", 0.0
+        if not eps == Cyc.rational(h.dim):
+            return False, f"{h.name}: eps(l) = {eps} != {h.dim}", 1.0
+    return True, f"{len(integrals)} integrals satisfy h*l=eps(h)l, S(l)=l, eps(l)=dim", 0.0
+
+
+def _weak_checks():
+    """(name, report) of the weak axioms and weak integrals of each action of the weak suite."""
+    for name, mset in _weak_suite():
+        cross, vec = hopf.weak_hopf_from_action(mset)
+        lam, ell = hopf.weak_integrals_from_action(mset)
+        for h, integral in ((cross, lam), (vec, ell)):
+            yield f"{name}: {h.name}", hopf.check_hopf_axioms(h)
+            yield f"{name}: {h.name} integral", hopf.check_integral(h, integral)
 
 
 def criterion_4():
     """Weak axioms, weak integrals, and representation bookkeeping."""
+    bad = _first_failure(_weak_checks())
+    if bad:
+        return bad
     for name, mset in _weak_suite():
-        cross, vec = hopf.weak_hopf_from_action(mset)
-        for h in (cross, vec):
-            rep = hopf.check_hopf_axioms(h)
-            if max(rep.values()) != 0.0:
-                return False, f"{name}: {h.name} fails {rep}", max(rep.values())
-        lam, ell = hopf.weak_integrals_from_action(mset)
-        r1 = hopf.check_integral(cross, lam)
-        r2 = hopf.check_integral(vec, ell)
-        if max(r1.values()) != 0.0 or max(r2.values()) != 0.0:
-            return False, f"{name}: weak integral fails", max(max(r1.values()), max(r2.values()))
-        reps = hopf.weak_simple_reps(mset)
-        total = sum(r.dim**2 for r in reps)
+        total = sum(r.dim**2 for r in hopf.weak_simple_reps(mset))
         want = mset.size**2 * mset.group.order
         if total != want:
             return False, f"{name}: sum dim^2 = {total} != {want}", 1.0

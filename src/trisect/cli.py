@@ -20,14 +20,10 @@ from .groups import WeakConfig, bimodule_group, coset_gset, gset_from_json, pars
 from .scalars import Cyc, render, to_complex
 
 
-def _load_diagram(arg: str, embedded: bool = False, strict: bool = False):
-    """Resolve a catalog name or file path; prefer embedding data, or read a file strictly, when asked."""
-    if embedded and arg in diagram.CATALOG_EMBEDDED:
-        return diagram.CATALOG_EMBEDDED[arg]()
+def _load_diagram(arg: str, strict: bool = False):
+    """Resolve a catalog name or file path; read a file strictly when asked."""
     if arg in diagram.CATALOG:
         return diagram.CATALOG[arg]()
-    if arg in diagram.CATALOG_EMBEDDED:
-        return diagram.CATALOG_EMBEDDED[arg]()
     if not Path(arg).exists():
         raise TrisectError(f"no catalog entry or file named {arg!r}")
     return diagram.from_json(_read_json(arg), strict=strict)
@@ -222,10 +218,10 @@ def _dispatch(args) -> int:
 
     if args.cmd == "catalog":
         if args.name is None:
-            names = sorted(set(diagram.CATALOG) | set(diagram.CATALOG_EMBEDDED))
+            names = sorted(diagram.CATALOG)
             _emit(args, {"catalog": names}, "\n".join(names))
             return 0
-        d = _load_diagram(args.name, embedded=args.name in diagram.CATALOG_EMBEDDED)
+        d = _load_diagram(args.name)
         text = diagram.serialize(d)
         if args.json:
             print(json.dumps(json.loads(text), sort_keys=True))
@@ -282,7 +278,7 @@ def _dispatch(args) -> int:
 
 def _dispatch_eval(args) -> int:
     if args.what == "count":
-        e = _load_diagram(args.diagram, embedded=True)
+        e = _load_diagram(args.diagram)
         c_group, b_group = parse_group(args.C), parse_group(args.B)
         cfg = WeakConfig(c_group, b_group, _parse_gset(args.M, c_group, b_group))
         if isinstance(e, diagram.EmbeddedDiagram) and e.base.kind == "disc":

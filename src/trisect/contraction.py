@@ -28,11 +28,10 @@ storage.
 
 The order depends on the nodes' names, wires, dims and entry counts, so it
 is found as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its
-pairwise steps on the nodes' data and returns the final operand as they
-leave it; ``contract_network`` is the two in turn, then puts the result's
-keys in the order of the open wires.  The identity checkers compare two such
-raw results directly, reading the keys of one in the other through the
-plans' ``perm``.
+pairwise steps on the nodes' data.  Its result is keyed in the order of the
+open wires, whatever order the steps leave them in, so two results over the
+same open wires can be compared key by key.  ``contract_network`` is the two
+in turn.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -43,8 +42,9 @@ each product, stay those of the scan.
 A ``Tensor`` stores each entry that is a level-1 integer ``Cyc`` as a plain
 ``int``, whose products and sums cost a fraction of a ``Cyc``'s; a ``Cyc``
 or ``complex`` operand takes an ``int`` through its own arithmetic.
-``contract_network`` coerces every ``int`` it ends with back to ``Cyc``, so
-each of its results is a ``Cyc`` (or a ``complex`` on the float backend).
+``execute_plan`` leaves such an ``int`` as it is; ``contract_network`` coerces
+each one back to ``Cyc``, so each of its results is a ``Cyc`` (or a
+``complex`` on the float backend).
 """
 
 from __future__ import annotations
@@ -109,6 +109,16 @@ def _dense_size(wires, dims) -> int:
     return size
 
 
+def accumulate(dst: dict, key, val) -> None:
+    """Add ``val`` into ``dst[key]``, and drop the entry when the sum is an exact zero."""
+    cur = dst.get(key)
+    new = val if cur is None else cur + val
+    if new:
+        dst[key] = new
+    else:
+        dst.pop(key, None)
+
+
 def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
     """Join ``a`` and ``b`` where their keys agree at ``sh_a`` and ``sh_b``; key each product by ``keep_a + keep_b``.
 
@@ -133,6 +143,7 @@ def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
         # only keys whose first shared value meets the smaller operand can hit
         items = large.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
     out: dict[tuple[int, ...], object] = {}
+    # ``accumulate``, inlined in the hot loop
     for key, val in items:
         hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
         if not hits:
@@ -199,7 +210,8 @@ class Plan(NamedTuple):
     is ``(a, b, sh_a, keep_a, sh_b, keep_b)``: operands ``a`` and ``b``, then
     the positions ``_contract_pair`` takes.  ``result`` is the operand that
     ends the network (``None`` for a network without nodes), and ``perm`` the
-    positions of the open wires in its keys.
+    position of each open wire in its keys, through which ``execute_plan``
+    puts them in the order of the open wires.
     """
 
     steps: tuple[tuple, ...]
@@ -323,11 +335,11 @@ def _plan_component(comp: list[int], names: list, wires: list, est: list, dims: 
 
 
 def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
-    """Run ``plan`` on the nodes' ``data``; return the final operand as the steps leave it.
+    """Run ``plan`` on the nodes' ``data``; return the result keyed in the order of the open wires.
 
-    Its keys hold the wires in the plan's own order, ``plan.perm`` giving the
-    place of each open wire, and the entries of a ``Tensor`` may still be
-    ``int``.  A network without nodes gives ``{(): 1}``.
+    The entries of a ``Tensor`` may still be ``int``.  A network without open
+    wires gives ``{(): value}``, or ``{}`` when the value is 0; one without
+    nodes gives ``{(): 1}``.
     """
     ops = list(data)
     for a, b, *pos in plan.steps:
@@ -335,7 +347,12 @@ def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
         # each operand feeds one step only: drop it, so no intermediate outlives its use
         ops[a] = ops[b] = None
         ops.append(out)
-    return {(): 1} if plan.result is None else ops[plan.result]
+    if plan.result is None:
+        return {(): 1}
+    out, perm = ops[plan.result], plan.perm
+    if perm == tuple(range(len(perm))):
+        return out
+    return {tuple([key[p] for p in perm]): val for key, val in out.items()}
 
 
 def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
@@ -345,12 +362,10 @@ def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAU
     The tensor is a sparse dict keyed by index tuples in the order of
     ``open_wires``.  It is ``plan_network`` followed by ``execute_plan``.
     """
-    plan = plan_network(nodes, dims, cap, open_wires)
-    out = execute_plan(plan, [n.data for n in nodes])
-    perm = plan.perm
-    if not perm:
+    out = execute_plan(plan_network(nodes, dims, cap, open_wires), [n.data for n in nodes])
+    if not open_wires:
         return _exact(out.get((), 0))
-    return {tuple([key[p] for p in perm]): _exact(val) for key, val in out.items()}
+    return {key: _exact(val) for key, val in out.items()}
 
 
 def _exact(val):

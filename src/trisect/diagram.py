@@ -376,12 +376,8 @@ def standard_s4_disc() -> EmbeddedDiagram:
     return EmbeddedDiagram(remove_disc(e.base), e.regions, e.segment_sides, boundary_region="R0")
 
 
+# every entry embedded; its abstract diagram is its ``base``
 CATALOG = {
-    "s4": standard_s4,
-    "cp2": cp2,
-}
-
-CATALOG_EMBEDDED = {
     "s4": standard_s4_embedded,
     "cp2": cp2_embedded,
     "s4-disc": standard_s4_disc,

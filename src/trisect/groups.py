@@ -330,6 +330,8 @@ def gset_from_json(k: Group, data) -> GSet:
     if not isinstance(data, dict) or not isinstance(data.get("set"), list) or not isinstance(data.get("action"), dict):
         raise TrisectError("gset file needs an object with a list 'set' and an object 'action'")
     points = [str(m) for m in data["set"]]
+    if not points:
+        raise TrisectError("gset file: 'set' is empty")
     pos = {m: i for i, m in enumerate(points)}
     if len(pos) != len(points):
         raise TrisectError("gset file: the points of 'set' are not distinct")

@@ -16,8 +16,8 @@ of C[G], the dual of ``function_algebra(G)``.
 The checkers state each identity once, as a pair of small networks over the
 structure tensors.  The open wires of a side are the identity's free indices.
 Each side is contracted once, as a whole (``contraction.plan_network`` and
-``contraction.execute_plan``), and the two raw results are compared exactly,
-key by key, each key read in the other side through the two plans' ``perm``.
+``contraction.execute_plan``), and the two results, both keyed in the order
+of the open wires, are compared exactly, key by key.
 The residual reported for an identity is the largest |lhs - rhs| over all
 indices.  Memory grows with the nonzero entries of an identity's sides.
 The generalized double is built the same way: each of its five structure maps
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .contraction import Node, Tensor, contract_network, execute_plan, plan_network
+from .contraction import Node, Tensor, accumulate, contract_network, execute_plan, plan_network
 from .errors import MissingIrreps, NonSemisimple, TrisectError
 from .groups import GSet, Group, WeakConfig, opposite, point_gset
 from .scalars import Cyc, approx_eq, to_complex
@@ -38,15 +38,6 @@ from .scalars import Cyc, approx_eq, to_complex
 Vec = dict[int, object]          # sparse vector: basis index -> scalar
 Mat = dict[tuple[int, int], object]
 Tensor3 = dict[tuple[int, int, int], object]
-
-
-def _acc(dst: dict, key, val) -> None:
-    cur = dst.get(key)
-    new = val if cur is None else cur + val
-    if new:
-        dst[key] = new
-    else:
-        dst.pop(key, None)
 
 
 ONE = Cyc.rational(1)
@@ -85,14 +76,14 @@ class HopfAlgebra:
         out: Vec = {}
         for (i, j, k), c in self.mult.items():
             if i in v and j in w:
-                _acc(out, k, v[i] * w[j] * c)
+                accumulate(out, k, v[i] * w[j] * c)
         return out
 
     def coproduct(self, v: Vec) -> Mat:
         out: Mat = {}
         for (i, j, k), c in self.comult.items():
             if i in v:
-                _acc(out, (j, k), v[i] * c)
+                accumulate(out, (j, k), v[i] * c)
         return out
 
     def counit_of(self, v: Vec):
@@ -161,27 +152,19 @@ def _pairs(tensors: Tensors, out: str, lhs: str, rhs: str):
     """(lhs, rhs) at every index of the open wires ``out`` where either side is nonzero.
 
     Each side is contracted once, as a whole, and kept as ``execute_plan``
-    leaves it: keyed in its own plan's wire order, with a ``Tensor``'s integer
-    entries still ``int``.  A key of one side is read in the other through
-    the two plans' ``perm``.  The checks are polynomial in the dimension, so
-    no cap applies to them.
+    leaves it, with a ``Tensor``'s integer entries still ``int``.  The checks
+    are polynomial in the dimension, so no cap applies to them.
     """
     wires = out.split()
     sides = []
     for spec in (lhs, rhs):
         nodes, dims = _network(tensors, spec)
-        plan = plan_network(nodes, dims, cap=math.inf, open_wires=wires)
-        sides.append((execute_plan(plan, [n.data for n in nodes]), plan.perm))
-    (a, perm_a), (b, perm_b) = sides
-    # position q of a key of b holds the wire at position from_a[q] of a key
-    # of a, and position p of a key of a that at from_b[p] of a key of b
-    from_a, from_b = [0] * len(wires), [0] * len(wires)
-    for p, q in zip(perm_a, perm_b):
-        from_a[q], from_b[p] = p, q
+        sides.append(execute_plan(plan_network(nodes, dims, cap=math.inf, open_wires=wires), [n.data for n in nodes]))
+    a, b = sides
     for key, x in a.items():
-        yield x, b.get(tuple([key[p] for p in from_a]), 0)
+        yield x, b.get(key, 0)
     for key, y in b.items():
-        if tuple([key[q] for q in from_b]) not in a:
+        if key not in a:
             yield 0, y
 
 
@@ -339,7 +322,7 @@ def convolution_inverse(tau: Mat, a: HopfAlgebra) -> Mat:
     out: Mat = {}
     for (i, k), cs in a.antipode.items():
         for j, c in by_row.get(k, ()):
-            _acc(out, (i, j), cs * c)
+            accumulate(out, (i, j), cs * c)
     return out
 
 
@@ -504,7 +487,7 @@ def compute_integral(h: HopfAlgebra) -> Vec:
     ell: Vec = {}
     for (i, p, q), c in h.comult.items():
         if p == i:
-            _acc(ell, q, c)
+            accumulate(ell, q, c)
     eps = h.counit_of(ell)
     if not eps:
         raise NonSemisimple(f"{h.name}: candidate integral has eps = 0")
@@ -666,7 +649,7 @@ def weak_simple_reps(mset: GSet) -> list[Rep]:
                     # is supported where (m, n) equals that target
                     target = mats[ix(tp, tq, g)]
                     for (r, s), cval in pm.items():
-                        _acc(target, (row0 + r, col0 + s), cval)
+                        accumulate(target, (row0 + r, col0 + s), cval)
             reps.append(Rep(f"O{m1},{m2};{psi.name}", dim, mats))
     return reps
 

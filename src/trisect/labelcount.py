@@ -31,12 +31,11 @@ import math
 from collections import Counter
 
 from .bracket import BracketConfig, CheckReport, InvariantValue, invariant
-from .contraction import Node, contract_network
+from .contraction import Node, accumulate, contract_network
 from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, validate_embedded
 from .errors import ResourceExceeded, TrisectError
 from .groups import Group, WeakConfig
 from .hopf import Rep, crossed_index, group_triplet, weak_simple_reps
-from .hopf import _acc as _add_entry
 from .scalars import Cyc
 
 ONE = Cyc.rational(1)
@@ -332,7 +331,7 @@ def _rep_matrix_of(rep: Rep, indices: list[int]) -> dict:
     out: dict = {}
     for i in indices:
         for key, v in rep.mats[i].items():
-            _add_entry(out, key, v)
+            accumulate(out, key, v)
     return out
 
 
@@ -343,7 +342,7 @@ def _mat_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for (r, s), v in a.items():
         for s2, v2 in by_row.get(s, ()):
-            _add_entry(out, (r, s2), v * v2)
+            accumulate(out, (r, s2), v * v2)
     return out
 
 

@@ -152,10 +152,6 @@ class Cyc:
         """The coordinates in the power basis, as ``Fraction``s."""
         return tuple(Fraction(x, self.den) for x in self.num)
 
-    @property
-    def degree(self) -> int:
-        return len(self.num)
-
     def _substituted(self, m: int, j: int) -> "Cyc":
         """The value with z replaced by z_m^j, at level ``m``: the same value when
         m = j * level, a Galois conjugate when m = level and gcd(j, m) = 1."""

@@ -32,3 +32,16 @@ def test_run_all_subset():
     results = acceptance.run_all({10})
     assert len(results) == 1 and results[0].ok
     assert "criterion 10" in results[0].line()
+
+
+def test_failed_residual_check_names_the_algebra_and_its_report(monkeypatch):
+    check = acceptance.hopf.check_hopf_axioms
+
+    def broken(h):
+        rep = check(h)
+        return {**rep, "associativity": 2.0} if h.name == "C^Z/3" else rep
+
+    monkeypatch.setattr(acceptance.hopf, "check_hopf_axioms", broken)
+    ok, detail, residual = acceptance.criterion_1()
+    assert not ok and residual == 2.0
+    assert detail.startswith("C^Z/3 fails: {") and "'associativity': 2.0" in detail

@@ -25,7 +25,7 @@ def test_catalog_emits_parseable_diagram(capsys, tmp_path):
     assert code == 0
     from trisect.diagram import cp2, parse, standard_s4
 
-    # catalog names resolve to the embedded variant when one exists
+    # every catalog entry is embedded; its base is the abstract diagram
     assert parse(out).base == standard_s4()
     # --json prints the same diagram on one line, with sorted keys
     code, out, _ = run(capsys, "--json", "catalog", "cp2")
@@ -34,7 +34,7 @@ def test_catalog_emits_parseable_diagram(capsys, tmp_path):
 
 
 def test_validate_catalog(capsys):
-    for name in ("s4", "s4-disc"):
+    for name in ("s4", "cp2", "s4-disc"):
         code, out, _ = run(capsys, "validate", name, "--strict")
         assert code == 0 and out == "valid\n", name
 
@@ -231,12 +231,13 @@ def test_gset_file_reads_like_its_cosets_spec(capsys, tmp_path):
     ({"set": ["x", "y"], "action": {**_GSET["action"], "(0,1)": ["y"]}}, "action of '(0,1)'"),
     ({"set": ["x", "x"], "action": _GSET["action"]}, "not distinct"),
     ({"set": ["x", "y"], "action": {"(0,0)": ["x", "y"]}}, "missing group element '(0,1)'"),
+    ({"set": [], "action": {"(0,0)": [], "(1,0)": [], "(0,1)": [], "(1,1)": []}}, "'set' is empty"),
 ])
 def test_malformed_gset_files_are_domain_errors(capsys, tmp_path, data, message):
     # a point outside "set" and a top level that is not an object used to end in tracebacks
     f = tmp_path / "gset.json"
     f.write_text(json.dumps(data))
-    for argv in _gset_commands(f):
+    for argv in _gset_commands(f) + [("axioms", "--algebra", f"weak:C=Z/2;B=Z/2;M={f}")]:
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: ") and message in err, argv
 

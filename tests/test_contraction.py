@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect import bracket, contraction, hopf, moves
-from trisect.contraction import DEFAULT_CAP, Node, Tensor, contract_network, plan_network
+from trisect.contraction import DEFAULT_CAP, Node, Tensor, contract_network, execute_plan, plan_network
 from trisect.diagram import cp2
 from trisect.errors import ResourceExceeded
 from trisect.groups import symmetric
@@ -78,6 +78,12 @@ def test_open_wire_contraction_matches_brute_force(seed):
     else:
         assert got == want.get((), ZERO)
     assert all(type(v) is Cyc for v in (got.values() if open_wires else [got]))
+    # the unboxed result is keyed in the order of open_wires too, whatever order the steps leave
+    raw = execute_plan(plan_network(nodes, dims, open_wires=open_wires), [n.data for n in nodes])
+    if open_wires:
+        assert raw.keys() == got.keys() and all(raw[key] == val for key, val in got.items())
+    else:
+        assert raw.get((), 0) == got
 
 
 def test_open_wires_follow_the_requested_order():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trisect import hopf
-from trisect.contraction import Node, Tensor, contract_network, plan_network
+from trisect.contraction import Node, Tensor, accumulate, contract_network, plan_network
 from trisect.errors import NonSemisimple, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc, to_complex
@@ -174,8 +174,9 @@ def test_every_network_pair_reads_nonzero_on_a_broken_input(monkeypatch):
 def _per_slice_residual(tensors, out, lhs, rhs):
     """The residual as one fresh ``contract_network`` per basis element of the first open wire.
 
-    The oracle for the planned replay of ``hopf._residual``: each slice drops
-    the cut wire from the node that carries it and is ordered on its own.
+    The oracle for ``hopf._residual``, which contracts each side once, as a
+    whole: each slice drops the cut wire from the node that carries it and is
+    ordered on its own.
     """
     def cut(nodes, wire):
         k = next(k for k, n in enumerate(nodes) if wire in n.wires)
@@ -205,7 +206,7 @@ def _per_slice_residual(tensors, out, lhs, rhs):
     return worst
 
 
-def _replay_reports():
+def _check_reports():
     """Reports of every check on broken inputs, on the double D(S3) and on a float algebra."""
     for reports in (_broken_axiom_reports(), _broken_pairing_reports(),
                     _broken_triplet_reports(), _broken_integral_reports()):
@@ -219,10 +220,10 @@ def _replay_reports():
     yield hopf.check_hopf_axioms(hopf.float_algebra(h))
 
 
-def test_replayed_residuals_equal_the_per_slice_loop(monkeypatch):
-    got = list(_replay_reports())
+def test_whole_side_residuals_equal_the_per_slice_loop(monkeypatch):
+    got = list(_check_reports())
     monkeypatch.setattr(hopf, "_residual", _per_slice_residual)
-    want = list(_replay_reports())
+    want = list(_check_reports())
     assert got == want
     assert sum(v > 0 for rep in got for v in rep.values()) > 40
 
@@ -406,7 +407,7 @@ def _loop_double(a, b, tau):
         out = {}
         for (i, x, t), c in h.comult.items():
             for (y, z), c2 in _row(h.comult, (t,)).items():
-                hopf._acc(out.setdefault(i, {}), (x, y, z), c * c2)
+                accumulate(out.setdefault(i, {}), (x, y, z), c * c2)
         return out
 
     basis = tuple(f"{x}(x){y}" for x in a.basis for y in b.basis)
@@ -425,11 +426,11 @@ def _loop_double(a, b, tau):
                 for (b1, b2, b3), cb in bco_all.get(j, {}).items():
                     w, w2 = tau.get((a1, b1)), tinv.get((a3, b3))
                     if w is not None and w2 is not None:
-                        hopf._acc(pieces, (a2, b2), ca * cb * (w * w2))
+                        accumulate(pieces, (a2, b2), ca * cb * (w * w2))
             for (a2, b2), coeff in pieces.items():
                 for i, x, cx in lmul_a.get(a2, ()):
                     for j2, y, cy in rmul_b.get(b2, ()):
-                        hopf._acc(mult, (idx(i, j), idx(i2, j2), idx(x, y)), coeff * (cx * cy))
+                        accumulate(mult, (idx(i, j), idx(i2, j2), idx(x, y)), coeff * (cx * cy))
     unit = {idx(i, j): cu * cv for i, cu in a.unit.items() for j, cv in b.unit.items()}
     comult = {
         (idx(i, j), idx(a1, b1), idx(a2, b2)): ca * cb
@@ -444,10 +445,10 @@ def _loop_double(a, b, tau):
             left, right = {}, {}
             for (y,), cy in _row(b.antipode, (j,)).items():
                 for iu, cu in a.unit.items():
-                    hopf._acc(left, idx(iu, y), cy * cu)
+                    accumulate(left, idx(iu, y), cy * cu)
             for (x,), cx in _row(a.antipode, (i,)).items():
                 for ju, cu in b.unit.items():
-                    hopf._acc(right, idx(x, ju), cx * cu)
+                    accumulate(right, idx(x, ju), cx * cu)
             dd.antipode.update({(idx(i, j), z): c for z, c in dd.product(left, right).items()})
     return dd
 
