@@ -407,15 +407,14 @@ CRITERIA = [
 
 
 def run_all(only: set[int] | None = None) -> list[CriterionResult]:
-    jobs = [(num, name, fn) for num, name, fn in CRITERIA if only is None or num in only]
-
-    def run(job):
-        num, name, fn = job
+    results = []
+    for num, name, fn in CRITERIA:
+        if only is not None and num not in only:
+            continue
         t0 = time.time()
         try:
             ok, detail, residual = fn()
         except Exception as exc:  # a crashed criterion is a failed criterion
             ok, detail, residual = False, f"exception: {exc!r}", float("nan")
-        return CriterionResult(num, name, ok, detail, residual, time.time() - t0)
-
-    return [run(j) for j in jobs]
+        results.append(CriterionResult(num, name, ok, detail, residual, time.time() - t0))
+    return results

@@ -137,21 +137,23 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="trisect", description="trisection diagram invariants")
-    ap.add_argument("--json", action="store_true", help="machine-readable output")
+    # every parser takes --json, so it may follow any subcommand; SUPPRESS keeps one from resetting it
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output")
+    ap = argparse.ArgumentParser(prog="trisect", description="trisection diagram invariants", parents=[flags])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("validate", help="check diagram invariants")
+    p = sub.add_parser("validate", parents=[flags], help="check diagram invariants")
     p.add_argument("diagram")
     p.add_argument("--strict", action="store_true")
 
-    p = sub.add_parser("catalog", help="list or emit built-in diagrams")
+    p = sub.add_parser("catalog", parents=[flags], help="list or emit built-in diagrams")
     p.add_argument("name", nargs="?")
 
-    p = sub.add_parser("eval", help="evaluate an invariant")
+    p = sub.add_parser("eval", parents=[flags], help="evaluate an invariant")
     ev = p.add_subparsers(dest="what", required=True)
     for what in ("bracket", "invariant"):
-        q = ev.add_parser(what)
+        q = ev.add_parser(what, parents=[flags])
         q.add_argument("diagram")
         q.add_argument("--triplet", required=True)
         q.add_argument("--backend", choices=("exact", "float"), default="exact")
@@ -159,35 +161,35 @@ def main(argv: list[str] | None = None) -> int:
         q.add_argument("--cap", type=int, default=DEFAULT_CAP)
         if what == "invariant":
             q.add_argument("--all-roots", action="store_true")
-    q = ev.add_parser("count")
+    q = ev.add_parser("count", parents=[flags])
     q.add_argument("diagram")
     q.add_argument("--C", required=True)
     q.add_argument("--B", required=True)
     q.add_argument("--M", default="point")
     q.add_argument("--boundary", type=int, default=None)
 
-    p = sub.add_parser("moves", help="apply a list of moves")
+    p = sub.add_parser("moves", parents=[flags], help="apply a list of moves")
     mv = p.add_subparsers(dest="what", required=True)
-    q = mv.add_parser("apply")
+    q = mv.add_parser("apply", parents=[flags])
     q.add_argument("diagram")
     q.add_argument("--moves", required=True, help="JSON file with a list of move specs")
     q.add_argument("--out", default=None)
 
-    p = sub.add_parser("axioms", help="check Hopf axioms of an algebra")
+    p = sub.add_parser("axioms", parents=[flags], help="check Hopf axioms of an algebra")
     p.add_argument("--algebra", required=True,
                    help="group:G, fun:G, double:kashaev:n=N, weak:C=G;B=G[;M=SPEC], or file:PATH")
 
-    p = sub.add_parser("crosscheck", help="element vs representation backend")
+    p = sub.add_parser("crosscheck", parents=[flags], help="element vs representation backend")
     p.add_argument("diagram")
     p.add_argument("--triplet", required=True)
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
+    p = sub.add_parser("selftest", parents=[flags], help="run the acceptance criteria")
     p.add_argument("--only", type=_criteria, default=None, help="comma-separated criterion numbers")
 
-    args = ap.parse_args(argv)
+    args = ap.parse_args(argv, argparse.Namespace(json=False))
     try:
         code = _dispatch(args)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
@@ -221,8 +223,7 @@ def _dispatch(args) -> int:
             names = sorted(diagram.CATALOG)
             _emit(args, {"catalog": names}, "\n".join(names))
             return 0
-        d = _load_diagram(args.name)
-        text = diagram.serialize(d)
+        text = diagram.serialize(_load_diagram(args.name))
         if args.json:
             print(json.dumps(json.loads(text), sort_keys=True))
         else:

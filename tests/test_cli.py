@@ -1,18 +1,141 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from trisect import cli
+from trisect import cli, diagram
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# The input files of the command-line contract below, written into the working directory of every row.
+_FILES = {
+    # cp2 after two two-point inserts: ordered by dense size, S4 x S3 needed 17,915,904 entries (cap 10,000,000)
+    "inserts.json": '[{"move":"two_point_insert","curve_a":"a","pos_a":1,"curve_b":"g","pos_b":2,"sign":-1},'
+                    '{"move":"two_point_insert","curve_a":"a","pos_a":2,"curve_b":"b","pos_b":0,"sign":-1}]',
+    "m.json": '[{"move":"two_point_insert","curve_a":"a","pos_a":0,"curve_b":"b","pos_b":0},'
+              '{"move":"three_point_flip","p":"p_ab","q":"p_bc","r":"p_ca"},{"move":"two_point_delete","p":"tp1","q":"tp2"}]',
+    "bad.json": '[{"move":"shift_basepoint","curv":"a"}]',
+    "not-a-list.json": '{"move": "shift_basepoint", "curve": "a"}',
+    # C[Z/2] with e1 e1 = 2 e0 in place of e0: the residuals must read it
+    "bad-alg.json": '{"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [2, 0]]], "unit": [1, 0], '
+                    '"comult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "counit": [1, 1], "antipode": [[1, 0], [0, 1]]}',
+    # C[Z/3] with every product of e1 set to 0: eps(e1 e_j) = 0 while eps(e1) eps(e_j) = 1
+    "zero-e1.json": '{"dim": 3, "mult": [[[1, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], '
+                    '[[0, 0, 1], [0, 0, 0], [0, 1, 0]]], "unit": [1, 0, 0], "comult": [[[1, 0, 0], [0, 0, 0], '
+                    '[0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]], '
+                    '"counit": [1, 1, 1], "antipode": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]}',
+    "gset.json": '{"set": ["x", "y"], "action": {"(0,0)": ["x", "z"]}}',
+    # a G-set without points
+    "empty.json": '{"set": [], "action": {"(0,0)": [], "(1,0)": [], "(0,1)": [], "(1,1)": []}}',
+    "extra.json": json.dumps({**json.loads(diagram.serialize(diagram.CATALOG["cp2"]())), "colour_map": {}}),
+}
+
+
+def _row(name, *calls, code=0, out=None, err=None, same_as=None):
+    """One check of the ``trisect`` command line.
+
+    Each call is one command line, run in the order given, and each but the
+    last must exit 0.  The last must exit with ``code``; when given, the regex
+    ``out`` must match a line of its stdout and ``err`` a line of its stderr,
+    and its code, stdout and stderr must equal those of the call ``same_as``.
+    """
+    return pytest.param(calls, code, out, err, same_as, id=name)
+
+
+_ERROR = "^error: "
+
+CONTRACT = [
+    _row("crosscheck-kashaev3", "crosscheck --triplet kashaev:n=3 cp2"),
+    _row("axioms-double-kashaev4", "axioms --algebra double:kashaev:n=4"),
+    _row("count-s3-z3-s4", "eval count --C S3 --B Z/3 s4", out="^l=18,"),
+    _row("count-cosets-cp2", "eval count --C Z/2 --B Z/2 --M cosets:(1,1) cp2", out="^l=2,"),
+    _row("count-regular-cp2", "eval count --C Z/2 --B Z/2 --M regular cp2", out="^l=4,"),
+    _row("count-disc", "eval count --C Z/2 --B Z/3 s4-disc", out="^l=6,"),
+    _row("invariant-s4xs3-exact", "eval invariant --triplet group:C=S4,B=S3 --backend exact cp2",
+         out=r"^invariant = 0\.190785707092"),
+    _row("invariant-s4xs3-float", "eval invariant --triplet group:C=S4,B=S3 --backend float cp2",
+         out=r"^invariant = 0\.190785707092"),
+    _row("invariant-s4xs3-inserted", "moves apply cp2 --moves inserts.json --out inserted.json",
+         "eval invariant --triplet group:C=S4,B=S3 inserted.json", out=r"^invariant = 0\.190785707092"),
+    _row("invariant-weak-exact", "eval invariant --triplet weak:C=Z/2;B=Z/3 --backend exact cp2",
+         out=r"^invariant = 0\.550321208149"),
+    _row("invariant-weak-float", "eval invariant --triplet weak:C=Z/2;B=Z/3 --backend float cp2",
+         out=r"^invariant = 0\.550321208149"),
+    _row("axioms-weak-cosets", "axioms --algebra weak:C=Z/2;B=Z/2;M=cosets:(1,1)"),
+    _row("axioms-fun-s3", "axioms --algebra fun:S3"),
+    _row("crosscheck-z2-z3", "crosscheck --triplet group:C=Z/2,B=Z/3 cp2"),
+    _row("crosscheck-product-group", "crosscheck --triplet group:C=Z/2xZ/2,B=Z/3 cp2", out="^PASS "),
+    _row("rep-refuses-nonabelian", "eval bracket --evaluator rep --triplet group:C=S3,B=Z/3 cp2",
+         code=1, err=re.escape("error: no representations known for the dual of C^(S3xZ/3^op)")),
+    _row("rep-refuses-weak", "eval bracket --evaluator rep --triplet weak:C=Z/2;B=Z/2;M=cosets:(1,1) cp2",
+         code=1, err="^error: the representation backend supports strong triplets only$"),
+    _row("json-invariant-kashaev8", "--json eval invariant --triplet kashaev:n=8 --backend exact cp2",
+         out=r'"coords": \["0", "32", "0", "0"\], "level": 8'),
+    _row("json-bracket-kashaev3", "--json eval bracket --triplet kashaev:n=3 cp2",
+         out=r'"approx": \[1.3322676295501878e-15, 5.196152422706632\], "coords": \["3", "6"\]'),
+    _row("moves-file", "moves apply cp2 --moves m.json --out moved.json",
+         "eval invariant --triplet kashaev:n=3 moved.json", out=r"^invariant = 0\.57735026919i"),
+    _row("moves-bad-parameter", "moves apply cp2 --moves bad.json", code=1, err=_ERROR),
+    _row("moves-not-a-list", "moves apply cp2 --moves not-a-list.json",
+         code=1, err="^error: the moves file must contain a JSON list$"),
+    _row("axioms-corrupted-file", "axioms --algebra file:bad-alg.json", code=1, out=r"^  comultiplicativity: 2\.0$"),
+    _row("axioms-right-side-residual", "axioms --algebra file:zero-e1.json", code=1, out=r"^  unit_counit_compat: 1\.0$"),
+    _row("axioms-unknown-spec", "axioms --algebra nonsense:1", code=1, err="^error: unknown algebra spec 'nonsense:1'$"),
+    _row("cap-8-refuses", "eval invariant --triplet kashaev:n=3 --cap 8 cp2",
+         code=1, err=re.escape("error: needs 9 entries in a contraction intermediate (cap 8)")),
+    _row("cap-9-suffices", "eval invariant --triplet kashaev:n=3 --cap 9 cp2", out=r"^invariant = 0\.57735026919i"),
+    _row("malformed-spec", "eval bracket --triplet kashaev:n=abc cp2", code=1, err=_ERROR),
+    _row("gset-file-bad-point", "eval count --C Z/2 --B Z/2 --M gset.json cp2", code=1, err=_ERROR),
+    _row("gset-file-empty-count", "eval count --C Z/2 --B Z/2 --M empty.json cp2", code=1, err=_ERROR),
+    _row("gset-file-empty-invariant", "eval invariant --triplet weak:C=Z/2;B=Z/2;M=empty.json cp2", code=1, err=_ERROR),
+    _row("gset-file-empty-axioms", "axioms --algebra weak:C=Z/2;B=Z/2;M=empty.json", code=1, err=_ERROR),
+    _row("gset-unknown-coset-element", "eval count --C Z/2 --B Z/2 --M cosets:(2,2) cp2",
+         code=1, err=r"^error: unknown element '\(2,2\)' of Z/2xZ/2\^op"),
+    _row("gset-unknown-spec", "eval count --C Z/2 --B Z/2 --M nowhere cp2",
+         code=1, err="^error: unknown G-set spec 'nowhere'"),
+    _row("boundary-on-closed", "eval count --C Z/2 --B Z/2 --boundary 5 cp2", code=1, err=_ERROR),
+    _row("catalog-cp2", "catalog cp2"),
+    _row("strict-validate-extra-key", "validate --strict extra.json", code=1, err=_ERROR),
+    # --json goes before or after the subcommand, with the same bytes out
+    _row("json-after-validate", "validate s4 --json", out=r"^\{", same_as="--json validate s4"),
+    _row("json-after-catalog", "catalog cp2 --json", out=r"^\{", same_as="--json catalog cp2"),
+    _row("json-after-eval-bracket", "eval bracket --triplet kashaev:n=3 cp2 --json", out=r"^\{",
+         same_as="--json eval bracket --triplet kashaev:n=3 cp2"),
+    _row("json-after-eval-count", "eval count --C Z/2 --B Z/3 s4 --json", out=r"^\{",
+         same_as="--json eval count --C Z/2 --B Z/3 s4"),
+    _row("json-after-axioms", "axioms --algebra fun:S3 --json", out=r"^\{", same_as="--json axioms --algebra fun:S3"),
+    _row("json-after-crosscheck", "crosscheck --triplet kashaev:n=3 cp2 --json", out=r"^\{",
+         same_as="--json crosscheck --triplet kashaev:n=3 cp2"),
+    _row("json-after-moves-apply", "moves apply cp2 --moves m.json --json", out=r"^\{",
+         same_as="--json moves apply cp2 --moves m.json"),
+    _row("json-after-selftest", "selftest --only 10 --json", out=r"^\[", same_as="--json selftest --only 10"),
+]
+
+
+@pytest.mark.parametrize("calls, code, out, err, same_as", CONTRACT)
+def test_cli_contract(capsys, monkeypatch, tmp_path, calls, code, out, err, same_as):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _FILES.items():
+        (tmp_path / name).write_text(text)
+    *setup, last = calls
+    for call in setup:
+        assert run(capsys, *shlex.split(call))[0] == 0, call
+    got = run(capsys, *shlex.split(last))
+    assert got[0] == code, got
+    for pattern, text in ((out, got[1]), (err, got[2])):
+        assert pattern is None or re.search(pattern, text, re.M), (pattern, text)
+    if same_as is not None:
+        assert got == run(capsys, *shlex.split(same_as))
 
 
 def test_catalog_listing(capsys):

@@ -279,6 +279,13 @@ def test_nonsemisimple_rejreported_via_antipode():
     _set_row(h.antipode, (1,), {(1,): ONE})  # no longer an involution
     with pytest.raises(NonSemisimple):
         hopf.compute_integral(h)
+    # a file algebra whose antipode squares to [[1, 2], [0, 1]] has no opposite structures
+    f = hopf.algebra_from_json({"dim": 2, "mult": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], "unit": [1, 0],
+                                "comult": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "counit": [1, 1],
+                                "antipode": [[1, 1], [0, 1]]})
+    for derived in (hopf.op, hopf.cop):
+        with pytest.raises(NonSemisimple, match="antipode is not involutive"):
+            derived(f)
 
 
 def test_kashaev_pairing_values():

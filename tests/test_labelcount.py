@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -103,6 +104,10 @@ def test_count_admissible_catalog():
         assert lc.count_admissible(standard_s4_disc(), cfg, boundary_label=m) == 4
     with pytest.raises(TrisectError):
         lc.count_admissible(standard_s4_disc(), cfg)  # boundary label required
+    e = cp2_embedded()
+    short = dataclasses.replace(e, segment_sides={**e.segment_sides, "a": e.segment_sides["a"][:-1]})
+    with pytest.raises(TrisectError, match="invalid embedded diagram"):
+        lc.count_admissible(short, cfg)
 
 
 def test_factorization_property():

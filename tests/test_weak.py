@@ -155,6 +155,9 @@ def test_weak_integrals():
     lam, ell = hopf.weak_integrals_from_action(m)
     assert max(hopf.check_integral(cross, lam).values()) == 0.0
     assert max(hopf.check_integral(vec, ell).values()) == 0.0
+    # the dual-basis trace formula is for strong algebras only
+    with pytest.raises(TrisectError, match="action integrals"):
+        hopf.compute_integral(cross)
 
 
 def test_nontransitive_action_rejected():
