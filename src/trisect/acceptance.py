@@ -22,6 +22,7 @@ from .diagram import (
     standard_s4_disc,
     standard_s4_embedded,
 )
+from .errors import TrisectError
 from .groups import Group, WeakConfig, bimodule_group, coset_gset, cyclic, point_gset, product, symmetric
 from .scalars import Cyc
 
@@ -354,7 +355,7 @@ def criterion_10():
     try:
         euler_characteristic(2, 3)
         return False, "k > g accepted", 1.0
-    except Exception:
+    except TrisectError:
         pass
     return True, "chi(S4)=2 from (3,1), chi(CP2)=3 from (1,0)", 0.0
 

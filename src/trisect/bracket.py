@@ -280,10 +280,10 @@ class CheckReport:
     details: dict
 
     @classmethod
-    def agreement(cls, name: str, values: dict, tol: float = 1e-9) -> "CheckReport":
+    def agreement(cls, name: str, values: dict) -> "CheckReport":
         """Pass when every value ``approx_eq``s the first; each value is shown by ``_shown``."""
         first, *rest = values.values()
-        ok = all(approx_eq(first, v, tol) for v in rest)
+        ok = all(approx_eq(first, v) for v in rest)
         return cls(name, ok, {k: _shown(v) for k, v in values.items()})
 
     def __str__(self) -> str:
@@ -308,11 +308,11 @@ def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram,
     return CheckReport.agreement("connected-sum multiplicativity", {"sum": bs, "product": b1 * b2})
 
 
-def cross_check(d: TrisectionDiagram, cfg: BracketConfig, tol: float = 1e-9) -> CheckReport:
+def cross_check(d: TrisectionDiagram, cfg: BracketConfig) -> CheckReport:
     """Element vs representation backend under the same normalization."""
     be = trisection_bracket(d, replace(cfg, evaluator="element"))
     br = trisection_bracket(d, replace(cfg, evaluator="rep"))
-    rep = CheckReport.agreement("backend agreement", {"element": be, "rep": br}, tol)
+    rep = CheckReport.agreement("backend agreement", {"element": be, "rep": br})
     if not rep.ok and br:
         ratio = be / br if isinstance(be, Cyc) and isinstance(br, Cyc) else to_complex(be) / to_complex(br)
         rep.details["ratio"] = _shown(ratio)

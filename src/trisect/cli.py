@@ -183,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("diagram")
     p.add_argument("--triplet", required=True)
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     p = sub.add_parser("selftest", parents=[flags], help="run the acceptance criteria")
@@ -257,7 +256,7 @@ def _dispatch(args) -> int:
     if args.cmd == "crosscheck":
         t = parse_triplet(args.triplet, args.backend)
         d = _base(_load_diagram(args.diagram))
-        rep = bracket.cross_check(d, bracket.BracketConfig(t, contraction_cap=args.cap), tol=args.tol)
+        rep = bracket.cross_check(d, bracket.BracketConfig(t, contraction_cap=args.cap))
         _emit(args, {"ok": rep.ok, "details": rep.details}, str(rep))
         return 0 if rep.ok else 1
 

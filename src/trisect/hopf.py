@@ -5,13 +5,15 @@ contract: ``mult[(i, j, k)]`` is the coefficient of e_k in e_i e_j,
 ``comult[(i, j, k)]`` that of e_j (x) e_k in the coproduct of e_i, and
 ``antipode[(i, j)]`` that of e_j in S(e_i); ``unit`` and ``counit`` are sparse
 vectors.  Absent keys are zero.  Scalars are exact cyclotomics (or complex for
-the float backend).  Group algebras use group elements as basis, function
-algebras delta functions, weak crossed products the triples (m, n, k) of a
-transitive K-set M, at the index ``crossed_index`` gives them.  The weak
-triplet reads its C x B^op-set, and the place of C and B in K, from
-``groups.WeakConfig``.  ``weak_simple_reps`` is the one builder of
-irreducibles of group data: those of a crossed product, and on a point those
-of C[G], the dual of ``function_algebra(G)``.
+the float backend).
+
+Group data has one construction: the crossed product C^{MxM} x| C[K] of a
+K-set M and its dual, on the triples (m, n, k) at ``crossed_index``.  On a
+point they are C[G] and C^G, and the group triplet is the weak triplet of the
+point, the paper's case of the bimodule category Vec.  The weak triplet reads
+its C x B^op-set, and the place of C and B in K, from ``groups.WeakConfig``.
+``weak_simple_reps`` is the one builder of irreducibles of group data: those
+of a crossed product, and on a point those of C[G], the dual of C^G.
 
 The checkers state each identity once, as a pair of small networks over the
 structure tensors.  The open wires of a side are the identity's free indices.
@@ -238,31 +240,29 @@ def check_hopf_axioms(h: HopfAlgebra) -> dict[str, float]:
 
 
 def group_algebra(g: Group) -> HopfAlgebra:
-    n = g.order
-    mult = {(i, j, g.mul(i, j)): ONE for i in range(n) for j in range(n)}
-    comult = {(i, i, i): ONE for i in range(n)}
-    counit = {i: ONE for i in range(n)}
-    antipode = {(i, g.inverse(i)): ONE for i in range(n)}
-    # the dual of C[G] is the function algebra C^G, commutative for every G;
-    # its irreducibles are the evaluation characters at group elements
-    irreps = [
-        Rep(f"ev_{g.labels[h]}", 1, [({(0, 0): ONE} if i == h else {}) for i in range(n)])
-        for h in range(n)
-    ]
-    return HopfAlgebra(f"C[{g.name}]", g.labels, mult, {0: ONE}, comult, counit, antipode, False, irreps)
+    """C[G], the crossed product of G acting on a point."""
+    return _on_point(weak_hopf_from_action(point_gset(g))[0], g, f"C[{g.name}]", functions=False)
 
 
 def function_algebra(g: Group) -> HopfAlgebra:
-    n = g.order
-    basis = tuple(f"d{lab}" for lab in g.labels)
-    mult = {(i, i, i): ONE for i in range(n)}
-    unit = {i: ONE for i in range(n)}
-    comult = {(g.mul(j, k), j, k): ONE for j in range(n) for k in range(n)}
-    counit = {0: ONE}
-    antipode = {(i, g.inverse(i)): ONE for i in range(n)}
-    # the dual C[G] is the crossed product of G acting on a point
-    irreps = weak_simple_reps(point_gset(g)) if g.is_abelian() else None
-    return HopfAlgebra(f"C^{g.name}", basis, mult, unit, comult, counit, antipode, False, irreps)
+    """C^G, the dual of the crossed product of G acting on a point."""
+    return _on_point(_crossed_dual(point_gset(g)), g, f"C^{g.name}", functions=True)
+
+
+def _on_point(h: HopfAlgebra, g: Group, name: str, functions: bool) -> HopfAlgebra:
+    """``h``, C^G if ``functions`` else C[G] on a point, under ``name``, G's basis and its dual's irreducibles.
+
+    Those of C^G, commutative for every G, are the evaluations at group
+    elements; those of C[G] are ``weak_simple_reps``'s, when G is abelian.
+    """
+    if functions:
+        basis = tuple(f"d{lab}" for lab in g.labels)
+        irreps = weak_simple_reps(point_gset(g)) if g.is_abelian() else None
+    else:
+        basis = g.labels
+        irreps = [Rep(f"ev_{lab}", 1, [({(0, 0): ONE} if i == x else {}) for i in range(g.order)])
+                  for x, lab in enumerate(g.labels)]
+    return replace(h, name=name, basis=basis, dual_irreps=irreps)
 
 
 def dual(h: HopfAlgebra) -> HopfAlgebra:
@@ -458,19 +458,14 @@ def kashaev_triplet(n: int) -> HopfTriplet:
 
 
 def group_triplet(c_group: Group, b_group: Group) -> HopfTriplet:
-    """Function algebra of C x B^op paired against the two group algebras."""
+    """C^K, K = C x B^op, paired against C[B^op] and C[C]: the weak triplet of a point, with no default integrals."""
     cfg = WeakConfig(c_group, b_group)
-    k = cfg.k_group
-    a = cop(function_algebra(k))
-    a.name = f"C^({k.name})"
-    bt = group_algebra(opposite(b_group))
-    ct = op(cop(group_algebra(c_group)))
-    nb, nc = b_group.order, c_group.order
-    tau_ab: Mat = {(cfg.k_of_b(b), b): ONE for b in range(nb)}
-    tau_ca: Mat = {(c, cfg.k_of_c(c)): ONE for c in range(nc)}
-    tau_bc: Mat = {(b, c): ONE for b in range(nb) for c in range(nc)}
-    return HopfTriplet(
-        f"group:C={c_group.name},B={b_group.name}", a, bt, ct, tau_ab, tau_bc, tau_ca
+    k, t = cfg.k_group, _weak_triplet(cfg)
+    return replace(
+        t, name=f"group:C={c_group.name},B={b_group.name}", default_integrals=None,
+        A=_on_point(t.A, k, f"C^({k.name})", functions=True),
+        B=_on_point(t.B, b_group, f"C[{b_group.name}^op]", functions=False),
+        C=_on_point(t.C, c_group, f"C[{c_group.name}]^cop^op", functions=False),
     )
 
 
@@ -526,49 +521,44 @@ def crossed_index(mset: GSet):
     return lambda m, n, k: (m * msz + n) * ksz + k
 
 
+def _crossed_dual(mset: GSet) -> HopfAlgebra:
+    """<MxM> (x) C^K, the dual of the crossed product of ``mset``: its tensors, written out once.
+
+    Indices are ``crossed_index``'s, computed inline.  Each map lists its
+    entries in the order of the crossed product's map that ``dual`` turns it
+    into, so ``dual`` gives the crossed product back in that order too.
+    """
+    k, act = mset.group, mset.act
+    msz, ksz, lab = mset.size, k.order, mset.labels
+    ms, ks = range(msz), range(ksz)
+    basis = tuple(f"{lab[m]}{lab[n]}(x)d{k.labels[g]}" for m in ms for n in ms for g in ks)
+    mult, comult, antipode = {}, {}, {}
+    for m in ms:
+        for n in ms:
+            mn = (m * msz + n) * ksz  # the index of (m, n, g) is mn + g
+            for g in ks:
+                gi = k.inverse(g)
+                p, q = act[gi][m], act[gi][n]
+                # in the crossed product (d_m d_n (x) g)(d_p d_q (x) h) is nonzero only at (p, q) = g^-1 (m, n)
+                pq = (p * msz + q) * ksz
+                for h, gh in enumerate(k.table[g]):
+                    comult[(mn + gh, mn + g, pq + h)] = ONE
+                for x in ms:
+                    mult[((m * msz + x) * ksz + g, (x * msz + n) * ksz + g, mn + g)] = ONE
+                antipode[((q * msz + p) * ksz + gi, mn + g)] = ONE
+    unit = {(m * msz + m) * ksz + g: ONE for m in ms for g in ks}
+    counit = {(m * msz + n) * ksz: ONE for m in ms for n in ms}
+    return HopfAlgebra(f"<MxM>(x)C^{k.name}", basis, mult, unit, comult, counit, antipode, weak=msz > 1)
+
+
 def weak_hopf_from_action(mset: GSet, strict: bool = True) -> tuple[HopfAlgebra, HopfAlgebra]:
     """The crossed product C^{MxM} x| C[K] and its dual, from a transitive K-set."""
     if strict and not mset.is_transitive():
         raise TrisectError("the action must be transitive")
-    k = mset.group
-    msz, ksz = mset.size, k.order
-    ix = crossed_index(mset)
-    lab = mset.labels
-    basis = tuple(
-        f"d{lab[m]}d{lab[n]}(x){k.labels[kk]}" for m in range(msz) for n in range(msz) for kk in range(ksz)
-    )
-    # (d_m d_n (x) g)(d_p d_q (x) h) is nonzero only at (p, q) = g^-1 (m, n)
-    mult: Tensor3 = {}
-    for m in range(msz):
-        for n in range(msz):
-            for g in range(ksz):
-                gi = k.inverse(g)
-                p, q = mset.apply(gi, m), mset.apply(gi, n)
-                for h in range(ksz):
-                    mult[(ix(m, n, g), ix(p, q, h), ix(m, n, k.mul(g, h)))] = ONE
-    unit = {ix(m, n, 0): ONE for m in range(msz) for n in range(msz)}
-    comult = {
-        (ix(m, n, g), ix(m, p, g), ix(p, n, g)): ONE
-        for m in range(msz)
-        for n in range(msz)
-        for g in range(ksz)
-        for p in range(msz)
-    }
-    counit = {ix(m, m, g): ONE for m in range(msz) for g in range(ksz)}
-    antipode = {}
-    for m in range(msz):
-        for n in range(msz):
-            for g in range(ksz):
-                gi = k.inverse(g)
-                antipode[(ix(m, n, g), ix(mset.apply(gi, n), mset.apply(gi, m), gi))] = ONE
-    cross = HopfAlgebra(
-        f"C^(MxM)x|C[{k.name}]", basis, mult, unit, comult, counit, antipode, weak=msz > 1
-    )
-
-    basis_d = tuple(
-        f"{lab[m]}{lab[n]}(x)d{k.labels[kk]}" for m in range(msz) for n in range(msz) for kk in range(ksz)
-    )
-    return cross, replace(dual(cross), name=f"<MxM>(x)C^{k.name}", basis=basis_d)
+    k, lab, vec = mset.group, mset.labels, _crossed_dual(mset)
+    ms = range(mset.size)
+    basis = tuple(f"d{lab[m]}d{lab[n]}(x){k.labels[g]}" for m in ms for n in ms for g in range(k.order))
+    return replace(dual(vec), name=f"C^(MxM)x|C[{k.name}]", basis=basis), vec
 
 
 def weak_integrals_from_action(mset: GSet) -> tuple[Vec, Vec]:
@@ -582,10 +572,14 @@ def weak_integrals_from_action(mset: GSet) -> tuple[Vec, Vec]:
 
 def weak_triplet(c_group: Group, b_group: Group, mset: GSet | None = None) -> HopfTriplet:
     """The weak Hopf triplet from a transitive C x B^op action on a finite set."""
-    cfg = WeakConfig(c_group, b_group, mset)
+    return _weak_triplet(WeakConfig(c_group, b_group, mset))
+
+
+def _weak_triplet(cfg: WeakConfig) -> HopfTriplet:
+    c_group, b_group = cfg.c_group, cfg.b_group
     mset, ms = cfg.mset, range(cfg.msize)
     nb, nc = b_group.order, c_group.order
-    _, h_a = weak_hopf_from_action(mset)
+    h_a = cop(_crossed_dual(mset))  # copped at once, so the uncopped dual is freed before B and C are built
     # the restrictions of M to B^op and to C, which need not be transitive
     m_b = GSet(opposite(b_group), mset.labels, tuple(tuple(cfg.act_b(m, b) for m in ms) for b in range(nb)))
     m_c = GSet(c_group, mset.labels, tuple(tuple(cfg.act_c(c, m) for m in ms) for c in range(nc)))
@@ -605,7 +599,7 @@ def weak_triplet(c_group: Group, b_group: Group, mset: GSet | None = None) -> Ho
         "B": weak_integrals_from_action(m_b)[0],
         "C": weak_integrals_from_action(m_c)[0],
     }
-    return HopfTriplet(name, cop(h_a), h_b, op(cop(h_c)), tau_ab, tau_bc, tau_ca, default_integrals=ints)
+    return HopfTriplet(name, h_a, h_b, op(cop(h_c)), tau_ab, tau_bc, tau_ca, default_integrals=ints)
 
 
 def weak_simple_reps(mset: GSet) -> list[Rep]:
@@ -614,8 +608,8 @@ def weak_simple_reps(mset: GSet) -> list[Rep]:
     Each is induced from a character of the stabilizer of the orbit's
     basepoint pair, so every such stabilizer must be abelian.  On a point the
     crossed product is C[K], so these are the irreducibles of C[K], one per
-    character of ``Group.characters`` in its order; ``function_algebra``
-    takes them as the irreducibles of its dual.
+    character of ``Group.characters`` in its order; ``_on_point`` gives them
+    to C^K as the irreducibles of its dual.
     """
     k = mset.group
     msz, ksz = mset.size, k.order

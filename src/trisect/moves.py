@@ -431,10 +431,9 @@ def random_move(d: TrisectionDiagram, rng: random.Random, max_visits: int = 8) -
                         },
                     )
                 )
+    # every option applies: insertions join two colours, slides two curves of
+    # one colour, and deletions and flips come from the moves' own blockers
     rng.shuffle(options)
-    for spec in options:
-        try:
-            return spec, apply_move(d, spec)
-        except MoveNotApplicable:
-            continue
-    raise TrisectError("no applicable move found")
+    if not options:
+        raise TrisectError("no applicable move found")
+    return options[0], apply_move(d, options[0])

@@ -34,6 +34,20 @@ def test_run_all_subset():
     assert "criterion 10" in results[0].line()
 
 
+def test_criterion_10_fails_when_the_euler_characteristic_crashes(monkeypatch):
+    # only the TrisectError of a refused (g, k) counts as refusing k > g
+    real = acceptance.euler_characteristic
+
+    def crashing(g, k):
+        if k > g:
+            raise TypeError("crashed")
+        return real(g, k)
+
+    monkeypatch.setattr(acceptance, "euler_characteristic", crashing)
+    [result] = acceptance.run_all({10})
+    assert not result.ok and "TypeError" in result.detail
+
+
 def test_failed_residual_check_names_the_algebra_and_its_report(monkeypatch):
     check = acceptance.hopf.check_hopf_axioms
 

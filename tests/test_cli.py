@@ -386,6 +386,13 @@ def test_eval_has_no_tolerance_option():
     assert exc.value.code == 2
 
 
+def test_crosscheck_has_no_tolerance_option():
+    # the float backend's comparison uses approx_eq's tolerance; there is none to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["crosscheck", "--tol", "1e-3", "--triplet", "kashaev:n=3", "cp2"])
+    assert exc.value.code == 2
+
+
 def _triplet_data(t):
     """A triplet as a ``file:`` object, on the axes of the stored tensors."""
     def dense(h):

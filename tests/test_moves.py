@@ -225,6 +225,35 @@ def test_enumeration_matches_trial_and_error_along_random_walks(start, seed, max
     assert moves.applicable_triangles(d) == oracle_triangles(d)
 
 
+class RecordingRandom(random.Random):
+    """A ``random.Random`` that keeps a copy of the list its last ``shuffle`` left."""
+
+    def shuffle(self, x):
+        super().shuffle(x)
+        self.shuffled = list(x)
+
+
+def first_applicable(d, options):
+    """The first of ``options`` that applies, as random_move's retry loop found it: the oracle."""
+    for spec in options:
+        try:
+            return spec, moves.apply_move(d, spec)
+        except MoveNotApplicable:
+            continue
+    raise TrisectError("no applicable move found")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STARTS)), st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_random_move_takes_the_move_the_retry_loop_took(start, seed, max_visits):
+    # every option random_move builds applies, so the first shuffled one is taken
+    d, rng = STARTS[start](), RecordingRandom(seed)
+    for _ in range(30):
+        spec, moved = moves.random_move(d, rng, max_visits=max_visits)
+        assert (spec, moved) == first_applicable(d, rng.shuffled)
+        d = moved
+
+
 # (start, seed, max_visits) of each pinned walk: max_visits=1 as in the bench's
 # ladder noise, 6 as in criterion 5's random sequences
 PINNED_WALKS = {
