@@ -238,6 +238,9 @@ def _dispatch(args) -> int:
         if not isinstance(specs, list):
             raise TrisectError("the moves file must contain a JSON list")
         base = _base(d)
+        rep = diagram.validate(base)
+        if not rep.ok:  # the moves assume a consistent diagram
+            raise TrisectError(f"invalid diagram: {rep}")
         for entry in specs:
             base = moves.apply_move(base, moves.MoveSpec.from_json(entry))
         out = diagram.serialize(base)

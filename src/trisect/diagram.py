@@ -237,6 +237,7 @@ def corner_conditions(e: EmbeddedDiagram, xid: str) -> list[tuple[str, str, str]
 
 def validate_embedded(e: EmbeddedDiagram, strict: bool = False) -> ValidationReport:
     rep = validate(e.base, strict)
+    base_ok = (validate(e.base) if strict else rep).ok
     region_set = set(e.regions)
     used: set[str] = set()
     for c in e.base.curves:
@@ -259,7 +260,8 @@ def validate_embedded(e: EmbeddedDiagram, strict: bool = False) -> ValidationRep
     for reg in e.regions:
         if reg not in used:
             rep.add("unused-region", f"region {reg!r} referenced by no segment side")
-    if not rep.violations or all(v.code not in ("segments", "unknown-region") for v in rep.violations):
+    # the corners read each crossing's colour pair and segments, so they need a valid base and sides
+    if base_ok and all(v.code not in ("segments", "unknown-region") for v in rep.violations):
         for x in e.base.crossings:
             for name, lhs, rhs in corner_conditions(e, x.id):
                 if lhs != rhs:
@@ -460,12 +462,15 @@ def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram
     base = TrisectionDiagram(genus, kind, tuple(curves), tuple(crossings), k)
     if "regions" not in data and "segment_sides" not in data:
         return base
+    regions = tuple(str(r) for r in need("regions", list))
     try:
-        regions = tuple(str(r) for r in data["regions"])
         sides = {
             str(cid): tuple((str(l), str(r)) for l, r in pairs)
-            for cid, pairs in data["segment_sides"].items()
+            for cid, pairs in need("segment_sides", dict).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DiagramParseError(f"bad embedding data: {exc}", where="segment_sides") from exc
-    return EmbeddedDiagram(base, regions, sides, data.get("boundary_region"))
+    boundary = data.get("boundary_region")
+    if boundary is not None and not isinstance(boundary, str):
+        raise DiagramParseError("key 'boundary_region' must be a string", where="boundary_region")
+    return EmbeddedDiagram(base, regions, sides, boundary)

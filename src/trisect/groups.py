@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import TrisectError
+from . import contraction
+from .errors import ResourceExceeded, TrisectError
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,6 @@ class Group:
             for j in range(i + 1, self.order)
         )
 
-    def check_axioms(self) -> None:
-        n = self.order
-        for i in range(n):
-            self.inverse(i)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.mul(self.mul(i, j), k) != self.mul(i, self.mul(j, k)):
-                        raise TrisectError(f"group {self.name}: associativity fails")
-
     def closure(self, gens: list[int]) -> list[int]:
         seen = {0}
         frontier = [0]
@@ -117,49 +108,41 @@ class Group:
         """All irreducible characters of an abelian group.
 
         Character chi is returned as a vector of exponents: chi(g_j) equals
-        zeta_e^{vec[j]} with e the group exponent.
+        zeta_e^{vec[j]} with e the group exponent.  Each g outside the subgroup
+        H built so far, in index order, with p = g^k its first power in H,
+        extends each chi of H by chi(h g^j) = chi(h) + j t, for the k roots t
+        of k t = chi(p) (mod e); chi(p) is divisible by k.
         """
         if not self.is_abelian():
             raise TrisectError(f"group {self.name} is not abelian; supply representations explicitly")
-        n, e = self.order, self.exponent()
-        gens: list[int] = []
-        span = [0]
-        for g in range(n):
-            if g not in span:
-                gens.append(g)
-                span = self.closure(gens)
-        # one expression per element: exponent vector over the generators
-        expr = {0: (0,) * len(gens)}
-        frontier = [0]
-        while frontier:
-            g = frontier.pop()
-            for t, h in enumerate(gens):
-                x = self.mul(g, h)
-                if x not in expr:
-                    v = list(expr[g])
-                    v[t] += 1
-                    expr[x] = tuple(v)
-                    frontier.append(x)
-        orders = [self.element_order(g) for g in gens]
-        chars: list[tuple[int, ...]] = []
-        for images in itertools.product(*[range(0, e, e // o) for o in orders]):
-            vec = tuple(sum(a * x for a, x in zip(expr[g], images)) % e for g in range(n))
-            ok = all(
-                (vec[self.mul(i, j)] - vec[i] - vec[j]) % e == 0
-                for i in range(n)
-                for j in range(n)
-            )
-            if ok and vec not in chars:
-                chars.append(vec)
-        if len(chars) != n:
-            raise TrisectError(f"character search for {self.name} found {len(chars)} != {n}")
-        return sorted(chars)
+        e = self.exponent()
+        chars = [{0: 0}]  # characters of H, as {element: exponent}; chars[0] is trivial, its keys are H
+        for g in range(self.order):
+            if g in chars[0]:
+                continue
+            powers = [0]
+            while (p := self.mul(powers[-1], g)) not in chars[0]:
+                powers.append(p)
+            k = len(powers)
+            chars = [
+                {self.mul(h, gj): (v + j * t) % e for j, gj in enumerate(powers) for h, v in chi.items()}
+                for chi in chars
+                for t in range(chi[p] // k, e, e // k)
+            ]
+        return sorted(tuple(chi[g] for g in range(self.order)) for chi in chars)
 
     def __str__(self) -> str:
         return self.name
 
 
+def _check_table_size(order: int) -> None:
+    """Refuse a Cayley table of more entries than ``contraction.DEFAULT_CAP``, the engine's one cap."""
+    if order * order > contraction.DEFAULT_CAP:
+        raise ResourceExceeded(order * order, contraction.DEFAULT_CAP, "entries in a group table")
+
+
 def cyclic(n: int) -> Group:
+    _check_table_size(n)
     labels = tuple(str(i) for i in range(n))
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return Group(f"Z/{n}", labels, table)
@@ -199,6 +182,7 @@ def opposite(g: Group) -> Group:
 
 
 def product(g: Group, h: Group, name: str | None = None) -> Group:
+    _check_table_size(g.order * h.order)
     labels = tuple(f"({a},{b})" for a in g.labels for b in h.labels)
     m = h.order
     table = []
@@ -224,7 +208,8 @@ def parse_group(spec: str) -> Group:
     factors = low.split("x")
     groups = []
     for f in factors:
-        if f.startswith("z/") and f[2:].isdigit() and int(f[2:]) >= 1:
+        # isdigit() admits '²', which int() refuses, and int() refuses over 4300 digits
+        if f.startswith("z/") and f[2:].isdecimal() and len(f) <= 20 and int(f[2:]) >= 1:
             groups.append(cyclic(int(f[2:])))
         elif f in _BUILTIN:
             groups.append(_BUILTIN[f])

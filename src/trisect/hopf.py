@@ -751,4 +751,7 @@ def triplet_from_json(data: dict) -> HopfTriplet:
         raise TrisectError("bad triplet file: not a JSON object")
     alg = {slot: algebra_from_json(data.get(slot), name=slot) for slot in "ABC"}
     taus = [_entries(data, f"tau_{x}{y}", (alg[x].dim, alg[y].dim)) for x, y in ("AB", "BC", "CA")]
-    return HopfTriplet(data.get("name", "file"), alg["A"], alg["B"], alg["C"], *taus)
+    name = data.get("name", "file")
+    if not isinstance(name, str):
+        raise TrisectError("bad triplet file: name must be a string")
+    return HopfTriplet(name, alg["A"], alg["B"], alg["C"], *taus)

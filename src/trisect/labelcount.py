@@ -32,7 +32,7 @@ from collections import Counter
 
 from .bracket import BracketConfig, CheckReport, InvariantValue, invariant
 from .contraction import Node, accumulate, contract_network
-from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, validate_embedded
+from .diagram import BLUE, GREEN, RED, EmbeddedDiagram, TrisectionDiagram, validate, validate_embedded
 from .errors import ResourceExceeded, TrisectError
 from .groups import Group, WeakConfig
 from .hopf import Rep, crossed_index, group_triplet, weak_simple_reps
@@ -119,6 +119,9 @@ def iter_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig):
 
 def count_curve_labellings(d: TrisectionDiagram, cfg: WeakConfig) -> int:
     """Number of green/blue labellings with trivial red products (the |M|=1 count)."""
+    rep = validate(d)
+    if not rep.ok:
+        raise TrisectError(f"invalid diagram: {rep}")
     return _count(*_curve_network(d, cfg))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trisect import cli, diagram
 
@@ -15,6 +19,21 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _catalog_json(name="cp2", change=lambda d: None, embedded=True) -> str:
+    """The JSON of a catalog diagram, or of its base diagram, after ``change`` edits the decoded object."""
+    e = diagram.CATALOG[name]()
+    data = json.loads(diagram.serialize(e if embedded else e.base))
+    change(data)
+    return json.dumps(data)
+
+
+def _add_green_curve(d):
+    # a second green curve g2 crossing g
+    d["curves"][2]["visits"].append("gg")
+    d["curves"].append({"id": "g2", "color": "green", "visits": ["gg"]})
+    d["crossings"].append({"id": "gg", "sign": 1, "ends": [["g", 2], ["g2", 0]]})
 
 
 # The input files of the command-line contract below, written into the working directory of every row.
@@ -37,7 +56,13 @@ _FILES = {
     "gset.json": '{"set": ["x", "y"], "action": {"(0,0)": ["x", "z"]}}',
     # a G-set without points
     "empty.json": '{"set": [], "action": {"(0,0)": [], "(1,0)": [], "(0,1)": [], "(1,1)": []}}',
-    "extra.json": json.dumps({**json.loads(diagram.serialize(diagram.CATALOG["cp2"]())), "colour_map": {}}),
+    "extra.json": _catalog_json(change=lambda d: d.update(colour_map={})),
+    "same-colour.json": _catalog_json(change=_add_green_curve, embedded=False),
+    "sides-list.json": _catalog_json(change=lambda d: d.update(segment_sides=[])),
+    "boundary-list.json": _catalog_json(change=lambda d: d.update(boundary_region=["x"])),
+    "b-red.json": _catalog_json(change=lambda d: d["curves"][1].update(color="red")),
+    "b-purple.json": _catalog_json(change=lambda d: d["curves"][1].update(color="purple")),
+    "null-id.json": _catalog_json(change=lambda d: d["crossings"][0].update(id=None)),
 }
 
 
@@ -106,6 +131,19 @@ CONTRACT = [
     _row("boundary-on-closed", "eval count --C Z/2 --B Z/2 --boundary 5 cp2", code=1, err=_ERROR),
     _row("catalog-cp2", "catalog cp2"),
     _row("strict-validate-extra-key", "validate --strict extra.json", code=1, err=_ERROR),
+    _row("count-same-colour", "eval count --C Z/2 --B Z/3 same-colour.json", code=1,
+         err=re.escape("error: invalid diagram: [same-colour-intersection] 'g' and 'g2' share a colour (at gg)")),
+    _row("sides-not-an-object", "validate sides-list.json", code=1,
+         err=re.escape("error: key 'segment_sides' has wrong type (at segment_sides)")),
+    _row("boundary-not-a-string", "validate boundary-list.json", code=1,
+         err=re.escape("error: key 'boundary_region' must be a string (at boundary_region)")),
+    _row("validate-red-b", "validate b-red.json", code=1,
+         out=re.escape("[same-colour-intersection] 'a' and 'b' share a colour (at p_ab)")),
+    _row("count-red-b", "eval count --C Z/2 --B Z/3 b-red.json", code=1, err="^error: invalid embedded diagram: "),
+    _row("validate-purple-b", "validate b-purple.json", code=1, out=re.escape("[color] unknown colour 'purple' (at b)")),
+    _row("count-purple-b", "eval count --C Z/2 --B Z/3 b-purple.json", code=1, err="^error: invalid embedded diagram: "),
+    _row("moves-on-invalid-diagram", "moves apply null-id.json --moves m.json", code=1,
+         err=re.escape("error: invalid diagram: [dangling-visit] curve visits unknown crossing 'p_ab' (at a[0])")),
     # --json goes before or after the subcommand, with the same bytes out
     _row("json-after-validate", "validate s4 --json", out=r"^\{", same_as="--json validate s4"),
     _row("json-after-catalog", "catalog cp2 --json", out=r"^\{", same_as="--json catalog cp2"),
@@ -444,6 +482,7 @@ def test_triplet_json_roundtrip():
     lambda d: d.pop("tau_BC"),
     lambda d: d.pop("C"),
     lambda d: d["B"].update(basis=["e"]),
+    lambda d: d.update(name=5),                 # float_triplet appended " (float)" to it: a TypeError
 ])
 def test_malformed_triplet_file_is_rejected(change):
     from trisect import hopf
@@ -453,6 +492,17 @@ def test_malformed_triplet_file_is_rejected(change):
     change(data)
     with pytest.raises(TrisectError):
         hopf.triplet_from_json(data)
+
+
+def test_group_table_cap_is_a_domain_error(capsys, monkeypatch):
+    # a cap of 100 entries stands in for the real one, so no test builds a huge table
+    from trisect import contraction
+
+    monkeypatch.setattr(contraction, "DEFAULT_CAP", 100)
+    code, _, err = run(capsys, "eval", "count", "--C", "Z/11", "--B", "Z/1", "cp2")
+    assert code == 1 and err == "error: needs 121 entries in a group table (cap 100)\n"
+    code, _, err = run(capsys, "eval", "invariant", "--triplet", "group:C=Z/5,B=Z/3", "cp2")
+    assert code == 1 and err == "error: needs 225 entries in a group table (cap 100)\n"
 
 
 def test_malformed_files_are_domain_errors(capsys, tmp_path):
@@ -545,3 +595,155 @@ def test_selftest_json_deterministic(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert all(entry["ok"] for entry in data)
+
+
+# ---------------------------------------------------------------------------
+# cli.main on mutated input files and corrupted spec strings: every run exits
+# 0, 1 or 2, exit 1 prints an "error:" line unless it reports a failed check,
+# and no exception leaves main.  Group orders stay at most 12.
+
+# the commands whose exit 1 may be a failed check's report on stdout
+_REPORTS = ("validate", "axioms", "crosscheck")
+
+
+def _check_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 1:
+        cmd = next(a for a in argv if not a.startswith("--"))
+        reported = err.getvalue() == "" and cmd in _REPORTS and out.getvalue()
+        assert re.match(_ERROR, err.getvalue()) or reported, (argv, out.getvalue(), err.getvalue())
+
+
+def _json_flag(draw, argv):
+    """``argv`` with ``--json`` before the subcommand, after it, or not at all."""
+    where = draw(st.sampled_from(("none", "before", "after")))
+    return {"none": argv, "before": ["--json", *argv], "after": [*argv, "--json"]}[where]
+
+
+def _paths(value, path=()):
+    """The path of every value inside a decoded JSON value, the root included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+# a value of every JSON type, and ids and indices that point at nothing
+_RETYPED = (None, True, 0, -1, 7, 2.5, "", "nowhere", [], {}, ["x"], {"x": 1})
+
+
+@st.composite
+def _mutated(draw, value):
+    """``value`` after one to three edits, each dropping, retyping or repointing a field or item, or doubling an item."""
+    def fresh(v):  # a copy, so that no edit reaches a shared value
+        return json.loads(json.dumps(v))
+
+    value = fresh(value)
+    for _ in range(draw(st.integers(1, 3))):
+        *path, key = draw(st.sampled_from(list(_paths(value)))) or (None,)
+        if key is None:
+            value = fresh(draw(st.sampled_from(_RETYPED)))
+            continue
+        parent = value
+        for step in path:
+            parent = parent[step]
+        edit = draw(st.sampled_from(("drop", "retype", "double")))
+        if edit == "drop":
+            del parent[key]
+        elif edit == "double" and isinstance(parent, list):
+            parent.insert(key, fresh(parent[key]))
+        else:
+            parent[key] = fresh(draw(st.sampled_from(_RETYPED)))
+    return value
+
+
+def _fuzz_inputs():
+    """(JSON value, the commands that read it as FILE) for each kind of input file."""
+    from trisect import hopf
+
+    triplet = _triplet_data(hopf.kashaev_triplet(2))
+    on_diagram = [
+        "validate FILE", "validate --strict FILE", "eval count --C Z/2 --B Z/3 FILE",
+        "eval count --C Z/2 --B Z/2 --M cosets:(1,1) --boundary 1 FILE", "eval bracket --triplet kashaev:n=2 FILE",
+        "eval invariant --triplet group:C=Z/2,B=Z/3 --backend float FILE", "crosscheck --triplet kashaev:n=3 FILE",
+        "moves apply FILE --moves m.json",
+    ]
+    inputs = {name: (json.loads(diagram.serialize(build())), on_diagram) for name, build in diagram.CATALOG.items()}
+    inputs["cp2-abstract"] = json.loads(diagram.serialize(diagram.cp2())), on_diagram
+    inputs["triplet"] = triplet, ["eval bracket --triplet file:FILE cp2", "crosscheck --triplet file:FILE cp2",
+                                  "eval invariant --triplet file:FILE --backend float cp2"]
+    inputs["algebra"] = triplet["B"], ["axioms --algebra file:FILE"]
+    inputs["gset"] = _GSET, ["eval count --C Z/2 --B Z/2 --M FILE cp2", "axioms --algebra weak:C=Z/2;B=Z/2;M=FILE",
+                             "eval bracket --triplet weak:C=Z/2;B=Z/2;M=FILE cp2"]
+    inputs["moves"] = json.loads(_FILES["m.json"]), ["moves apply cp2 --moves FILE"]
+    return inputs
+
+
+_FUZZ_INPUTS = _fuzz_inputs()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "m.json").write_text(_FILES["m.json"])
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mutated_files_end_in_an_exit_code(fuzz_dir, data):
+    value, commands = _FUZZ_INPUTS[data.draw(st.sampled_from(sorted(_FUZZ_INPUTS)))]
+    f = fuzz_dir / "input.json"
+    f.write_text(json.dumps(data.draw(_mutated(value))))
+    argv = shlex.split(data.draw(st.sampled_from(commands)).replace("FILE", str(f)).replace("m.json", str(fuzz_dir / "m.json")))
+    _check_exit(_json_flag(data.draw, argv))
+
+
+# C and B with |C| |B| <= 12, so K = C x B^op has order at most 12
+_ORDER = {"Z/1": 1, "Z/2": 2, "Z/3": 3, "Z/4": 4, "Z/2xZ/2": 4, "S3": 6}
+_PAIRS = [(c, b) for c in _ORDER for b in _ORDER if _ORDER[c] * _ORDER[b] <= 12]
+# no digits: a corrupted spec names no larger group
+_NOISE = st.sampled_from("ZzSsDdxX/:=,;()|-. nrcgpkwM")
+
+
+@st.composite
+def _corrupted(draw, spec):
+    """``spec`` after up to three characters are inserted, deleted or replaced."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(spec)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        noise = draw(_NOISE) if edit != "delete" else ""
+        spec = spec[:i] + noise + spec[i + (edit != "insert"):]
+    return spec
+
+
+@st.composite
+def _spec_command(draw):
+    """A command line with a triplet, algebra, group or G-set spec from the grammar, then corrupted."""
+    c, b = draw(st.sampled_from(_PAIRS))
+    m = draw(st.sampled_from(("point", "cosets:(1,1)", "cosets:(0,1)|(1,0)") + ("regular",) * (_ORDER[c] * _ORDER[b] <= 4)))
+    n = draw(st.integers(0, 4))
+    triplet = draw(st.sampled_from((f"kashaev:n={n}", f"group:C={c},B={b}", f"weak:C={c};B={b};M={m}")))
+    algebra = draw(st.sampled_from((f"group:{c}", f"fun:{b}", f"double:kashaev:n={n}", f"weak:C={c};B={b};M={m}")))
+    name = draw(st.sampled_from(sorted(diagram.CATALOG)))
+    argv, at = draw(st.sampled_from((
+        (["eval", "bracket", "--triplet", triplet, name], 3),
+        (["eval", "invariant", "--triplet", triplet, "--backend", "float", name], 3),
+        (["crosscheck", "--triplet", triplet, "cp2"], 2),
+        (["axioms", "--algebra", algebra], 2),
+        (["eval", "count", "--C", c, "--B", b, "--M", m, name], draw(st.sampled_from((3, 5, 7)))),
+    )))
+    argv[at] = draw(_corrupted(argv[at]))
+    return _json_flag(draw, argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spec_command())
+def test_corrupted_specs_end_in_an_exit_code(argv):
+    _check_exit(argv)

@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
 
-from trisect.errors import TrisectError
+from trisect import contraction
+from trisect.acceptance import _weak_suite
+from trisect.errors import ResourceExceeded, TrisectError
 from trisect.groups import (
     GSet,
+    bimodule_group,
     coset_gset,
     cyclic,
     dihedral,
@@ -18,10 +23,65 @@ from trisect.hopf import function_algebra
 from trisect.scalars import Cyc
 
 
+def check_axioms(g):
+    """The reference for a group table: every element has an inverse, and the product is associative."""
+    n = g.order
+    for i in range(n):
+        g.inverse(i)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if g.mul(g.mul(i, j), k) != g.mul(i, g.mul(j, k)):
+                    raise TrisectError(f"group {g.name}: associativity fails")
+
+
+def characters_by_search(g):
+    """The characters of an abelian group by search, the oracle of ``Group.characters``.
+
+    It finds an exponent word over a greedy generating set for every
+    element, tries every tuple of generator images, and keeps each candidate
+    with chi(gh) = chi(g) + chi(h) on all |G|^2 pairs.
+    """
+    n, e = g.order, g.exponent()
+    gens: list[int] = []
+    span = [0]
+    for x in range(n):
+        if x not in span:
+            gens.append(x)
+            span = g.closure(gens)
+    expr = {0: (0,) * len(gens)}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for t, h in enumerate(gens):
+            y = g.mul(x, h)
+            if y not in expr:
+                v = list(expr[x])
+                v[t] += 1
+                expr[y] = tuple(v)
+                frontier.append(y)
+    orders = [g.element_order(x) for x in gens]
+    chars: list[tuple[int, ...]] = []
+    for images in itertools.product(*[range(0, e, e // o) for o in orders]):
+        vec = tuple(sum(a * x for a, x in zip(expr[y], images)) % e for y in range(n))
+        if all((vec[g.mul(i, j)] - vec[i] - vec[j]) % e == 0 for i in range(n) for j in range(n)) and vec not in chars:
+            chars.append(vec)
+    assert len(chars) == n, g.name
+    return sorted(chars)
+
+
+def _weak_suite_stabilizers():
+    """Every stabilizer ``weak_simple_reps`` builds for the weak suite: one per orbit on M x M."""
+    for name, mset in _weak_suite():
+        for orbit in mset.pair_orbits():
+            m1, m2 = orbit["base"]
+            yield mset.group.subgroup(mset.stabilizer_pair(m1, m2), name=f"{name}:Stab{m1},{m2}")[0]
+
+
 @pytest.mark.parametrize("g", [cyclic(1), cyclic(5), symmetric(3), symmetric(4), dihedral(4),
                                product(cyclic(2), cyclic(3))])
 def test_builtin_groups_are_groups(g):
-    g.check_axioms()
+    check_axioms(g)
 
 
 def test_orders_and_abelianness():
@@ -42,7 +102,7 @@ def test_small_dihedral_groups_name_their_builds(n):
 def test_opposite_group():
     s3 = symmetric(3)
     op = opposite(s3)
-    op.check_axioms()
+    check_axioms(op)
     for i in range(6):
         for j in range(6):
             assert op.mul(i, j) == s3.mul(j, i)
@@ -71,9 +131,30 @@ def test_function_algebra_irreps_are_the_characters_in_their_order():
         assert function_algebra(g).dual_irreps is None
 
 
+_PRODUCTS = ("Z/2xZ/2", "Z/2xZ/4", "Z/3xZ/4", "Z/2xZ/2xZ/2", "Z/4xZ/6")
+
+
+@pytest.mark.parametrize("g", [cyclic(n) for n in range(1, 13)] + [parse_group(s) for s in _PRODUCTS]
+                         + [bimodule_group(cyclic(a), cyclic(b)) for a in range(1, 7) for b in range(1, 7)]
+                         + list(_weak_suite_stabilizers()), ids=str)
+def test_characters_by_extension_equal_the_search(g):
+    # the same list in the same order as the search over generator images
+    assert g.characters() == characters_by_search(g)
+
+
 def test_nonabelian_characters_rejected():
     with pytest.raises(TrisectError):
         symmetric(3).characters()
+
+
+def test_group_tables_are_capped(monkeypatch):
+    # with the engine's cap at 100 entries, Z/10 (100 entries) is built and Z/11 (121) is not
+    monkeypatch.setattr(contraction, "DEFAULT_CAP", 100)
+    assert cyclic(10).order == 10 and product(cyclic(5), cyclic(2)).order == 10
+    for build in (lambda: cyclic(11), lambda: product(cyclic(3), cyclic(4)), lambda: parse_group("Z/11"),
+                  lambda: parse_group("Z/2xZ/6"), lambda: bimodule_group(cyclic(3), cyclic(4))):
+        with pytest.raises(ResourceExceeded, match=r"needs 1[24][14] entries in a group table \(cap 100\)"):
+            build()
 
 
 def test_parse_group():
@@ -83,6 +164,10 @@ def test_parse_group():
     assert parse_group("D4").order == 8
     with pytest.raises(TrisectError):
         parse_group("E8")
+    # str.isdigit() admits these, int() refuses them
+    for spec in ("Z/\u00b2", "Z/" + "1" * 5000):
+        with pytest.raises(TrisectError, match="unknown group spec"):
+            parse_group(spec)
 
 
 def test_action_tables_are_checked():
