@@ -24,7 +24,7 @@ from .diagram import (
 )
 from .errors import TrisectError
 from .groups import Group, WeakConfig, bimodule_group, coset_gset, cyclic, point_gset, product, symmetric
-from .scalars import Cyc
+from .scalars import Cyc, approx_eq
 
 ONE = Cyc.rational(1)
 
@@ -234,19 +234,17 @@ def criterion_5():
             if _bracket(v, t) != base:
                 return False, f"{tname}: slide on stabilize(cp2) changed the bracket", 1.0
             count += 1
-    # float backend spot checks at 1e-9 relative tolerance
+    # float backend spot checks: each variant must approx_eq the base; the worst drift is reported
     tf = hopf.float_triplet(hopf.kashaev_triplet(3))
     d = cp2()
     basef = _bracket(d, tf)
-    worst = 0.0
-    for v in (
+    vals = [_bracket(v, tf) for v in (
         moves.shift_basepoint(d, "a", 1),
         moves.reverse_orientation(d, "g"),
         moves.two_point_insert(d, "a", 0, "g", 1, -1),
-    ):
-        val = _bracket(v, tf)
-        worst = max(worst, abs(val - basef) / max(1.0, abs(basef)))
-    if worst > 1e-9:
+    )]
+    worst = max(abs(val - basef) / max(1.0, abs(basef)) for val in vals)
+    if not all(approx_eq(val, basef) for val in vals):
         return False, f"float backend drift {worst:g}", worst
     return True, f"{count} move variants leave the bracket unchanged; stabilization fixed by xi^-g", worst
 

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import cached_property
 
 from .contraction import DEFAULT_CAP, Node, Tensor, contract_network
-from .diagram import BLUE, GREEN, RED, TrisectionDiagram, ends_in_pair_order, standard_s4, validate
+from .diagram import BLUE, GREEN, RED, TrisectionDiagram, connected_sum, ends_in_pair_order, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
 from .hopf import HopfTriplet, compute_integral, convolution_inverse
 from .scalars import Cyc, approx_eq, render, to_complex
@@ -202,10 +203,12 @@ _CURVE_NODES = {"element": _element_curves, "rep": _rep_curves}
 class InvariantValue:
     """coeff * base^(-genus/3), with the principal cube root of base.
 
-    Stored exactly; comparisons are exact whenever the genera agree mod 3
-    (which every move guarantees), otherwise via exact cubes plus a branch
-    check on the decimal approximation.  A float value compares within the
-    relative tolerance of ``approx_eq``.
+    Stored exactly.  Two invariants are compared by ``approx_eq``: of their
+    coefficients when the bases agree and the genera agree mod 3 (which every
+    move guarantees), otherwise of their cubes and then, for the branch of the
+    cube root, of their decimal approximations.  A plain ``int``,
+    ``Fraction``, ``Cyc`` or ``complex`` is the genus-0 invariant over the
+    same base; any other type, a ``float`` included, is never equal.
     """
 
     coeff: object
@@ -239,20 +242,15 @@ class InvariantValue:
     def scaled(self, s) -> "InvariantValue":
         return InvariantValue(s * self.coeff, self.base, self.genus)
 
-    def _near(self, z) -> bool:
-        """The branch check: the decimal approximations agree."""
-        return abs(self.approx() - z) <= 1e-8 * max(1.0, abs(self.approx()))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, InvariantValue):
-            if approx_eq(self.base, other.base) and (self.genus - other.genus) % 3 == 0:
-                t = (self.genus - other.genus) // 3
-                return approx_eq(self.coeff, other.coeff * self.base**t)
-            return approx_eq(self.cubed(), other.cubed()) and self._near(other.approx())
-        # comparison against a plain scalar
-        if self.genus % 3 == 0:
-            return approx_eq(self.coeff, other * self.base ** (self.genus // 3))
-        return approx_eq(self.cubed(), other**3) and self._near(to_complex(other))
+        if isinstance(other, (int, Fraction, Cyc, complex)):
+            other = InvariantValue(other, self.base, 0)
+        elif not isinstance(other, InvariantValue):
+            return NotImplemented
+        if approx_eq(self.base, other.base) and (self.genus - other.genus) % 3 == 0:
+            t = (self.genus - other.genus) // 3
+            return approx_eq(self.coeff, other.coeff * self.base**t)
+        return approx_eq(self.cubed(), other.cubed()) and approx_eq(self.approx(), other.approx())
 
     def __str__(self) -> str:
         return f"{self.coeff} * <S4-bracket>^(-{self.genus}/3) (~ {render(self.approx())})"
@@ -300,8 +298,6 @@ def _shown(x) -> str:
 
 
 def bracket_multiplicativity_check(t1: TrisectionDiagram, t2: TrisectionDiagram, cfg: BracketConfig) -> CheckReport:
-    from .diagram import connected_sum
-
     b1 = trisection_bracket(t1, cfg)
     b2 = trisection_bracket(t2, cfg)
     bs = trisection_bracket(connected_sum(t1, t2), cfg)
@@ -314,7 +310,6 @@ def cross_check(d: TrisectionDiagram, cfg: BracketConfig) -> CheckReport:
     br = trisection_bracket(d, replace(cfg, evaluator="rep"))
     rep = CheckReport.agreement("backend agreement", {"element": be, "rep": br})
     if not rep.ok and br:
-        ratio = be / br if isinstance(be, Cyc) and isinstance(br, Cyc) else to_complex(be) / to_complex(br)
-        rep.details["ratio"] = _shown(ratio)
+        rep.details["ratio"] = _shown(be / br)
         rep.details["note"] = f"a per-integral rescaling by z changes the bracket by z^{d.genus}"
     return rep

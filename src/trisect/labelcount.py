@@ -209,16 +209,13 @@ def _acc(rid: str, j: int) -> str:
 
 
 def _factors(d: TrisectionDiagram, xid: str, partner: str, cfg: WeakConfig) -> list[int]:
-    """The factor in K of each label of ``partner`` at crossing ``xid``."""
-    color = d.curve(partner).color
+    """The factor in K of each label of ``partner``, green or blue, at crossing ``xid``."""
     positive = d.crossing(xid).sign == 1
-    if color == GREEN:
+    if d.curve(partner).color == GREEN:
         c = cfg.c_group
         return [cfg.k_of_c(c.inverse(x) if positive else x) for x in range(c.order)]
-    if color == BLUE:
-        b = cfg.b_group
-        return [cfg.k_of_b(x if positive else b.inverse(x)) for x in range(b.order)]
-    raise TrisectError("red curves may not cross red curves")
+    b = cfg.b_group
+    return [cfg.k_of_b(x if positive else b.inverse(x)) for x in range(b.order)]
 
 
 def _curve_network(d: TrisectionDiagram, cfg: WeakConfig) -> tuple[list[Node], dict[str, int]]:

@@ -275,6 +275,8 @@ class Cyc:
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
+        if isinstance(other, complex):
+            return other / self.to_complex()
         return self._coerce(other) * self.inverse()
 
     def __eq__(self, other) -> bool:
@@ -335,8 +337,9 @@ def to_complex(x) -> complex:
     return complex(x)
 
 
-def approx_eq(a, b, tol: float = 1e-9) -> bool:
-    """Exact ``==`` unless a side is complex; then equal within ``tol``, relative.
+def approx_eq(a, b) -> bool:
+    """The one rule for whether two values agree: exact ``==`` unless a side
+    is complex; then equal within 1e-9, relative.
 
     A side that is not a scalar, such as a normalized invariant, is compared
     by its own ``==``.
@@ -348,7 +351,7 @@ def approx_eq(a, b, tol: float = 1e-9) -> bool:
     if not isinstance(b, (Cyc, Number)):
         return b == a
     x, y = to_complex(a), to_complex(b)
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+    return abs(x - y) <= 1e-9 * max(1.0, abs(x), abs(y))
 
 
 def render(x) -> str:

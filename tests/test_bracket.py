@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -11,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisect import bracket, hopf, moves
-from trisect.bracket import BracketConfig, cross_check, invariant, trisection_bracket
+from trisect.bracket import BracketConfig, InvariantValue, cross_check, invariant, trisection_bracket
 from trisect.contraction import Node, contract_network
 from trisect.diagram import Crossing, Curve, TrisectionDiagram, connected_sum, cp2, standard_s4
 from trisect.errors import MissingIrreps, ResourceExceeded, StabilizationObstruction, TrisectError
 from trisect.groups import cyclic, symmetric
-from trisect.scalars import Cyc
+from trisect.scalars import Cyc, approx_eq, cyclotomic_poly, to_complex
 
 ONE = Cyc.rational(1)
 
@@ -413,3 +414,141 @@ def test_reused_config_matches_a_fresh_config_under_random_moves(k, seed):
         got = invariant(d, _REUSED[(k, "element")])
         assert got == invariant(d, BracketConfig(t))
         assert got == invariant(d, _REUSED[(k, "rep")])
+
+
+# ---------------------------------------------------------------------------
+# InvariantValue ==: one comparison path, against the two paths it replaced
+
+
+def _old_near(iv, z):
+    return abs(iv.approx() - z) <= 1e-8 * max(1.0, abs(iv.approx()))
+
+
+def old_invariant_eq(iv, other):
+    """``InvariantValue.__eq__`` as it was, with its own branch check ``_old_near``: the oracle."""
+    if isinstance(other, InvariantValue):
+        if approx_eq(iv.base, other.base) and (iv.genus - other.genus) % 3 == 0:
+            t = (iv.genus - other.genus) // 3
+            return approx_eq(iv.coeff, other.coeff * iv.base**t)
+        return approx_eq(iv.cubed(), other.cubed()) and _old_near(iv, other.approx())
+    if iv.genus % 3 == 0:
+        return approx_eq(iv.coeff, other * iv.base ** (iv.genus // 3))
+    return approx_eq(iv.cubed(), other**3) and _old_near(iv, to_complex(other))
+
+
+_small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+_positive_fractions = st.builds(Fraction, st.integers(1, 4), st.integers(1, 4))
+
+
+@st.composite
+def _cycs(draw, nonzero=False):
+    """A ``Cyc`` at level 1, 3, 4 or 8 with small rational coordinates."""
+    level = draw(st.sampled_from((1, 3, 4, 8)))
+    d = len(cyclotomic_poly(level)) - 1
+    coords = draw(st.lists(_small_fractions, min_size=d, max_size=d).filter(lambda cs: any(cs) or not nonzero))
+    return Cyc(level, coords)
+
+
+def _scalars(nonzero=False):
+    """An ``int``, ``Fraction``, ``Cyc`` or ``complex``."""
+    ints = st.integers(-3, 3).filter(lambda n: n or not nonzero)
+    fractions = _small_fractions.filter(lambda q: q or not nonzero)
+    return st.one_of(ints, fractions, _cycs(nonzero), _cycs(nonzero).map(to_complex))
+
+
+def _forms(x: Cyc) -> list:
+    """``x`` as each scalar type that holds it: itself, its complex value, and a Fraction or int when rational."""
+    out = [x, x.to_complex()]
+    if x.is_rational():
+        q = x.as_fraction()
+        out += [q] + ([q.numerator] if q.denominator == 1 else [])
+    return out
+
+
+def _maybe_complex(draw, iv):
+    """``iv`` with its coefficient or base, or both, drawn to be complex."""
+    coeff = iv.coeff.to_complex() if draw(st.booleans()) else iv.coeff
+    base = iv.base.to_complex() if draw(st.booleans()) else iv.base
+    return InvariantValue(coeff, base, iv.genus)
+
+
+@st.composite
+def invariant_pairs(draw):
+    """(kind, invariant, other side): ``other`` an invariant or a plain scalar.
+
+    ``across-genera`` pairs coeff * base^-(g/3) with coeff * base^t * base^-((g+3t)/3);
+    ``cube-base`` pairs values over bases r^3, r > 0 rational, whose cube roots
+    are exact, at any genera; ``rotated`` multiplies the second of such a pair
+    by a cube root of unity; ``any`` draws both sides at random.
+    """
+    kind = draw(st.sampled_from(("any", "across-genera", "cube-base", "rotated")))
+    g = draw(st.integers(0, 7))
+    if kind == "any":
+        iv = InvariantValue(draw(_scalars()), draw(_scalars(nonzero=True)), g)
+        other = draw(st.one_of(_scalars(), st.builds(InvariantValue, _scalars(), _scalars(nonzero=True),
+                                                      st.integers(0, 7))))
+        return kind, iv, other
+    if kind == "across-genera":
+        c, b = draw(_cycs()), draw(_cycs(nonzero=True))
+        t = draw(st.integers(-(g // 3), (7 - g) // 3))
+        iv, other = InvariantValue(c, b, g), InvariantValue(c * b**t, b, g + 3 * t)
+        return kind, _maybe_complex(draw, iv), _maybe_complex(draw, other)
+    c, r = draw(_cycs(nonzero=True)), draw(_positive_fractions)
+    iv = InvariantValue(c, Cyc.rational(r**3), g)
+    value = c * Cyc.rational(r) ** -g
+    if kind == "rotated":
+        value = value * Cyc.zeta(3, draw(st.sampled_from((1, 2))))
+    if draw(st.booleans()):
+        return kind, _maybe_complex(draw, iv), draw(st.sampled_from(_forms(value)))
+    s, h = draw(_positive_fractions), draw(st.integers(0, 7))
+    other = InvariantValue(value * Cyc.rational(s) ** h, Cyc.rational(s**3), h)
+    return kind, _maybe_complex(draw, iv), _maybe_complex(draw, other)
+
+
+@settings(max_examples=400, deadline=None)
+@given(invariant_pairs())
+def test_invariant_equality_decides_as_the_two_paths_it_replaced(pair):
+    kind, iv, other = pair
+    got = iv == other
+    assert got == old_invariant_eq(iv, other)
+    assert (other == iv) == got
+    if kind != "any":
+        assert got == (kind != "rotated")
+
+
+@pytest.mark.parametrize("genus", range(8))
+def test_an_invariant_never_equals_a_python_float(genus):
+    # 1.0 is not a scalar of either backend: the float backend's values are complex
+    iv = InvariantValue(8 ** (genus + 1), 8**3, genus)  # 8 * 8^g * 512^(-g/3) = 8
+    assert iv == 8 and iv == 8 + 0j
+    assert not iv == 8.0 and iv != 8.0 and not 8.0 == iv
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: trisection_bracket(cp2(), BracketConfig(hopf.kashaev_triplet(2), evaluator="nope")),
+     "unknown evaluator 'nope'"),
+], ids=["unknown-evaluator"])
+def test_refusals(call, message):
+    with pytest.raises(TrisectError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# The float rule of ``approx_eq`` is 1e-9 relative, with an absolute floor of
+# 1e-9 below magnitude 1.  ROADMAP item 13 replaces it with a bound on the
+# rounding of each computation; these two cases pin what that must change.
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the float rule ignores cancellation in a contraction")
+def test_float_cross_check_of_a_cancelling_genus_7_bracket():
+    # the exact cross-check passes; on the float backend element=-5.80e-06 and rep=-8.70e-06-3.87e-06i
+    d, t = moves.stabilize(moves.stabilize(cp2())), hopf.kashaev_triplet(6)
+    assert cross_check(d, BracketConfig(t)).ok
+    assert cross_check(d, BracketConfig(hopf.float_triplet(t))).ok
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the float rule's absolute floor hides small brackets")
+def test_float_brackets_of_differently_scaled_integrals_differ():
+    # 5.2e-12i against 4.2e-11i: both below the floor of 1e-9
+    t = hopf.float_triplet(hopf.kashaev_triplet(3))
+    a, b = (trisection_bracket(cp2(), BracketConfig(t, integral_scale=dict.fromkeys("ABC", z))) for z in (1e-4, 2e-4))
+    assert not approx_eq(a, b)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisect import cli, diagram
+from trisect import cli, diagram, hopf
+from trisect.groups import symmetric
 
 
 def run(capsys, *argv):
@@ -34,6 +35,26 @@ def _add_green_curve(d):
     d["curves"][2]["visits"].append("gg")
     d["curves"].append({"id": "g2", "color": "green", "visits": ["gg"]})
     d["crossings"].append({"id": "gg", "sign": 1, "ends": [["g", 2], ["g2", 0]]})
+
+
+def _algebra_data(h, coord) -> dict:
+    """An algebra as a ``file:`` object, on the axes of the stored tensors, each entry written by ``coord``."""
+    n = range(h.dim)
+    return {
+        "dim": h.dim,
+        "mult": [[[coord(h.mult.get((i, j, k))) for k in n] for j in n] for i in n],
+        "unit": [coord(h.unit.get(k)) for k in n],
+        "comult": [[[coord(h.comult.get((i, j, k))) for k in n] for j in n] for i in n],
+        "counit": [coord(h.counit.get(k)) for k in n],
+        "antipode": [[coord(h.antipode.get((i, j))) for j in n] for i in n],
+    }
+
+
+def _float_s3_json(s00) -> str:
+    """C[S3] as a ``file:`` algebra of JSON floats, with antipode entry (0, 0) set to ``s00``."""
+    data = _algebra_data(hopf.group_algebra(symmetric(3)), lambda x: 0.0 if x is None else float(x.as_fraction()))
+    data["antipode"][0][0] = s00
+    return json.dumps(data)
 
 
 # The input files of the command-line contract below, written into the working directory of every row.
@@ -63,6 +84,9 @@ _FILES = {
     "b-red.json": _catalog_json(change=lambda d: d["curves"][1].update(color="red")),
     "b-purple.json": _catalog_json(change=lambda d: d["curves"][1].update(color="purple")),
     "null-id.json": _catalog_json(change=lambda d: d["crossings"][0].update(id=None)),
+    # float C[S3] whose S^2 misses the identity at (0, 0) by 2.2e-15, inside approx_eq's rule
+    "s3-float-near.json": _float_s3_json(1 + 1e-15),
+    "list-triplet.json": "[]",
 }
 
 
@@ -115,6 +139,10 @@ CONTRACT = [
          code=1, err="^error: the moves file must contain a JSON list$"),
     _row("axioms-corrupted-file", "axioms --algebra file:bad-alg.json", code=1, out=r"^  comultiplicativity: 2\.0$"),
     _row("axioms-right-side-residual", "axioms --algebra file:zero-e1.json", code=1, out=r"^  unit_counit_compat: 1\.0$"),
+    _row("axioms-float-antipode-near-one", "axioms --algebra file:s3-float-near.json",
+         out=r"^  antipode_involutive: 0\.0$"),
+    _row("triplet-file-not-an-object", "eval bracket --triplet file:list-triplet.json cp2",
+         code=1, err="^error: bad triplet file: not a JSON object$"),
     _row("axioms-unknown-spec", "axioms --algebra nonsense:1", code=1, err="^error: unknown algebra spec 'nonsense:1'$"),
     _row("cap-8-refuses", "eval invariant --triplet kashaev:n=3 --cap 8 cp2",
          code=1, err=re.escape("error: needs 9 entries in a contraction intermediate (cap 8)")),
@@ -433,22 +461,12 @@ def test_crosscheck_has_no_tolerance_option():
 
 def _triplet_data(t):
     """A triplet as a ``file:`` object, on the axes of the stored tensors."""
-    def dense(h):
-        return {
-            "dim": h.dim,
-            "mult": [[[_coord(h.mult.get((i, j, k))) for k in range(h.dim)] for j in range(h.dim)] for i in range(h.dim)],
-            "unit": [_coord(h.unit.get(k)) for k in range(h.dim)],
-            "comult": [[[_coord(h.comult.get((i, j, k))) for k in range(h.dim)] for j in range(h.dim)] for i in range(h.dim)],
-            "counit": [_coord(h.counit.get(k)) for k in range(h.dim)],
-            "antipode": [[_coord(h.antipode.get((i, j))) for j in range(h.dim)] for i in range(h.dim)],
-        }
-
     def _mat(m, rows, cols):
         return [[_coord(m.get((i, j))) for j in range(cols)] for i in range(rows)]
 
     return {
         "name": "kashaev2-file",
-        "A": dense(t.A), "B": dense(t.B), "C": dense(t.C),
+        **{slot: _algebra_data(t.algebra(slot), _coord) for slot in "ABC"},
         "tau_AB": _mat(t.tau_AB, t.A.dim, t.B.dim),
         "tau_BC": _mat(t.tau_BC, t.B.dim, t.C.dim),
         "tau_CA": _mat(t.tau_CA, t.C.dim, t.A.dim),
@@ -456,8 +474,6 @@ def _triplet_data(t):
 
 
 def test_triplet_file(capsys, tmp_path):
-    from trisect import hopf
-
     f = tmp_path / "triplet.json"
     f.write_text(json.dumps(_triplet_data(hopf.kashaev_triplet(2))))
     code, out, _ = run(capsys, "--json", "eval", "bracket", "--triplet", f"file:{f}", "s4")
@@ -465,8 +481,6 @@ def test_triplet_file(capsys, tmp_path):
 
 
 def test_triplet_json_roundtrip():
-    from trisect import hopf
-
     t = hopf.kashaev_triplet(2)
     got = hopf.triplet_from_json(_triplet_data(t))
     for slot in "ABC":
@@ -485,7 +499,6 @@ def test_triplet_json_roundtrip():
     lambda d: d.update(name=5),                 # float_triplet appended " (float)" to it: a TypeError
 ])
 def test_malformed_triplet_file_is_rejected(change):
-    from trisect import hopf
     from trisect.errors import TrisectError
 
     data = _triplet_data(hopf.kashaev_triplet(2))
@@ -507,8 +520,6 @@ def test_group_table_cap_is_a_domain_error(capsys, monkeypatch):
 
 def test_malformed_files_are_domain_errors(capsys, tmp_path):
     # a short basis used to load as a smaller algebra, and a pairing's shape went unchecked
-    from trisect import hopf
-
     data = _triplet_data(hopf.kashaev_triplet(2))
     f = tmp_path / "algebra.json"
     f.write_text(json.dumps({**data["B"], "basis": ["e"]}))
@@ -528,8 +539,6 @@ def test_malformed_files_are_domain_errors(capsys, tmp_path):
 ])
 def test_non_integer_fields_are_domain_errors(capsys, tmp_path, cmd, change):
     # "genus": true passed strict validation, "sign": true read as +1 and "dim": 2.9 as 2
-    from trisect import hopf
-
     if cmd == "validate":
         _, out, _ = run(capsys, "catalog", "cp2")
         data = json.loads(out)
@@ -545,8 +554,6 @@ def test_non_integer_fields_are_domain_errors(capsys, tmp_path, cmd, change):
 
 def test_weak_flag_takes_json_booleans_only(capsys, tmp_path):
     # "weak": "false" used to make the algebra weak
-    from trisect import hopf
-
     f = tmp_path / "algebra.json"
     data = _triplet_data(hopf.kashaev_triplet(2))["B"]
     f.write_text(json.dumps({**data, "weak": "false"}))
@@ -665,8 +672,6 @@ def _mutated(draw, value):
 
 def _fuzz_inputs():
     """(JSON value, the commands that read it as FILE) for each kind of input file."""
-    from trisect import hopf
-
     triplet = _triplet_data(hopf.kashaev_triplet(2))
     on_diagram = [
         "validate FILE", "validate --strict FILE", "eval count --C Z/2 --B Z/3 FILE",

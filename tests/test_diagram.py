@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -273,3 +274,12 @@ def test_corner_conditions_fail_on_wrong_sides():
     bad["a"] = (("U", "S"), bad["a"][1])  # swapped sides on one segment
     rep = validate_embedded(EmbeddedDiagram(e.base, e.regions, bad))
     assert any(v.code == "corner" for v in rep.violations)
+
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cp2().end_on("p_ab", "g"), "crossing 'p_ab' does not touch curve 'g'"),
+], ids=["end-on-untouched-curve"])
+def test_refusals(call, message):
+    with pytest.raises(TrisectError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from trisect.acceptance import _weak_suite
 from trisect.errors import ResourceExceeded, TrisectError
 from trisect.groups import (
     GSet,
+    Group,
     bimodule_group,
     coset_gset,
     cyclic,
@@ -162,6 +164,8 @@ def test_parse_group():
     assert parse_group("s3").name == "S3"
     assert parse_group("Z/2xZ/3").order == 6
     assert parse_group("D4").order == 8
+    # a built-in factor of a product
+    assert parse_group("S3xZ/3").order == 18 and parse_group("Z/2xS3xZ/3").order == 36
     with pytest.raises(TrisectError):
         parse_group("E8")
     # str.isdigit() admits these, int() refuses them
@@ -213,3 +217,19 @@ def test_gset_from_json():
     assert m.is_transitive()
     with pytest.raises(TrisectError):
         gset_from_json(k, {"set": ["x"], "action": {"0": ["x"]}})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Group("t", ("e", "a"), ((0, 1),)), "group t: table is not 2x2"),
+    (lambda: Group("t", ("e", "a"), ((1, 0), (0, 1))), "group t: index 0 is not an identity"),
+    # e is an identity and a * a = a, so a has no inverse
+    (lambda: Group("t", ("e", "a"), ((0, 1), (1, 1))).inverse(1), "group t: a has no inverse"),
+    (lambda: cyclic(4).subgroup([1, 3]), "subgroup must contain the identity"),
+    (lambda: cyclic(4).subgroup([0, 1]), "member set is not closed under multiplication"),
+    (lambda: symmetric(5), "only S3 and S4 are built in"),
+    (lambda: GSet(cyclic(2), ("x",), ((0,),)), "action table has wrong shape"),
+], ids=["non-square", "no-identity", "no-inverse", "subgroup-without-identity", "subgroup-not-closed", "s5",
+        "gset-shape"])
+def test_refusals(call, message):
+    with pytest.raises(TrisectError, match=f"^{re.escape(message)}$"):
+        call()

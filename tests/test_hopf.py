@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -545,6 +546,41 @@ def test_antipode_involutive_is_exact_on_cyc_and_within_tolerance_on_complex():
     assert fl.antipode_involutive()
     fl.antipode[(0, 0)] = complex(1.5)
     assert not fl.antipode_involutive()
+
+
+@pytest.mark.parametrize("delta", [1e-15, 1e-12, 1e-6, 0.5])
+@pytest.mark.parametrize("g", [cyclic(3), symmetric(3)], ids=["Z/3", "S3"])
+def test_antipode_involutive_is_the_axiom_check_on_every_perturbed_entry(g, delta):
+    # S^2 = id is decided once, by approx_eq, so the two readings cannot disagree
+    n = g.order
+    for key in ((i, j) for i in range(n) for j in range(n)):
+        h = hopf.float_algebra(hopf.group_algebra(g))
+        h.antipode[key] = h.antipode.get(key, 0j) + delta
+        assert h.antipode_involutive() == (hopf.check_hopf_axioms(h)["antipode_involutive"] == 0.0), key
+        assert h.antipode_involutive() == (delta < 1e-9), key
+
+
+def test_an_exact_difference_below_the_float_range_is_a_residual():
+    # 2/10^400 is 0.0 as a float; the residual still reads it, so S^2 != id on both readings
+    h = hopf.group_algebra(symmetric(3))
+    h.antipode[(0, 0)] = ONE + Cyc.rational(Fraction(1, 10**400))
+    assert hopf.check_hopf_axioms(h)["antipode_involutive"] > 0.0
+    assert not h.antipode_involutive()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: hopf.canonical_pairing(hopf.group_algebra(cyclic(2)), hopf.group_algebra(cyclic(3))),
+     TrisectError, "canonical pairing needs matching dimensions"),
+    (lambda: hopf.algebra_from_json({**_z2_file(), "unit": [True, 0]}), TrisectError, "boolean is not a scalar"),
+    (lambda: hopf._network(hopf._tensors(hopf.group_algebra(cyclic(2))), "M i j"),
+     ValueError, "M has 3 axes, got wires ['i', 'j']"),
+    (lambda: hopf._network({**hopf._tensors(hopf.group_algebra(cyclic(2)), "1"),
+                            **hopf._tensors(hopf.group_algebra(cyclic(3)), "2")}, "I1 a b, I2 b c"),
+     ValueError, "wire b joins axes of dimensions 2 and 3"),
+], ids=["pairing-dimensions", "boolean-entry", "network-axes", "network-wire-dimensions"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_derived_algebras_share_no_structure_dict_with_their_source():

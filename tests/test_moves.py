@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from trisect import hopf, moves
 from trisect.bracket import BracketConfig, trisection_bracket
-from trisect.diagram import Curve, TrisectionDiagram, cp2, standard_s4, validate
+from trisect.diagram import Crossing, Curve, TrisectionDiagram, cp2, remove_disc, standard_s4, validate
 from trisect.errors import MoveNotApplicable, NoStandardSummand, TrisectError
 from trisect.groups import cyclic
 
@@ -21,6 +22,8 @@ def test_shift_basepoint_identity_cases():
     shifted = moves.shift_basepoint(d, "F3", 1)
     assert shifted.curve("F3").visits == ("x6", "x5")
     assert validate(shifted, strict=True).ok
+    bare = TrisectionDiagram(4, "closed", d.curves + (Curve("F4", "red", ()),), d.crossings)
+    assert moves.shift_basepoint(bare, "F4", 1) is bare  # a crossing-free curve has no basepoint to move
 
 
 def test_reverse_orientation_involution():
@@ -279,3 +282,33 @@ def test_random_walks_are_pinned():
     for name, args in PINNED_WALKS.items():
         specs = walk_specs(*args)
         assert json.dumps(specs, sort_keys=True) == json.dumps(expected[name], sort_keys=True), name
+
+
+# three curves in one component, red, blue and red again: no green curve, so not a standard handle
+_RED_BLUE_RED = TrisectionDiagram(
+    1, "closed",
+    (Curve("r1", "red", ("x1",)), Curve("b", "blue", ("x1", "x2")), Curve("r2", "red", ("x2",))),
+    (Crossing("x1", 1, (("r1", 0), ("b", 0))), Crossing("x2", 1, (("b", 1), ("r2", 0)))),
+)
+_NO_SUMMAND = "no split standard S^4 summand (one handle of each type) found"
+_NA = "move not applicable: "
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: moves.two_point_insert(cp2(), "a", 0, "b", 0, 0), MoveNotApplicable, _NA + "sign must be +1 or -1"),
+    (lambda: moves.handle_slide(standard_s4(), "F1", "F3", 0, 0, 0), MoveNotApplicable,
+     _NA + "direction must be +1 or -1"),
+    (lambda: moves.handle_slide(standard_s4(), "F1", "F3", 2, 0, 1), MoveNotApplicable,
+     _NA + "insertion position out of range"),
+    (lambda: moves.stabilize(remove_disc(cp2())), MoveNotApplicable, _NA + "stabilization needs a closed diagram"),
+    # sliding b1 over b2 joins two handles into one component of six curves
+    (lambda: moves.destabilize(moves.handle_slide(standard_s4(), "b1", "b2", 0, 0, 1)), NoStandardSummand,
+     _NO_SUMMAND),
+    (lambda: moves.destabilize(_RED_BLUE_RED), NoStandardSummand, _NO_SUMMAND),
+    (lambda: moves.random_move(TrisectionDiagram(0, "closed", (), ()), random.Random(0)), TrisectError,
+     "no applicable move found"),
+], ids=["insert-sign-0", "slide-direction-0", "slide-past-the-end", "stabilize-disc", "destabilize-six-curves",
+        "destabilize-red-blue-red", "random-move-no-curves"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

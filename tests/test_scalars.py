@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,8 +79,24 @@ def test_an_exact_value_never_equals_a_float():
     assert one != 1 + 0j and Cyc.zeta(4) != 1j
     assert approx_eq(one, 1 + 1e-12j) and approx_eq(1j, Cyc.zeta(4))
     assert not approx_eq(one, 1 + 1e-6j)
-    # two exact values compare exactly, whatever the tolerance
-    assert not approx_eq(one, one + Fraction(1, 10**12), tol=1e-3)
+    # two exact values compare exactly: a difference far inside the float rule still counts
+    assert not approx_eq(one, one + Fraction(1, 10**12))
+
+
+def test_complex_over_an_exact_scalar_is_complex():
+    # as an exact scalar over a complex one already is
+    assert (1 + 0j) / Cyc.rational(2) == 0.5 + 0j
+    assert Cyc.rational(2) / (1 + 0j) == 2 + 0j
+    assert approx_eq(1j / Cyc.zeta(4), 1 + 0j)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Cyc(3, [1]), "level 3 needs 2 coordinates, got 1"),
+    (lambda: Cyc.zeta(0), "level must be >= 1"),
+], ids=["coordinate-count", "zeta-level-0"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_render_hides_only_parts_below_the_relative_threshold():
