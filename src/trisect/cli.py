@@ -150,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("catalog", parents=[flags], help="list or emit built-in diagrams")
     p.add_argument("name", nargs="?")
 
+    cap_help = ("bound on the dense size (the product of the wire dimensions) of each pairwise contraction "
+                "result and of the final tensor, not on the sparse entries stored (default %(default)s)")
+
     p = sub.add_parser("eval", parents=[flags], help="evaluate an invariant")
     ev = p.add_subparsers(dest="what", required=True)
     for what in ("bracket", "invariant"):
@@ -158,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
         q.add_argument("--triplet", required=True)
         q.add_argument("--backend", choices=("exact", "float"), default="exact")
         q.add_argument("--evaluator", choices=("element", "rep"), default="element")
-        q.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        q.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
         if what == "invariant":
             q.add_argument("--all-roots", action="store_true")
     q = ev.add_parser("count", parents=[flags])
@@ -183,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("diagram")
     p.add_argument("--triplet", required=True)
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
 
     p = sub.add_parser("selftest", parents=[flags], help="run the acceptance criteria")
     p.add_argument("--only", type=_criteria, default=None, help="comma-separated criterion numbers")

@@ -37,7 +37,9 @@ Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
 ``Tensor`` looks its keys up through an index on one wire position instead
 of scanning every entry.  The steps, and the order in which they add up
-each product, stay those of the scan.
+each product, stay those of the scan.  Each step builds its key projections
+once, before it reads an entry: a getter (``operator.itemgetter``) for the
+shared and for the kept positions of each operand.
 
 A ``Tensor`` stores each entry that is a level-1 integer ``Cyc`` as a plain
 ``int``, whose products and sums cost a fraction of a ``Cyc``'s; a ``Cyc``
@@ -54,6 +56,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ResourceExceeded
@@ -119,6 +122,20 @@ def accumulate(dst: dict, key, val) -> None:
         dst.pop(key, None)
 
 
+def _projection(pos):
+    """The function from a key to the tuple of its values at ``pos``.
+
+    ``itemgetter`` of one position returns a bare value, so one position
+    and none get getters of their own that still return a tuple.
+    """
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    if pos:
+        p = pos[0]
+        return lambda key: (key[p],)
+    return lambda key: ()
+
+
 def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
     """Join ``a`` and ``b`` where their keys agree at ``sh_a`` and ``sh_b``; key each product by ``keep_a + keep_b``.
 
@@ -132,11 +149,12 @@ def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
         small, pos_sh_s, pos_keep_s, large, pos_sh_l, pos_keep_l = a, sh_a, keep_a, b, sh_b, keep_b
     else:
         small, pos_sh_s, pos_keep_s, large, pos_sh_l, pos_keep_l = b, sh_b, keep_b, a, sh_a, keep_a
+    sh_s, keep_s = _projection(pos_sh_s), _projection(pos_keep_s)
+    sh_l, keep_l = _projection(pos_sh_l), _projection(pos_keep_l)
 
     buckets: dict[tuple, list] = {}
     for key, val in small.items():
-        sh = tuple([key[p] for p in pos_sh_s])
-        buckets.setdefault(sh, []).append((tuple([key[p] for p in pos_keep_s]), val))
+        buckets.setdefault(sh_s(key), []).append((keep_s(key), val))
 
     items = large.items()
     if pos_sh_l and isinstance(large, Tensor):
@@ -145,10 +163,10 @@ def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
     out: dict[tuple[int, ...], object] = {}
     # ``accumulate``, inlined in the hot loop
     for key, val in items:
-        hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
+        hits = buckets.get(sh_l(key))
         if not hits:
             continue
-        mine = tuple([key[p] for p in pos_keep_l])
+        mine = keep_l(key)
         if bucket_a:
             for left, aval in hits:
                 k = left + mine
@@ -352,7 +370,8 @@ def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
     out, perm = ops[plan.result], plan.perm
     if perm == tuple(range(len(perm))):
         return out
-    return {tuple([key[p] for p in perm]): val for key, val in out.items()}
+    order = _projection(perm)
+    return {order(key): val for key, val in out.items()}
 
 
 def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,

@@ -204,6 +204,16 @@ def test_cli_contract(capsys, monkeypatch, tmp_path, calls, code, out, err, same
         assert got == run(capsys, *shlex.split(same_as))
 
 
+@pytest.mark.parametrize("command", ["eval bracket", "eval invariant", "crosscheck"])
+def test_cap_help_names_the_quantity_it_bounds(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    # argparse wraps the help at the terminal width
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--cap CAP bound on the dense size" in text and "not on the sparse entries stored" in text
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "s4" in out and "cp2" in out

@@ -246,6 +246,80 @@ def test_tensor_leaves_the_callers_dict_untouched():
 
 
 # ---------------------------------------------------------------------------
+# the pairwise step against the step that builds every key with a scan
+
+
+def _scanning_contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
+    """``contraction._contract_pair`` with each key built by a scan over its positions, ``accumulate`` not inlined."""
+    bucket_a = len(a) < len(b)
+    if bucket_a:
+        small, pos_sh_s, pos_keep_s, large, pos_sh_l, pos_keep_l = a, sh_a, keep_a, b, sh_b, keep_b
+    else:
+        small, pos_sh_s, pos_keep_s, large, pos_sh_l, pos_keep_l = b, sh_b, keep_b, a, sh_a, keep_a
+
+    buckets: dict[tuple, list] = {}
+    for key, val in small.items():
+        sh = tuple([key[p] for p in pos_sh_s])
+        buckets.setdefault(sh, []).append((tuple([key[p] for p in pos_keep_s]), val))
+
+    items = large.items()
+    if pos_sh_l and isinstance(large, Tensor):
+        items = large.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
+    out: dict[tuple[int, ...], object] = {}
+    for key, val in items:
+        hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
+        if not hits:
+            continue
+        mine = tuple([key[p] for p in pos_keep_l])
+        for other, oval in hits:
+            if bucket_a:
+                contraction.accumulate(out, other + mine, oval * val)
+            else:
+                contraction.accumulate(out, mine + other, val * oval)
+    return out
+
+
+def _pair_value(kind: str, rng: random.Random, name: str):
+    if kind == "exact":
+        # a level-1 integer Cyc, which a Tensor stores as int, a plain int, or another Cyc
+        return rng.choice(VALUES + [-1, 2])
+    return _value(kind, rng, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(["exact", "complex", "word"]), st.booleans(), st.booleans())
+def test_pair_step_is_the_scanning_step(seed, shared, kept_a, kept_b, kind, tensor_a, tensor_b):
+    # shared and kept position lists of length 0, 1 (a getter of one position
+    # must still give a 1-tuple) and more; keep_a may name a shared position,
+    # as it does for a wire that a third node still carries
+    rng = random.Random(seed)
+    dims = {f"s{k}": rng.randint(1, 3) for k in range(shared)}
+    wires_a = list(dims) + [f"a{k}" for k in range(max(0, kept_a - shared))]
+    wires_b = list(dims) + [f"b{k}" for k in range(kept_b)]
+    dims.update((w, rng.randint(1, 3)) for w in wires_a + wires_b if w not in dims)
+    rng.shuffle(wires_a)
+    rng.shuffle(wires_b)
+    sh_a = [wires_a.index(w) for w in wires_a if w[0] == "s"]
+    sh_b = [wires_b.index(w) for w in wires_a if w[0] == "s"]
+    keep_a = rng.sample(range(len(wires_a)), kept_a)
+    keep_b = rng.sample([p for p in range(len(wires_b)) if p not in sh_b], kept_b)
+
+    def operand(wires, name: str, tensor: bool) -> dict:
+        keys = list(itertools.product(*(range(dims[w]) for w in wires)))
+        density = rng.random()
+        keys = [key for key in keys if rng.random() < density]
+        rng.shuffle(keys)
+        data = {key: _pair_value(kind, rng, f"{name}{key}") for key in keys}
+        return Tensor(data) if tensor else data
+
+    a, b = operand(wires_a, "a", tensor_a), operand(wires_b, "b", tensor_b)
+    for args in ((a, b, sh_a, keep_a, sh_b, keep_b), (b, a, sh_b, keep_b, sh_a, keep_a)):
+        # the same keys and values in the same order: every sum is taken in the same order
+        assert list(contraction._contract_pair(*args).items()) == list(_scanning_contract_pair(*args).items())
+
+
+# ---------------------------------------------------------------------------
 # the planner against the planner that rescans every pair at every step
 
 
