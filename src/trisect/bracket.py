@@ -160,7 +160,7 @@ def _rep_curves(cfg: BracketConfig):
     scale.
     """
     t = cfg.triplet
-    if any(t.algebra(s).weak for s in "ABC"):
+    if t.weak:
         raise TrisectError("the representation backend supports strong triplets only")
     modules = {}
     for slot in "ABC":
@@ -257,7 +257,16 @@ class InvariantValue:
 
 
 def invariant(d: TrisectionDiagram, cfg: BracketConfig) -> InvariantValue:
-    """The bracket normalized by the cube root of the standard S^4 bracket."""
+    """The bracket normalized by the cube root of the standard S^4 bracket.
+
+    A weak triplet is refused: its bracket changes under moves by factors of
+    |M| (ROADMAP item 2), so its normalized bracket is no invariant.
+    """
+    if cfg.triplet.weak:
+        raise TrisectError(
+            f"{cfg.triplet.name}: a weak triplet with |M| > 1 has no invariant yet, "
+            "its bracket changes under moves (ROADMAP item 2)"
+        )
     stab = cfg.s4_bracket
     if not stab:
         raise StabilizationObstruction(

@@ -13,25 +13,40 @@ a pair at the product of its operands' estimates over the dense size of the
 wires they share, at least 1 and at most the result's dense size (the
 product of the remaining wire dimensions, open wires included, and shared
 wires that a third node still carries).  Ties fall to the dense size, then
-to the node names.  A pair whose dense size is over the cap ranks after
-every other, so ``ResourceExceeded`` is raised only when every pair left is
-over the cap, with the dense size of the cheapest.  Each pair that shares a
-wire is scored once, and the scores are kept in a heap between steps: an
-operand's estimate never changes once it is made, and a join lowers a
-carrier count only on a wire that both joined nodes carry, so any other pair
-on that wire still has a third carrier and keeps its score, and only the new
-node's pairs are scored.  The components' results are then multiplied
-together as an outer product over the open wires.  The cap bounds the dense
-size of every pairwise result and of the final tensor, not the sparse
-storage actually used.  Only exact zeros are dropped from the sparse
-storage.
+to the operands' join trees (see below).  A pair whose dense size is over
+the cap ranks after every other, so ``ResourceExceeded`` is raised only
+when every pair left is over the cap, with the dense size of the cheapest.
+Each pair that shares a wire is scored once, and the scores are kept in a
+heap between steps: an operand's estimate never changes once it is made,
+and a join lowers a carrier count only on a wire that both joined nodes
+carry, so any other pair on that wire still has a third carrier and keeps
+its score, and only the new node's pairs are scored.  The components'
+results are then multiplied together as an outer product over the open
+wires.  The cap bounds the dense size of every pairwise result and of the
+final tensor, not the sparse storage actually used.  Only exact zeros are
+dropped from the sparse storage.
 
-The order depends on the nodes' names, wires, dims and entry counts, so it
-is found as a ``Plan`` (``plan_network``), and ``execute_plan`` runs its
-pairwise steps on the nodes' data.  Its result is keyed in the order of the
-open wires, whatever order the steps leave them in, so two results over the
-same open wires can be compared key by key.  ``contract_network`` is the two
-in turn.
+The order is found as a ``Plan`` (``plan_network``), and ``execute_plan``
+runs its pairwise steps on the nodes' data.  Its result is keyed in the
+order of the open wires, whatever order the steps leave them in, so two
+results over the same open wires can be compared key by key.
+``contract_network`` is the two in turn.
+
+A component's order is a function of its shape alone, so each shape is
+planned once and its plan replayed on every later component of that shape,
+as opt_einsum's ``contract_expression`` reuses a path.  The shape, the key of
+the plan cache, is: the component's nodes in name order, each node's wires
+numbered by first appearance, the dims of those numbers, each node's entry
+count, and the cap.  Node names, wire names and the data are not part of it.
+The planner numbers the operands of a component locally, the nodes in that
+order and then each joined operand as it is made, and ties between pairs
+fall to these numbers, never to a name: each operand is spelled out as its
+join tree, node ``k`` as ``(k,)`` and the join of ``a`` and ``b`` as ``( a *
+b )``, so a joined operand ranks before every node and two joined operands
+rank as their first operands do, then their second.  The cached plan is kept
+in the local numbers and relocated to the network's own on each use, so a
+hit gives exactly the plan a miss would build.  The cache keeps at most
+``PLAN_CACHE_SIZE`` plans (4,096); when it is full, the oldest goes.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -218,7 +233,7 @@ def connected(wire_lists: Sequence[Sequence[str]]) -> list[list[int]]:
 
 
 class Plan(NamedTuple):
-    """The pairwise steps that contract a network, fixed by its names, wires, dims and entry counts.
+    """The pairwise steps that contract a network, fixed by its wires, dims, entry counts and node name order.
 
     It runs on any data whose entry counts are those it was planned for;
     other data gives the same value, by a step order that may cost more.
@@ -226,10 +241,10 @@ class Plan(NamedTuple):
     Operand ``k`` of a step is the data of node ``k`` when the network has
     more than ``k`` nodes, else the result of step ``k - len(nodes)``.  A step
     is ``(a, b, sh_a, keep_a, sh_b, keep_b)``: operands ``a`` and ``b``, then
-    the positions ``_contract_pair`` takes.  ``result`` is the operand that
-    ends the network (``None`` for a network without nodes), and ``perm`` the
-    position of each open wire in its keys, through which ``execute_plan``
-    puts them in the order of the open wires.
+    the positions ``_contract_pair`` takes, as tuples.  ``result`` is the
+    operand that ends the network (``None`` for a network without nodes), and
+    ``perm`` the position of each open wire in its keys, through which
+    ``execute_plan`` puts them in the order of the open wires.
     """
 
     steps: tuple[tuple, ...]
@@ -237,33 +252,59 @@ class Plan(NamedTuple):
     perm: tuple[int, ...]
 
 
+# the most component plans kept; when it is full, the oldest goes
+PLAN_CACHE_SIZE = 4096
+# a component's shape -> its plan, in the shape's own operand numbers (see ``_plan_component``)
+_PLANS: dict[tuple, tuple] = {}
+
+
 def plan_network(nodes: Sequence[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
                  open_wires: Sequence[str] = ()) -> Plan:
     """The greedy contraction order of ``nodes``, as the ``Plan`` that ``execute_plan`` runs on their data.
 
-    Raises ``ResourceExceeded`` when the open wires exceed ``cap`` in dense
-    size, or when every pair left to join in a component does.
+    Each connected component is planned once per shape, and the plan is
+    replayed on every later component of that shape.  Raises
+    ``ResourceExceeded`` when the open wires exceed ``cap`` in dense size, or
+    when every pair left to join in a component does.
     """
     size = _dense_size(open_wires, dims)
     if size > cap:
         raise ResourceExceeded(size, cap)
     names = [n.name for n in nodes]
-    wires = [n.wires for n in nodes]
-    est = [len(n.data) for n in nodes]
     steps: list[tuple] = []
-    out = None
-    for comp in connected(wires):
-        part = _plan_component(comp, names, wires, est, dims, cap, steps)
+    out, out_wires = None, ()
+    for comp in connected([n.wires for n in nodes]):
+        live = sorted(comp, key=names.__getitem__)
+        # the shape: the nodes in name order, each node's wires numbered by
+        # first appearance, the dims of those numbers, each node's entry
+        # count, and the cap
+        number: dict[str, int] = {}
+        shape = (tuple([tuple([number.setdefault(w, len(number)) for w in nodes[k].wires]) for k in live]),
+                 tuple([dims[w] for w in number]), tuple([len(nodes[k].data) for k in live]), cap)
+        found = _PLANS.get(shape)
+        if found is None:
+            found = _plan_component(*shape)
+            if len(_PLANS) >= PLAN_CACHE_SIZE:
+                del _PLANS[next(iter(_PLANS))]
+            _PLANS[shape] = found
+        part_steps, result, kept = found
+        # the shape's operand k is node live[k], then each step's result as it is made
+        first = len(nodes) + len(steps)
+        ops = live + list(range(first, first + len(part_steps)))
+        steps += [(ops[a], ops[b], *pos) for a, b, *pos in part_steps]
+        wire = list(number)
+        part, part_wires = ops[result], tuple([wire[w] for w in kept])
         if out is not None:
-            part = _plan_step(out, part, (), est[out] * est[part], names, wires, est, steps)
-        out = part
-    out_wires = () if out is None else wires[out]
+            # components share no wire, so their results join as an outer product
+            steps.append((out, part, (), tuple(range(len(out_wires))), (), tuple(range(len(part_wires)))))
+            part, part_wires = len(nodes) + len(steps) - 1, out_wires + part_wires
+        out, out_wires = part, part_wires
     if sorted(out_wires) != sorted(open_wires):
         raise AssertionError(f"open wires {out_wires}, expected {tuple(open_wires)}")
     return Plan(tuple(steps), out, tuple(out_wires.index(w) for w in open_wires))
 
 
-def _plan_step(i: int, j: int, summed, size: int, names: list, wires: list, est: list, steps: list) -> int:
+def _plan_step(i: int, j: int, summed, size: int, wires: list, est: list, steps: list) -> int:
     """Append the step that joins operands ``i`` and ``j`` and sums ``summed``; return the new operand.
 
     ``size`` is the new operand's estimated entry count.
@@ -272,36 +313,47 @@ def _plan_step(i: int, j: int, summed, size: int, names: list, wires: list, est:
     shared = [w for w in wa if w in wb]
     keep_a = [w for w in wa if w not in summed]
     keep_b = [w for w in wb if w not in shared]
-    steps.append((i, j, [wa.index(w) for w in shared], [wa.index(w) for w in keep_a],
-                  [wb.index(w) for w in shared], [wb.index(w) for w in keep_b]))
+    steps.append((i, j, tuple([wa.index(w) for w in shared]), tuple([wa.index(w) for w in keep_a]),
+                  tuple([wb.index(w) for w in shared]), tuple([wb.index(w) for w in keep_b])))
     wires.append(tuple(keep_a + keep_b))
-    names.append(f"({names[i]}*{names[j]})")
     est.append(size)
     return len(wires) - 1
 
 
-def _plan_component(comp: list[int], names: list, wires: list, est: list, dims: dict[str, int], cap,
-                    steps: list) -> int:
-    live = sorted(comp, key=names.__getitem__)
+def _plan_component(wires: tuple, dims: tuple, est: tuple, cap) -> tuple[tuple, int, tuple]:
+    """The greedy order of one connected component, found from its shape alone.
+
+    Node ``k`` carries the wire numbers ``wires[k]`` and has ``est[k]``
+    entries, and wire ``w`` has dimension ``dims[w]``.  Operand ``k`` is node
+    ``k``, and operand ``len(wires) + s`` the result of step ``s``.  Returns
+    the steps, each ``(a, b, sh_a, keep_a, sh_b, keep_b)`` in these operand
+    numbers, the operand that ends the component, and its wires.
+    """
+    count = len(wires)
+    wires, est = list(wires), list(est)
     # how many of the live operands carry each wire; a wire is summed when
     # the last two that carry it are joined
-    carriers: dict[str, int] = {}
-    for k in live:
-        for w in wires[k]:
-            carriers[w] = carriers.get(w, 0) + 1
+    carriers = [0] * len(dims)
+    for wk in wires:
+        for w in wk:
+            carriers[w] += 1
     # the live operands on each wire, and every pair of them that shares a
     # wire, scored once: a join changes no other pair's score
-    on: dict[str, list[int]] = {w: [] for w in carriers}
+    on: list[list[int]] = [[] for _ in dims]
     heap: list[tuple] = []
-    alive = set(live)
+    alive = set(range(count))
+    steps: list[tuple] = []
+    # each operand's join tree, spelled out: node k as (k,), and the join of
+    # a and b as ( a * b ) with the brackets and the star as -3, -2 and -1;
+    # no two live operands share a node, so no two spellings are equal
+    spelling = [(k,) for k in range(count)]
 
     def add(k: int) -> None:
-        # operands come in order, the nodes by name and then each joined one
-        # as it is made, so k comes after every live operand; a pair ranks
-        # first by whether its dense size is over the cap, then by its
-        # estimated entries less those of its operands, its dense size, the
-        # name of its earlier operand, that of its later one, then their
-        # numbers, which among equal names follow the same order
+        # operands come in order, the nodes and then each joined one as it is
+        # made, so k comes after every live operand; a pair ranks first by
+        # whether its dense size is over the cap, then by its estimated
+        # entries less those of its operands, its dense size, the spelling of
+        # its earlier operand and that of its later one
         wk, ek = wires[k], est[k]
         full = _dense_size(wk, dims)
         for p in {p: None for w in wk for p in on[w]}:
@@ -320,14 +372,14 @@ def _plan_component(comp: list[int], names: list, wires: list, est: list, dims: 
             size = ep * ek // shared or 1
             if size > dense:
                 size = dense
-            heappush(heap, (dense > cap, size - ep - ek, dense, names[p], names[k], p, k, size))
+            heappush(heap, (dense > cap, size - ep - ek, dense, spelling[p], spelling[k], p, k, size))
         for w in wk:
             on[w].append(k)
 
-    for k in live:
+    for k in range(count):
         add(k)
-    out = live[0]
-    for _ in range(len(live) - 1):
+    out = 0
+    for _ in range(count - 1):
         # a pair whose operand was joined since it was scored is dropped here;
         # a pair over the cap comes out only when every pair left is
         over, _, dense, _, _, a, b, size = heappop(heap)
@@ -346,10 +398,11 @@ def _plan_component(comp: list[int], names: list, wires: list, est: list, dims: 
         for w in wb:
             on[w].remove(b)
         alive -= {a, b}
-        out = _plan_step(a, b, summed, size, names, wires, est, steps)
+        out = _plan_step(a, b, summed, size, wires, est, steps)
+        spelling.append((-3, *spelling[a], -1, *spelling[b], -2))
         alive.add(out)
         add(out)
-    return out
+    return tuple(steps), out, wires[out]
 
 
 def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:

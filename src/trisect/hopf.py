@@ -406,6 +406,11 @@ class HopfTriplet:
     tau_CA: Mat
     default_integrals: dict[str, Vec] | None = None
 
+    @property
+    def weak(self) -> bool:
+        """Whether any of the three algebras is weak, as in the weak triplet of an M with more than one point."""
+        return self.A.weak or self.B.weak or self.C.weak
+
     def algebra(self, slot: str) -> HopfAlgebra:
         return {"A": self.A, "B": self.B, "C": self.C}[slot]
 

@@ -223,7 +223,8 @@ def _curve_network(d: TrisectionDiagram, cfg: WeakConfig) -> tuple[list[Node], d
 
     Node j maps (acc_j, label) to acc_j * factor(label); one-entry nodes pin
     acc_0 and acc_n at the identity.  A crossing-free red curve is trivial.
-    Every green and blue label is a variable, used or not.
+    Every green and blue label is a variable, used or not.  Crossings with
+    the same factors share one table.
     """
     dims = {_label(c.id): cfg.c_group.order for c in d.curves_of_color(GREEN)}
     dims |= {_label(c.id): cfg.b_group.order for c in d.curves_of_color(BLUE)}
@@ -231,6 +232,7 @@ def _curve_network(d: TrisectionDiagram, cfg: WeakConfig) -> tuple[list[Node], d
     accs = range(cfg.k_group.order)
     one = cfg.k_group.identity
     nodes = []
+    tables: dict[tuple[int, ...], dict] = {}
     for lam in d.curves_of_color(RED):
         n = len(lam.visits)
         if n == 0:
@@ -239,8 +241,10 @@ def _curve_network(d: TrisectionDiagram, cfg: WeakConfig) -> tuple[list[Node], d
         dims |= dict.fromkeys(acc, cfg.k_group.order)
         for j, xid in enumerate(lam.visits):
             partner, _ = d.end_on(xid, lam.id)
-            factors = _factors(d, xid, partner, cfg)
-            data = {(a, x, table[a][f]): 1 for a in accs for x, f in enumerate(factors)}
+            factors = tuple(_factors(d, xid, partner, cfg))
+            data = tables.get(factors)
+            if data is None:
+                data = tables[factors] = {(a, x, table[a][f]): 1 for a in accs for x, f in enumerate(factors)}
             nodes.append(Node(f"red:{lam.id}:{j}", (acc[j], _label(partner), acc[j + 1]), data))
         nodes.append(Node(f"pin:{acc[0]}", (acc[0],), {(one,): 1}))
         nodes.append(Node(f"pin:{acc[n]}", (acc[n],), {(one,): 1}))

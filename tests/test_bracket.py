@@ -231,6 +231,21 @@ def test_weak_triplet_bracket_counts_labellings_on_connected_patterns():
     assert trisection_bracket(cp2(), BracketConfig(t)) == Cyc.rational(m.size)
 
 
+def test_weak_invariant_is_refused_when_m_has_more_points():
+    # 0.630 on cp2, 0.315 on stabilized walks of cp2: not an invariant (ROADMAP item 2)
+    from trisect.groups import coset_gset, opposite, product
+
+    c = b = cyclic(2)
+    t = hopf.weak_triplet(c, b, coset_gset(product(c, opposite(b)), [3]))
+    for cfg in (BracketConfig(t), BracketConfig(hopf.float_triplet(t))):
+        with pytest.raises(TrisectError, match=r"ROADMAP item 2"):
+            invariant(cp2(), cfg)
+        assert trisection_bracket(cp2(), cfg) == 2
+    # on a point the weak triplet is the group triplet, whose invariant stands
+    assert invariant(cp2(), BracketConfig(hopf.weak_triplet(c, cyclic(3)))) == invariant(
+        cp2(), BracketConfig(hopf.group_triplet(c, cyclic(3))))
+
+
 # ---------------------------------------------------------------------------
 # the representation backend against a sum over labellings
 

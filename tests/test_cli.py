@@ -120,6 +120,12 @@ CONTRACT = [
          out=r"^invariant = 0\.550321208149"),
     _row("invariant-weak-float", "eval invariant --triplet weak:C=Z/2;B=Z/3 --backend float cp2",
          out=r"^invariant = 0\.550321208149"),
+    # a weak triplet whose M has two points is not move-invariant (ROADMAP item 2): only its raw bracket is printed
+    _row("invariant-refuses-weak-cosets", "eval invariant --triplet weak:C=Z/2;B=Z/2;M=cosets:(1,1) cp2",
+         code=1, err=r"^error: weak:C=Z/2,B=Z/2,\|M\|=2: .*\(ROADMAP item 2\)$"),
+    _row("bracket-weak-cosets", "eval bracket --triplet weak:C=Z/2;B=Z/2;M=cosets:(1,1) cp2", out=r"^bracket = 2 "),
+    _row("crosscheck-refuses-weak-cosets", "crosscheck --triplet weak:C=Z/2;B=Z/2;M=cosets:(1,1) cp2",
+         code=1, err="^error: the representation backend supports strong triplets only$"),
     _row("axioms-weak-cosets", "axioms --algebra weak:C=Z/2;B=Z/2;M=cosets:(1,1)"),
     _row("axioms-fun-s3", "axioms --algebra fun:S3"),
     _row("crosscheck-z2-z3", "crosscheck --triplet group:C=Z/2,B=Z/3 cp2"),

@@ -323,27 +323,30 @@ def test_pair_step_is_the_scanning_step(seed, shared, kept_a, kept_b, kind, tens
 # the planner against the planner that rescans every pair at every step
 
 
-def _rescanning_plan_component(comp: list[int], names: list, wires: list, est: list, dims: dict[str, int], cap,
-                               steps: list, sparse: bool = True) -> int:
-    """The greedy order found by rescoring every pair of live operands at every step.
+def _rescanning_plan_component(wires: tuple, dims: tuple, est: tuple, cap, sparse: bool = True):
+    """The greedy order of a component's shape, found by rescoring every pair of live operands at every step.
 
     With ``sparse`` it ranks pairs as ``contraction._plan_component`` does,
     which keeps the scores between steps and must find the same order and
     refuse the same step: over the cap last, then by estimated entries less
-    those of the operands.  Without, it ranks them by dense size alone: an
-    order whose values the planner's must equal.
+    those of the operands, then by dense size.  Without, it ranks them by
+    dense size alone: an order whose values the planner's must equal.
+    Either way, equal pairs fall to the join trees of their operands, the
+    earlier one first, each written as a string: node k as the character
+    U+0100 + k and a join as "(a*b)", so a joined operand comes before every
+    node.
     """
-    live = sorted(comp, key=names.__getitem__)
+    live = list(range(len(wires)))
+    wires, est, steps = list(wires), list(est), []
+    tree = [chr(0x100 + k) for k in live]
     # how many of the live operands carry each wire; a wire is summed when
     # the last two that carry it are joined
-    carriers: dict[str, int] = {}
-    for k in live:
-        for w in wires[k]:
-            carriers[w] = carriers.get(w, 0) + 1
+    carriers = Counter(w for wk in wires for w in wk)
     while len(live) > 1:
         best = None
+        # live stays in increasing order: a joined operand is numbered after every other
         for i in range(len(live)):
-            wi, ni, ei = wires[live[i]], names[live[i]], est[live[i]]
+            wi, ei = wires[live[i]], est[live[i]]
             for j in range(i + 1, len(live)):
                 wj, ej = wires[live[j]], est[live[j]]
                 shared = [w for w in wi if w in wj]
@@ -354,7 +357,7 @@ def _rescanning_plan_component(comp: list[int], names: list, wires: list, est: l
                 dense = contraction._dense_size(kept, dims)
                 size = max(1, min(ei * ej // contraction._dense_size(shared, dims), dense))
                 score = (dense > cap, size - ei - ej, dense) if sparse else (dense,)
-                key = (*score, ni, names[live[j]])
+                key = (*score, tree[live[i]], tree[live[j]])
                 if best is None or key < best[0]:
                     best = (key, i, j, dense, size)
         _, i, j, dense, size = best
@@ -368,32 +371,44 @@ def _rescanning_plan_component(comp: list[int], names: list, wires: list, est: l
                 if carriers[w] == 1:
                     summed.append(w)
         live = [k for n, k in enumerate(live) if n not in (i, j)]
-        live.append(contraction._plan_step(a, b, summed, size, names, wires, est, steps))
-    return live[0]
+        live.append(contraction._plan_step(a, b, summed, size, wires, est, steps))
+        tree.append(f"({tree[a]}*{tree[b]})")
+    return tuple(steps), live[0], wires[live[0]]
 
 
-def _dense_plan_component(*args) -> int:
+def _dense_plan_component(*args):
     return _rescanning_plan_component(*args, sparse=False)
 
 
 @contextmanager
 def planner(plan_component):
-    """``contraction`` with ``plan_component`` in place of its own ``_plan_component``."""
+    """``contraction`` with ``plan_component`` in place of its own ``_plan_component``.
+
+    The plan cache is cleared on entry and on exit, so that every plan made
+    inside comes from ``plan_component``, and none of its plans outlives it.
+    """
     kept = contraction._plan_component
     contraction._plan_component = plan_component
+    contraction._PLANS.clear()
     try:
         yield
     finally:
         contraction._plan_component = kept
+        contraction._PLANS.clear()
+
+
+def plan_or_refusal(nodes, dims, cap=DEFAULT_CAP, open_wires=()):
+    """``plan_network``'s plan, or the cost of the step it refuses."""
+    try:
+        return plan_network(nodes, dims, cap, open_wires)
+    except ResourceExceeded as e:
+        return ("refused", e.cost, str(e))
 
 
 def planned(nodes, dims, cap=DEFAULT_CAP, open_wires=(), rescanning=False):
-    """``plan_network``'s plan, or the cost of the step it refuses; with the rescanning planner if asked."""
+    """``plan_or_refusal`` from a cold plan cache; with the rescanning planner if asked."""
     with planner(_rescanning_plan_component if rescanning else contraction._plan_component):
-        try:
-            return plan_network(nodes, dims, cap, open_wires)
-        except ResourceExceeded as e:
-            return ("refused", e.cost, str(e))
+        return plan_or_refusal(nodes, dims, cap, open_wires)
 
 
 def planner_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
@@ -515,3 +530,107 @@ def test_a_dense_ring_over_the_cap_is_refused_before_any_step():
         contract_network(nodes, dims, cap=10)
     assert time.perf_counter() - start < 0.1
     assert planned(nodes, dims, 10) == planned(nodes, dims, 10, rescanning=True)
+
+
+# ---------------------------------------------------------------------------
+# the plan cache against planning every component afresh
+
+
+class _Forgetful(dict):
+    """A plan cache that keeps nothing, so that every component is planned afresh."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+@contextmanager
+def uncached():
+    """``contraction`` with a plan cache that keeps nothing."""
+    kept = contraction._PLANS
+    contraction._PLANS = _Forgetful()
+    try:
+        yield
+    finally:
+        contraction._PLANS = kept
+
+
+def _prefixed(nodes, dims, open_wires, prefix: str):
+    """The network with ``prefix`` before every node and wire name, which keeps the order of the names."""
+    nodes = [Node(prefix + n.name, tuple(prefix + w for w in n.wires), n.data) for n in nodes]
+    return nodes, {prefix + w: dim for w, dim in dims.items()}, [prefix + w for w in open_wires]
+
+
+def _value_or_refusal(nodes, dims, cap, open_wires):
+    try:
+        return contract_network(nodes, dims, cap, open_wires)
+    except ResourceExceeded as e:
+        return ("refused", e.cost)
+
+
+def _thinned(nodes):
+    """The nodes with the last entry of each node that has two or more left out: other entry counts, same wires."""
+    return [Node(n.name, n.wires, dict(list(n.data.items())[:-1]) if len(n.data) > 1 else n.data) for n in nodes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([planner_network, sparse_network]),
+       st.sampled_from([16, 64, 4096, DEFAULT_CAP]))
+def test_a_plan_from_the_cache_is_the_plan_a_miss_builds(seed, network, cap):
+    nodes, dims, open_wires = network(random.Random(seed))
+    with uncached():
+        fresh = plan_or_refusal(nodes, dims, cap, open_wires)
+        want = _value_or_refusal(nodes, dims, cap, open_wires)
+        # the same wires under every other cap, and with other entry counts
+        others = [(nodes, other) for other in (16, 64, 4096, DEFAULT_CAP) if other != cap] + [(_thinned(nodes), cap)]
+        others = [(other_nodes, other, plan_or_refusal(other_nodes, dims, other, open_wires))
+                  for other_nodes, other in others]
+    # warm: the cache as earlier examples left it, then as this network left it
+    assert plan_or_refusal(nodes, dims, cap, open_wires) == fresh
+    for other_nodes, other, other_fresh in others:
+        assert plan_or_refusal(other_nodes, dims, other, open_wires) == other_fresh
+    shapes = len(contraction._PLANS)
+    assert plan_or_refusal(nodes, dims, cap, open_wires) == fresh
+    assert len(contraction._PLANS) == shapes
+    # a network renamed in the same order has the same shapes: it hits them, and from a cold cache plans them alike
+    renamed = _prefixed(nodes, dims, open_wires, "z.")
+    assert plan_or_refusal(*renamed[:2], cap, renamed[2]) == fresh
+    assert len(contraction._PLANS) == shapes
+    contraction._PLANS.clear()
+    assert plan_or_refusal(*renamed[:2], cap, renamed[2]) == fresh
+    # values with the cache cleared before every call
+    for net in ((nodes, dims, open_wires), renamed):
+        contraction._PLANS.clear()
+        assert _value_or_refusal(net[0], net[1], cap, net[2]) == want
+    assert _value_or_refusal(nodes, dims, cap, open_wires) == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([3, 6]))
+def test_float_brackets_of_walks_are_those_of_a_cold_cache(seed, n):
+    # kashaev:n=6 brackets of these diagrams are rounding noise around 0, which any change of order moves
+    cfg = bracket.BracketConfig(hopf.float_triplet(hopf.kashaev_triplet(n)))
+    rng, d = random.Random(seed), moves.stabilize(cp2())
+    for _ in range(4):
+        _, d = moves.random_move(d, rng)
+        with uncached():
+            fresh = repr(bracket.trisection_bracket(d, cfg))
+        contraction._PLANS.clear()
+        assert repr(bracket.trisection_bracket(d, cfg)) == fresh
+        assert repr(bracket.trisection_bracket(d, cfg)) == fresh
+
+
+def test_the_plan_cache_never_holds_more_than_its_bound():
+    # one shape per dim of the shared wire: more shapes than the cache keeps
+    nodes = [Node("u", ("a",), {(0,): ONE}), Node("v", ("a",), {(0,): ONE})]
+    bound = contraction.PLAN_CACHE_SIZE
+    contraction._PLANS.clear()
+    try:
+        for dim in range(1, bound + 101):
+            assert plan_network(nodes, {"a": dim}) == contraction.Plan(((0, 1, (0,), (), (0,), ()),), 2, ())
+            assert len(contraction._PLANS) <= bound
+        assert len(contraction._PLANS) == bound
+        # the oldest shapes went first
+        dims_kept = sorted(shape[1][0] for shape in contraction._PLANS)
+        assert dims_kept == list(range(101, bound + 101))
+    finally:
+        contraction._PLANS.clear()
