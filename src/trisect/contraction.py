@@ -62,10 +62,28 @@ or ``complex`` operand takes an ``int`` through its own arithmetic.
 ``execute_plan`` leaves such an ``int`` as it is; ``contract_network`` coerces
 each one back to ``Cyc``, so each of its results is a ``Cyc`` (or a
 ``complex`` on the float backend).
+
+A step that joins two ``Tensor``s of node data, such as two structure tensors
+that every bracket of one configuration shares, gives the same result each
+time, so ``execute_plan`` keeps it, as opt_einsum's ``contract_expression``
+computes a sub-contraction of constants once.  The memo lives on the first
+``Tensor``, keyed by the second's ``id`` and the step's positions.  It holds
+the second only through a weak reference, whose callback drops the entry
+when the second goes, so a self-join makes no cycle and no entry outlives
+either ``Tensor``.  A result costs memory only once it recurs: the first time
+a step is seen, its entry holds no result, so a join made once, such as one
+of the tensors that an identity check builds for a single call, is freed
+after its use; the second time, the entry keeps the plain dict the step
+made; the third time, that dict becomes a ``Tensor``, so that later steps
+index it.  The memo holds only products the step would make anyway, summed
+in the same order, so every value stays exactly that of the step.  Node data
+and memo entries are shared, so ``execute_plan`` returns a copy when the
+network ends in one of them: the caller owns every result.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -85,8 +103,9 @@ class Tensor(dict):
     """Sparse node data shared by many nodes, with an index on each wire position.
 
     The index from the value at one key position to the keys that have it is
-    built on first use, once per position, and kept; a ``Tensor`` must not
-    change once it has been contracted.
+    built on first use, once per position, and kept, as are the results of
+    its joins with other ``Tensor``s (see the module docstring); a ``Tensor``
+    must not change once it has been contracted, or both would go stale.
     """
 
     def __init__(self, data=()) -> None:
@@ -97,6 +116,8 @@ class Tensor(dict):
         self._keys: list[tuple[int, ...]] | None = None
         # position -> value -> ordinals of its keys, in arrays: no int object per entry
         self._index: dict[int, dict[int, array]] = {}
+        # (id of the other Tensor, positions) -> [weak reference to it, result or None]
+        self._joins: dict[tuple, list] = {}
 
     def items_at(self, pos: int, values) -> list[tuple[tuple[int, ...], object]]:
         """The items whose key has one of ``values`` at ``pos``, in the dict's order."""
@@ -111,6 +132,27 @@ class Tensor(dict):
         rows = [by_value[v] for v in values if v in by_value]
         order = rows[0] if len(rows) == 1 else sorted(chain.from_iterable(rows))
         return [(keys[n], self[keys[n]]) for n in order]
+
+    def joined(self, other: Tensor, pos) -> dict:
+        """``_contract_pair(self, other, *pos)``, kept from the second call on while both live, as a ``Tensor`` from the third."""
+        key = (id(other), *pos)
+        entry = self._joins.get(key)
+        if entry is None:
+
+            def gone(_, me=weakref.ref(self)) -> None:
+                # ``other`` went; ``self`` is held weakly too, so a self-join makes no cycle
+                t = me()
+                if t is not None:
+                    t._joins.pop(key, None)
+
+            # the first time only marks the pair: a result made once is not held
+            self._joins[key] = [weakref.ref(other, gone), None]
+            return _contract_pair(self, other, *pos)
+        if entry[1] is None:
+            entry[1] = _contract_pair(self, other, *pos)
+        elif type(entry[1]) is not Tensor:
+            entry[1] = Tensor(entry[1])
+        return entry[1]
 
 
 @dataclass
@@ -410,11 +452,18 @@ def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
 
     The entries of a ``Tensor`` may still be ``int``.  A network without open
     wires gives ``{(): value}``, or ``{}`` when the value is 0; one without
-    nodes gives ``{(): 1}``.
+    nodes gives ``{(): 1}``.  The result is the caller's own to change.
     """
-    ops = list(data)
+    ops, leaves = list(data), len(data)
+    # the operands that the memo may hold
+    memo = set()
     for a, b, *pos in plan.steps:
-        out = _contract_pair(ops[a], ops[b], *pos)
+        x, y = ops[a], ops[b]
+        if a < leaves and b < leaves and type(x) is Tensor and type(y) is Tensor:
+            memo.add(len(ops))
+            out = x.joined(y, pos)
+        else:
+            out = _contract_pair(x, y, *pos)
         # each operand feeds one step only: drop it, so no intermediate outlives its use
         ops[a] = ops[b] = None
         ops.append(out)
@@ -422,7 +471,8 @@ def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
         return {(): 1}
     out, perm = ops[plan.result], plan.perm
     if perm == tuple(range(len(perm))):
-        return out
+        # node data and memo entries are shared: the caller gets a copy of its own
+        return dict(out) if plan.result < leaves or plan.result in memo else out
     order = _projection(perm)
     return {order(key): val for key, val in out.items()}
 

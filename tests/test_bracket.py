@@ -561,6 +561,14 @@ def test_float_cross_check_of_a_cancelling_genus_7_bracket():
     assert cross_check(d, BracketConfig(hopf.float_triplet(t))).ok
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the float rule ignores cancellation in a contraction")
+def test_float_agreement_of_the_recorded_cancelling_genus_7_values():
+    # the two float values of the test above, as recorded: a change of contraction
+    # order can make that test pass by moving them, but it cannot move these
+    element, rep = complex(-5.80011328566e-06, 0), complex(-8.70016992849e-06, -3.86674219044e-06)
+    assert bracket.CheckReport.agreement("backend agreement", {"element": element, "rep": rep}).ok
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the float rule's absolute floor hides small brackets")
 def test_float_brackets_of_differently_scaled_integrals_differ():
     # 5.2e-12i against 4.2e-11i: both below the floor of 1e-9

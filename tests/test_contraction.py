@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -634,3 +636,143 @@ def test_the_plan_cache_never_holds_more_than_its_bound():
         assert dims_kept == list(range(101, bound + 101))
     finally:
         contraction._PLANS.clear()
+
+
+# ---------------------------------------------------------------------------
+# the join memo of shared tensors against the engine that joins every pair afresh
+
+
+def _unmemoized_execute_plan(plan: contraction.Plan, data) -> dict:
+    """``contraction.execute_plan`` as it was before the join memo: every step runs ``_contract_pair``."""
+    ops = list(data)
+    for a, b, *pos in plan.steps:
+        out = contraction._contract_pair(ops[a], ops[b], *pos)
+        ops[a] = ops[b] = None
+        ops.append(out)
+    if plan.result is None:
+        return {(): 1}
+    out, perm = ops[plan.result], plan.perm
+    if perm == tuple(range(len(perm))):
+        return out
+    order = contraction._projection(perm)
+    return {order(key): val for key, val in out.items()}
+
+
+def memo_network(rng: random.Random, tensors: list[tuple[tuple[int, ...], Tensor]], kind: str):
+    """Two to six nodes, most of them copies of the shared ``tensors``, each given as (shape, data).
+
+    The first two nodes are copies of the first tensor that share a wire, a
+    self-join such as ``M i j t, M t k o``; later nodes reuse a wire of the
+    same dim as often as not.  A node that is no copy holds one or two
+    entries of plain data.  Wires on one node only are open, in a random
+    order.
+    """
+    nodes, dims = [], {}
+    for k in range(rng.randint(2, 6)):
+        if k < 2 or rng.random() < 0.8:
+            shape, data = tensors[0] if k < 2 else rng.choice(tensors)
+        else:
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 2)))
+            keys = [tuple(rng.randrange(d) for d in shape) for _ in range(2)]
+            data = {key: _pair_value(kind, rng, f"p{k}{key}") for key in keys}
+        wires: list[str] = []
+        for pos, d in enumerate(shape):
+            pool = [w for w, dw in dims.items() if dw == d and w not in wires]
+            if k == 1 and pos == 0:
+                # the self-join: a wire of the first copy at any of its positions
+                pool = [w for w in nodes[0].wires if w not in wires and dims[w] == d] or pool
+                take = bool(pool)
+            else:
+                take = bool(pool) and rng.random() < 0.5
+            if take:
+                wires.append(rng.choice(pool))
+            else:
+                wires.append(f"w{len(dims)}")
+                dims[wires[-1]] = d
+        nodes.append(Node(f"n{k}", tuple(wires), data))
+    ends = [w for n in nodes for w in n.wires]
+    open_wires = [w for w in dims if ends.count(w) == 1]
+    rng.shuffle(open_wires)
+    return nodes, dims, open_wires
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["exact", "complex", "word"]))
+def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
+    # three networks over the same one or two shared tensors, so that later
+    # networks meet the memo entries of earlier ones, at the same positions or others
+    rng = random.Random(seed)
+    tensors = []
+    for t in range(rng.randint(1, 2)):
+        # a first tensor of one axis gets a second of the same dim, so its self-join keeps an open wire
+        shape = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        shape = tuple(shape + [shape[0]] if len(shape) == 1 and t == 0 else shape)
+        keys = [key for key in itertools.product(*map(range, shape)) if rng.random() < 0.7]
+        rng.shuffle(keys)
+        tensors.append((shape, Tensor({key: _pair_value(kind, rng, f"t{t}{key}") for key in keys})))
+    cases = []
+    for _ in range(3):
+        nodes, dims, open_wires = memo_network(rng, tensors, kind)
+        plan = plan_or_refusal(nodes, dims, 4096, open_wires)
+        if isinstance(plan, contraction.Plan):
+            data = [n.data for n in nodes]
+            cases.append((plan, data, list(_unmemoized_execute_plan(plan, data).items())))
+    # cold (a step is marked), warm (its result is kept), warm (the result becomes a
+    # Tensor), warm (that Tensor is reused), and twice after the memo is cleared
+    for rounds in range(6):
+        if rounds == 4:
+            for _, t in tensors:
+                t._joins.clear()
+        for plan, data, want in cases:
+            # the same keys and values in the same order: every sum is taken in the same order
+            assert list(execute_plan(plan, data).items()) == want
+
+
+def test_the_caller_owns_every_result():
+    m = Tensor({(0, 1): ONE, (1, 0): Cyc.rational(2), (1, 1): Cyc.zeta(3)})
+    v = {(0,): ONE, (1,): Cyc.rational(3)}
+    dims = {"i": 2, "j": 2, "k": 2}
+    networks = [
+        # one node and no step, as ``hopf._pairs`` contracts ``I i o``: a Tensor, then plain data
+        ([Node("m", ("i", "j"), m)], ("i", "j")),
+        ([Node("v", ("i",), v)], ("i",)),
+        # a join of two shared tensors, a self-join, whose result is a memo entry
+        ([Node("m0", ("i", "j"), m), Node("m1", ("j", "k"), m)], ("i", "k")),
+    ]
+    for nodes, open_wires in networks:
+        want = contract_network(nodes, dims, open_wires=open_wires)
+        # four times: a step only marked, its result kept as a plain dict, as a Tensor, and that Tensor again
+        for _ in range(4):
+            got = execute_plan(plan_network(nodes, dims, open_wires=open_wires), [n.data for n in nodes])
+            got.clear()
+            got[(9,) * len(open_wires)] = ONE
+            assert contract_network(nodes, dims, open_wires=open_wires) == want
+
+
+def test_the_memo_keeps_no_tensor_alive():
+    gc.disable()
+    try:
+        m = Tensor({(i, j, (i + j) % 2): Cyc.rational(i + 1) for i in range(2) for j in range(2)})
+        dims = dict.fromkeys("ijtko", 2)
+        # associativity's left side, a self-join
+        nodes = [Node("m0", ("i", "j", "t"), m), Node("m1", ("t", "k", "o"), m)]
+        want = contract_network(nodes, dims, open_wires=("i", "j", "k", "o"))
+        for _ in range(3):
+            assert contract_network(nodes, dims, open_wires=("i", "j", "k", "o")) == want
+        assert len(m._joins) == 1 and type(next(iter(m._joins.values()))[1]) is Tensor
+        gone = weakref.ref(m)
+        del m, nodes
+        assert gone() is None
+
+        # one long-lived tensor joined with short-lived ones in turn: each entry goes with its partner
+        keep = Tensor({(0, 0): ONE, (1, 0): Cyc.rational(2)})
+        for n in range(1, 1001):
+            other = Tensor({(0,): Cyc.rational(n), (1,): ONE})
+            nodes = [Node("a", ("i", "j"), keep), Node("b", ("j",), other)]
+            for _ in range(2):
+                assert contract_network(nodes, dims, open_wires=("i",)) == {(0,): Cyc.rational(n), (1,): Cyc.rational(2 * n)}
+            assert len(keep._joins) == 1
+            del nodes, other
+            assert not keep._joins
+    finally:
+        gc.enable()
