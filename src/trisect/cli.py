@@ -150,8 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("catalog", parents=[flags], help="list or emit built-in diagrams")
     p.add_argument("name", nargs="?")
 
-    cap_help = ("bound on the dense size (the product of the wire dimensions) of each pairwise contraction "
-                "result and of the final tensor, not on the sparse entries stored (default %(default)s)")
+    cap_help = ("bound on the nonzero entries that each pairwise contraction step keeps; a step stops at the "
+                "first count over it (default %(default)s)")
 
     p = sub.add_parser("eval", parents=[flags], help="evaluate an invariant")
     ev = p.add_subparsers(dest="what", required=True)

@@ -13,18 +13,20 @@ a pair at the product of its operands' estimates over the dense size of the
 wires they share, at least 1 and at most the result's dense size (the
 product of the remaining wire dimensions, open wires included, and shared
 wires that a third node still carries).  Ties fall to the dense size, then
-to the operands' join trees (see below).  A pair whose dense size is over
-the cap ranks after every other, so ``ResourceExceeded`` is raised only
-when every pair left is over the cap, with the dense size of the cheapest.
-Each pair that shares a wire is scored once, and the scores are kept in a
-heap between steps: an operand's estimate never changes once it is made,
-and a join lowers a carrier count only on a wire that both joined nodes
-carry, so any other pair on that wire still has a third carrier and keeps
-its score, and only the new node's pairs are scored.  The components'
-results are then multiplied together as an outer product over the open
-wires.  The cap bounds the dense size of every pairwise result and of the
-final tensor, not the sparse storage actually used.  Only exact zeros are
-dropped from the sparse storage.
+to the operands' join trees (see below).  Each pair that shares a wire is
+scored once, and the scores are kept in a heap between steps: an operand's
+estimate never changes once it is made, and a join lowers a carrier count
+only on a wire that both joined nodes carry, so any other pair on that wire
+still has a third carrier and keeps its score, and only the new node's pairs
+are scored.  The components' results are then multiplied together as an
+outer product over the open wires.  Only exact zeros are dropped from the
+sparse storage.
+
+The cap is one count, made where entries are made: the entries that a
+pairwise step keeps.  The step checks it after each key of its larger
+operand that meets the other, and raises ``ResourceExceeded`` with the count
+so far, a lower bound on what the step would keep.  The planner knows no
+cap; a network is refused only by the work it actually does.
 
 The order is found as a ``Plan`` (``plan_network``), and ``execute_plan``
 runs its pairwise steps on the nodes' data.  Its result is keyed in the
@@ -36,8 +38,8 @@ A component's order is a function of its shape alone, so each shape is
 planned once and its plan replayed on every later component of that shape,
 as opt_einsum's ``contract_expression`` reuses a path.  The shape, the key of
 the plan cache, is: the component's nodes in name order, each node's wires
-numbered by first appearance, the dims of those numbers, each node's entry
-count, and the cap.  Node names, wire names and the data are not part of it.
+numbered by first appearance, the dims of those numbers, and each node's
+entry count.  Node names, wire names and the data are not part of it.
 The planner numbers the operands of a component locally, the nodes in that
 order and then each joined operand as it is made, and ties between pairs
 fall to these numbers, never to a name: each operand is spelled out as its
@@ -45,8 +47,9 @@ join tree, node ``k`` as ``(k,)`` and the join of ``a`` and ``b`` as ``( a *
 b )``, so a joined operand ranks before every node and two joined operands
 rank as their first operands do, then their second.  The cached plan is kept
 in the local numbers and relocated to the network's own on each use, so a
-hit gives exactly the plan a miss would build.  The cache keeps at most
-``PLAN_CACHE_SIZE`` plans (4,096); when it is full, the oldest goes.
+hit gives exactly the plan a miss would build.  The cache is the
+``lru_cache`` of ``_plan_component``: it keeps at most 4,096 plans, and when
+it is full, the least recently used goes.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
 is best given as a ``Tensor``: a pairwise step whose larger operand is a
@@ -76,9 +79,11 @@ of the tensors that an identity check builds for a single call, is freed
 after its use; the second time, the entry keeps the plain dict the step
 made; the third time, that dict becomes a ``Tensor``, so that later steps
 index it.  The memo holds only products the step would make anyway, summed
-in the same order, so every value stays exactly that of the step.  Node data
-and memo entries are shared, so ``execute_plan`` returns a copy when the
-network ends in one of them: the caller owns every result.
+in the same order, so every value stays exactly that of the step.  A kept
+result may have been made under a larger cap, so ``execute_plan`` counts its
+entries against the cap at hand.  Node data and memo entries are shared, so
+``execute_plan`` returns a copy when the network ends in one of them: the
+caller owns every result.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ import weakref
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import chain
 from operator import itemgetter
@@ -95,7 +101,7 @@ from typing import NamedTuple
 from .errors import ResourceExceeded
 from .scalars import Cyc
 
-# the largest dense size of any pairwise result or final tensor, unless a caller sets its own
+# the most entries any pairwise step may keep, unless a caller sets its own
 DEFAULT_CAP = 10_000_000
 
 
@@ -133,8 +139,11 @@ class Tensor(dict):
         order = rows[0] if len(rows) == 1 else sorted(chain.from_iterable(rows))
         return [(keys[n], self[keys[n]]) for n in order]
 
-    def joined(self, other: Tensor, pos) -> dict:
-        """``_contract_pair(self, other, *pos)``, kept from the second call on while both live, as a ``Tensor`` from the third."""
+    def joined(self, other: Tensor, pos, cap: float) -> dict:
+        """``_contract_pair(self, other, *pos, cap)``, kept from the second call on, as a ``Tensor`` from the third.
+
+        A result is kept while both live, and served whatever the cap it was made under.
+        """
         key = (id(other), *pos)
         entry = self._joins.get(key)
         if entry is None:
@@ -147,9 +156,9 @@ class Tensor(dict):
 
             # the first time only marks the pair: a result made once is not held
             self._joins[key] = [weakref.ref(other, gone), None]
-            return _contract_pair(self, other, *pos)
+            return _contract_pair(self, other, *pos, cap)
         if entry[1] is None:
-            entry[1] = _contract_pair(self, other, *pos)
+            entry[1] = _contract_pair(self, other, *pos, cap)
         elif type(entry[1]) is not Tensor:
             entry[1] = Tensor(entry[1])
         return entry[1]
@@ -193,11 +202,12 @@ def _projection(pos):
     return lambda key: ()
 
 
-def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
+def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b, cap: float) -> dict:
     """Join ``a`` and ``b`` where their keys agree at ``sh_a`` and ``sh_b``; key each product by ``keep_a + keep_b``.
 
     The positions lists are a step of a ``Plan``: the shared wires' positions
-    in each operand, then the positions each operand keeps.
+    in each operand, then the positions each operand keeps.  Raises
+    ``ResourceExceeded`` as soon as the result keeps more than ``cap`` entries.
     """
     # bucket the smaller operand by its shared indices and scan the larger one;
     # keys stay keep_a + keep_b and every product stays a-value * b-value
@@ -244,6 +254,9 @@ def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dict:
                     out[k] = new
                 else:
                     out.pop(k, None)
+        # once per key that hits, not per product, so the count may pass the cap by one key's products
+        if len(out) > cap:
+            raise ResourceExceeded(len(out), cap)
     return out
 
 
@@ -294,42 +307,24 @@ class Plan(NamedTuple):
     perm: tuple[int, ...]
 
 
-# the most component plans kept; when it is full, the oldest goes
-PLAN_CACHE_SIZE = 4096
-# a component's shape -> its plan, in the shape's own operand numbers (see ``_plan_component``)
-_PLANS: dict[tuple, tuple] = {}
-
-
-def plan_network(nodes: Sequence[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
-                 open_wires: Sequence[str] = ()) -> Plan:
+def plan_network(nodes: Sequence[Node], dims: dict[str, int], open_wires: Sequence[str] = ()) -> Plan:
     """The greedy contraction order of ``nodes``, as the ``Plan`` that ``execute_plan`` runs on their data.
 
     Each connected component is planned once per shape, and the plan is
-    replayed on every later component of that shape.  Raises
-    ``ResourceExceeded`` when the open wires exceed ``cap`` in dense size, or
-    when every pair left to join in a component does.
+    replayed on every later component of that shape.  It refuses nothing:
+    the cap is counted by ``execute_plan``.
     """
-    size = _dense_size(open_wires, dims)
-    if size > cap:
-        raise ResourceExceeded(size, cap)
     names = [n.name for n in nodes]
     steps: list[tuple] = []
     out, out_wires = None, ()
     for comp in connected([n.wires for n in nodes]):
         live = sorted(comp, key=names.__getitem__)
         # the shape: the nodes in name order, each node's wires numbered by
-        # first appearance, the dims of those numbers, each node's entry
-        # count, and the cap
+        # first appearance, the dims of those numbers, and each node's entry count
         number: dict[str, int] = {}
-        shape = (tuple([tuple([number.setdefault(w, len(number)) for w in nodes[k].wires]) for k in live]),
-                 tuple([dims[w] for w in number]), tuple([len(nodes[k].data) for k in live]), cap)
-        found = _PLANS.get(shape)
-        if found is None:
-            found = _plan_component(*shape)
-            if len(_PLANS) >= PLAN_CACHE_SIZE:
-                del _PLANS[next(iter(_PLANS))]
-            _PLANS[shape] = found
-        part_steps, result, kept = found
+        part_steps, result, kept = _plan_component(
+            tuple([tuple([number.setdefault(w, len(number)) for w in nodes[k].wires]) for k in live]),
+            tuple([dims[w] for w in number]), tuple([len(nodes[k].data) for k in live]))
         # the shape's operand k is node live[k], then each step's result as it is made
         first = len(nodes) + len(steps)
         ops = live + list(range(first, first + len(part_steps)))
@@ -362,8 +357,9 @@ def _plan_step(i: int, j: int, summed, size: int, wires: list, est: list, steps:
     return len(wires) - 1
 
 
-def _plan_component(wires: tuple, dims: tuple, est: tuple, cap) -> tuple[tuple, int, tuple]:
-    """The greedy order of one connected component, found from its shape alone.
+@lru_cache(maxsize=4096)
+def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, tuple]:
+    """The greedy order of one connected component, found from its shape alone, and kept for the shape.
 
     Node ``k`` carries the wire numbers ``wires[k]`` and has ``est[k]``
     entries, and wire ``w`` has dimension ``dims[w]``.  Operand ``k`` is node
@@ -392,10 +388,9 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple, cap) -> tuple[tuple, 
 
     def add(k: int) -> None:
         # operands come in order, the nodes and then each joined one as it is
-        # made, so k comes after every live operand; a pair ranks first by
-        # whether its dense size is over the cap, then by its estimated
-        # entries less those of its operands, its dense size, the spelling of
-        # its earlier operand and that of its later one
+        # made, so k comes after every live operand; a pair ranks by its
+        # estimated entries less those of its operands, then by its dense
+        # size, the spelling of its earlier operand and that of its later one
         wk, ek = wires[k], est[k]
         full = _dense_size(wk, dims)
         for p in {p: None for w in wk for p in on[w]}:
@@ -414,7 +409,7 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple, cap) -> tuple[tuple, 
             size = ep * ek // shared or 1
             if size > dense:
                 size = dense
-            heappush(heap, (dense > cap, size - ep - ek, dense, spelling[p], spelling[k], p, k, size))
+            heappush(heap, (size - ep - ek, dense, spelling[p], spelling[k], p, k, size))
         for w in wk:
             on[w].append(k)
 
@@ -422,13 +417,10 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple, cap) -> tuple[tuple, 
         add(k)
     out = 0
     for _ in range(count - 1):
-        # a pair whose operand was joined since it was scored is dropped here;
-        # a pair over the cap comes out only when every pair left is
-        over, _, dense, _, _, a, b, size = heappop(heap)
+        # a pair whose operand was joined since it was scored is dropped here
+        _, _, _, _, a, b, size = heappop(heap)
         while a not in alive or b not in alive:
-            over, _, dense, _, _, a, b, size = heappop(heap)
-        if over:
-            raise ResourceExceeded(dense, cap)
+            _, _, _, _, a, b, size = heappop(heap)
         wb = wires[b]
         summed = []
         for w in wires[a]:
@@ -447,12 +439,13 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple, cap) -> tuple[tuple, 
     return tuple(steps), out, wires[out]
 
 
-def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
+def execute_plan(plan: Plan, data: Sequence[dict], cap: float = DEFAULT_CAP) -> dict:
     """Run ``plan`` on the nodes' ``data``; return the result keyed in the order of the open wires.
 
     The entries of a ``Tensor`` may still be ``int``.  A network without open
     wires gives ``{(): value}``, or ``{}`` when the value is 0; one without
     nodes gives ``{(): 1}``.  The result is the caller's own to change.
+    Raises ``ResourceExceeded`` once a step keeps more than ``cap`` entries.
     """
     ops, leaves = list(data), len(data)
     # the operands that the memo may hold
@@ -461,9 +454,12 @@ def execute_plan(plan: Plan, data: Sequence[dict]) -> dict:
         x, y = ops[a], ops[b]
         if a < leaves and b < leaves and type(x) is Tensor and type(y) is Tensor:
             memo.add(len(ops))
-            out = x.joined(y, pos)
+            out = x.joined(y, pos, cap)
+            # the memo may have kept it under a larger cap
+            if len(out) > cap:
+                raise ResourceExceeded(len(out), cap)
         else:
-            out = _contract_pair(x, y, *pos)
+            out = _contract_pair(x, y, *pos, cap)
         # each operand feeds one step only: drop it, so no intermediate outlives its use
         ops[a] = ops[b] = None
         ops.append(out)
@@ -482,9 +478,9 @@ def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAU
     """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
 
     The tensor is a sparse dict keyed by index tuples in the order of
-    ``open_wires``.  It is ``plan_network`` followed by ``execute_plan``.
+    ``open_wires``.  It is ``plan_network`` followed by ``execute_plan``, which ``cap`` bounds.
     """
-    out = execute_plan(plan_network(nodes, dims, cap, open_wires), [n.data for n in nodes])
+    out = execute_plan(plan_network(nodes, dims, open_wires), [n.data for n in nodes], cap)
     if not open_wires:
         return _exact(out.get((), 0))
     return {key: _exact(val) for key, val in out.items()}

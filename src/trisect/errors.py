@@ -30,7 +30,7 @@ class MissingIrreps(TrisectError):
 
 
 class ResourceExceeded(TrisectError):
-    def __init__(self, cost: int, cap: float, what: str = "entries in a contraction intermediate") -> None:
+    def __init__(self, cost: int, cap: float, what: str = "or more entries in a contraction intermediate") -> None:
         super().__init__(f"needs {cost} {what} (cap {cap})")
         self.cost = cost
         self.cap = cap

@@ -23,7 +23,8 @@ of the open wires, are compared key by key.
 The residual reported for an identity is the largest |lhs - rhs| over the
 indices whose two sides are not ``scalars.approx_eq``: every index where exact
 sides differ, and on the float backend only those outside its relative rule.
-Memory grows with the nonzero entries of an identity's sides.
+Memory grows with the nonzero entries of an identity's sides; the engine's
+one cap bounds the entries that each step of a side keeps.
 The generalized double is built the same way: each of its five structure maps
 is one network over the tensors of its two factors and the pairing.
 """
@@ -156,14 +157,14 @@ def _pairs(tensors: Tensors, out: str, lhs: str, rhs: str):
     """(lhs, rhs) at every index of the open wires ``out`` where either side is nonzero.
 
     Each side is contracted once, as a whole, and kept as ``execute_plan``
-    leaves it, with a ``Tensor``'s integer entries still ``int``.  The checks
-    are polynomial in the dimension, so no cap applies to them.
+    leaves it, with a ``Tensor``'s integer entries still ``int``, under the
+    engine's one cap on the entries of each step.
     """
     wires = out.split()
     sides = []
     for spec in (lhs, rhs):
         nodes, dims = _network(tensors, spec)
-        sides.append(execute_plan(plan_network(nodes, dims, cap=math.inf, open_wires=wires), [n.data for n in nodes]))
+        sides.append(execute_plan(plan_network(nodes, dims, open_wires=wires), [n.data for n in nodes]))
     a, b = sides
     for key, x in a.items():
         yield x, b.get(key, 0)
@@ -386,7 +387,7 @@ def generalized_double(a: HopfAlgebra, b: HopfAlgebra, tau: Mat, name: str | Non
     tensors = {**_tensors(a, "A"), **_tensors(b, "B"), "T": (tau, (a.dim, nb))}
     maps = {}
     for key, (out, spec) in _DOUBLE.items():
-        t = contract_network(*_network(tensors, spec), cap=math.inf, open_wires=out.split())
+        t = contract_network(*_network(tensors, spec), open_wires=out.split())
         maps[key] = {tuple(k[n] * nb + k[n + 1] for n in range(0, len(k), 2)): c for k, c in t.items()}
     unit = {x: c for (x,), c in maps["unit"].items()}
     counit = {x: c for (x,), c in maps["counit"].items()}

@@ -170,10 +170,10 @@ def test_resource_cap():
 
 
 def test_cap_boundary_of_the_kashaev_invariant():
-    # under kashaev:n=3 the largest intermediate of the cp2 and the S^4 brackets has 9 entries
-    with pytest.raises(ResourceExceeded, match=r"^needs 9 entries in a contraction intermediate \(cap 8\)$"):
-        invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3), contraction_cap=8))
-    capped = invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3), contraction_cap=9))
+    # under kashaev:n=3 the largest step of the cp2 and the S^4 brackets keeps 3 entries
+    with pytest.raises(ResourceExceeded, match=r"^needs 3 or more entries in a contraction intermediate \(cap 2\)$"):
+        invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3), contraction_cap=2))
+    capped = invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3), contraction_cap=3))
     assert capped == invariant(cp2(), BracketConfig(hopf.kashaev_triplet(3)))
 
 

@@ -59,7 +59,8 @@ def _float_s3_json(s00) -> str:
 
 # The input files of the command-line contract below, written into the working directory of every row.
 _FILES = {
-    # cp2 after two two-point inserts: ordered by dense size, S4 x S3 needed 17,915,904 entries (cap 10,000,000)
+    # cp2 after two two-point inserts: the largest step of S4 x S3 keeps 3,456 entries, though an order by
+    # dense size alone once needed a step of dense size 17,915,904
     "inserts.json": '[{"move":"two_point_insert","curve_a":"a","pos_a":1,"curve_b":"g","pos_b":2,"sign":-1},'
                     '{"move":"two_point_insert","curve_a":"a","pos_a":2,"curve_b":"b","pos_b":0,"sign":-1}]',
     "m.json": '[{"move":"two_point_insert","curve_a":"a","pos_a":0,"curve_b":"b","pos_b":0},'
@@ -87,6 +88,8 @@ _FILES = {
     # float C[S3] whose S^2 misses the identity at (0, 0) by 2.2e-15, inside approx_eq's rule
     "s3-float-near.json": _float_s3_json(1 + 1e-15),
     "list-triplet.json": "[]",
+    # the moves that build entangled(4, 1) from cp2: a stabilization, 4 seeded handle slides, 6 random moves
+    "entangled-moves.json": (Path(__file__).parent / "data" / "entangled_4_1_moves.json").read_text(),
 }
 
 
@@ -150,9 +153,13 @@ CONTRACT = [
     _row("triplet-file-not-an-object", "eval bracket --triplet file:list-triplet.json cp2",
          code=1, err="^error: bad triplet file: not a JSON object$"),
     _row("axioms-unknown-spec", "axioms --algebra nonsense:1", code=1, err="^error: unknown algebra spec 'nonsense:1'$"),
-    _row("cap-8-refuses", "eval invariant --triplet kashaev:n=3 --cap 8 cp2",
-         code=1, err=re.escape("error: needs 9 entries in a contraction intermediate (cap 8)")),
-    _row("cap-9-suffices", "eval invariant --triplet kashaev:n=3 --cap 9 cp2", out=r"^invariant = 0\.57735026919i"),
+    # the largest step of kashaev:n=3 on cp2 keeps 3 entries
+    _row("cap-2-refuses", "eval invariant --triplet kashaev:n=3 --cap 2 cp2",
+         code=1, err=re.escape("error: needs 3 or more entries in a contraction intermediate (cap 2)")),
+    _row("cap-3-suffices", "eval invariant --triplet kashaev:n=3 --cap 3 cp2", out=r"^invariant = 0\.57735026919i"),
+    # an order by dense size refused this diagram (a step of dense size 241,864,704); its largest step keeps 5,184
+    _row("invariant-s4xs3-entangled", "moves apply cp2 --moves entangled-moves.json --out e.json",
+         "eval invariant --triplet group:C=S4,B=S3 e.json", out=r"^invariant = 0\.190785707092 "),
     _row("malformed-spec", "eval bracket --triplet kashaev:n=abc cp2", code=1, err=_ERROR),
     _row("gset-file-bad-point", "eval count --C Z/2 --B Z/2 --M gset.json cp2", code=1, err=_ERROR),
     _row("gset-file-empty-count", "eval count --C Z/2 --B Z/2 --M empty.json cp2", code=1, err=_ERROR),
@@ -217,7 +224,7 @@ def test_cap_help_names_the_quantity_it_bounds(capsys, command):
     assert exc.value.code == 0
     # argparse wraps the help at the terminal width
     text = " ".join(capsys.readouterr().out.split())
-    assert "--cap CAP bound on the dense size" in text and "not on the sparse entries stored" in text
+    assert "--cap CAP bound on the nonzero entries that each pairwise contraction step keeps" in text
 
 
 def test_catalog_listing(capsys):

@@ -6,6 +6,7 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
@@ -107,9 +108,11 @@ def test_unlisted_open_wire_is_rejected():
 
 
 def test_cap_bounds_the_open_wires():
-    nodes = [Node("u", ("a",), {(0,): ONE}), Node("v", ("b",), {(0,): ONE})]
-    with pytest.raises(ResourceExceeded):
+    # two full vectors on open wires: their outer product keeps 9 entries
+    nodes = [Node(name, (w,), {(i,): ONE for i in range(3)}) for name, w in (("u", "a"), ("v", "b"))]
+    with pytest.raises(ResourceExceeded, match=r"^needs 9 or more entries in a contraction intermediate \(cap 8\)$"):
         contract_network(nodes, {"a": 3, "b": 3}, cap=8, open_wires=("a", "b"))
+    assert len(contract_network(nodes, {"a": 3, "b": 3}, cap=9, open_wires=("a", "b"))) == 9
 
 
 def test_float_values_are_never_dropped_for_being_small():
@@ -318,21 +321,22 @@ def test_pair_step_is_the_scanning_step(seed, shared, kept_a, kept_b, kind, tens
     a, b = operand(wires_a, "a", tensor_a), operand(wires_b, "b", tensor_b)
     for args in ((a, b, sh_a, keep_a, sh_b, keep_b), (b, a, sh_b, keep_b, sh_a, keep_a)):
         # the same keys and values in the same order: every sum is taken in the same order
-        assert list(contraction._contract_pair(*args).items()) == list(_scanning_contract_pair(*args).items())
+        got = contraction._contract_pair(*args, DEFAULT_CAP)
+        assert list(got.items()) == list(_scanning_contract_pair(*args).items())
 
 
 # ---------------------------------------------------------------------------
 # the planner against the planner that rescans every pair at every step
 
 
-def _rescanning_plan_component(wires: tuple, dims: tuple, est: tuple, cap, sparse: bool = True):
+def _rescanning_plan_component(wires: tuple, dims: tuple, est: tuple, sparse: bool = True):
     """The greedy order of a component's shape, found by rescoring every pair of live operands at every step.
 
     With ``sparse`` it ranks pairs as ``contraction._plan_component`` does,
-    which keeps the scores between steps and must find the same order and
-    refuse the same step: over the cap last, then by estimated entries less
-    those of the operands, then by dense size.  Without, it ranks them by
-    dense size alone: an order whose values the planner's must equal.
+    which keeps the scores between steps and must find the same order: by
+    estimated entries less those of the operands, then by dense size.
+    Without, it ranks them by dense size alone: an order whose values the
+    planner's must equal.
     Either way, equal pairs fall to the join trees of their operands, the
     earlier one first, each written as a string: node k as the character
     U+0100 + k and a join as "(a*b)", so a joined operand comes before every
@@ -358,13 +362,11 @@ def _rescanning_plan_component(wires: tuple, dims: tuple, est: tuple, cap, spars
                 kept += [w for w in wj if w not in wi]
                 dense = contraction._dense_size(kept, dims)
                 size = max(1, min(ei * ej // contraction._dense_size(shared, dims), dense))
-                score = (dense > cap, size - ei - ej, dense) if sparse else (dense,)
+                score = (size - ei - ej, dense) if sparse else (dense,)
                 key = (*score, tree[live[i]], tree[live[j]])
                 if best is None or key < best[0]:
-                    best = (key, i, j, dense, size)
-        _, i, j, dense, size = best
-        if dense > cap:
-            raise ResourceExceeded(dense, cap)
+                    best = (key, i, j, size)
+        _, i, j, size = best
         a, b = live[i], live[j]
         summed = []
         for w in wires[a]:
@@ -386,31 +388,23 @@ def _dense_plan_component(*args):
 def planner(plan_component):
     """``contraction`` with ``plan_component`` in place of its own ``_plan_component``.
 
-    The plan cache is cleared on entry and on exit, so that every plan made
-    inside comes from ``plan_component``, and none of its plans outlives it.
+    The plan cache is cleared on entry and on exit, so that a cached
+    ``plan_component`` starts cold, and no plan made inside outlives it.
     """
     kept = contraction._plan_component
+    kept.cache_clear()
     contraction._plan_component = plan_component
-    contraction._PLANS.clear()
     try:
         yield
     finally:
         contraction._plan_component = kept
-        contraction._PLANS.clear()
+        kept.cache_clear()
 
 
-def plan_or_refusal(nodes, dims, cap=DEFAULT_CAP, open_wires=()):
-    """``plan_network``'s plan, or the cost of the step it refuses."""
-    try:
-        return plan_network(nodes, dims, cap, open_wires)
-    except ResourceExceeded as e:
-        return ("refused", e.cost, str(e))
-
-
-def planned(nodes, dims, cap=DEFAULT_CAP, open_wires=(), rescanning=False):
-    """``plan_or_refusal`` from a cold plan cache; with the rescanning planner if asked."""
+def planned(nodes, dims, open_wires=(), rescanning=False):
+    """``plan_network``'s plan from a cold plan cache; with the rescanning planner if asked."""
     with planner(_rescanning_plan_component if rescanning else contraction._plan_component):
-        return plan_or_refusal(nodes, dims, cap, open_wires)
+        return plan_network(nodes, dims, open_wires)
 
 
 def planner_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
@@ -444,11 +438,10 @@ def planner_network(rng: random.Random) -> tuple[list[Node], dict[str, int], lis
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8, 16, 64, DEFAULT_CAP]))
-def test_plans_are_those_of_the_rescanning_planner(seed, cap):
+@given(st.integers(0, 2**32 - 1))
+def test_plans_are_those_of_the_rescanning_planner(seed):
     nodes, dims, open_wires = planner_network(random.Random(seed))
-    want = planned(nodes, dims, cap, open_wires, rescanning=True)
-    assert planned(nodes, dims, cap, open_wires) == want
+    assert planned(nodes, dims, open_wires) == planned(nodes, dims, open_wires, rescanning=True)
 
 
 @pytest.mark.parametrize("triplet", ["kashaev:n=3", "S4xS3"])
@@ -470,8 +463,7 @@ def test_bracket_plans_are_those_of_the_rescanning_planner(monkeypatch, triplet)
             bracket.trisection_bracket(d, cfg)
     assert len(networks) == 12
     for nodes, dims in networks:
-        plan = planned(nodes, dims)
-        assert isinstance(plan, contraction.Plan) and plan == planned(nodes, dims, rescanning=True)
+        assert planned(nodes, dims) == planned(nodes, dims, rescanning=True)
 
 
 def sparse_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
@@ -513,7 +505,8 @@ def test_values_are_those_of_the_dense_order(seed):
 @pytest.mark.parametrize("seed", [1, 4, 12])
 def test_walks_the_dense_order_refused_are_evaluated(seed):
     # S4 x S3 on cp2 after random moves up to the second two-point insert:
-    # ordered by dense size, these needed 11,943,936 or 17,915,904 entries
+    # the largest step of each keeps 3,456 entries, though an order by dense
+    # size alone needed steps of dense size 11,943,936 or 17,915,904
     cfg = bracket.BracketConfig(hopf.group_triplet(symmetric(4), symmetric(3)))
     rng, d, inserts = random.Random(seed), cp2(), 0
     while inserts < 2:
@@ -522,38 +515,154 @@ def test_walks_the_dense_order_refused_are_evaluated(seed):
     assert bracket.invariant(d, cfg) == bracket.invariant(cp2(), cfg)
 
 
-def test_a_dense_ring_over_the_cap_is_refused_before_any_step():
-    # twelve nodes in a ring, each a full 4 x 4 matrix: every join needs 16 entries
+def test_a_dense_ring_over_the_cap_is_refused_in_its_first_step():
+    # twelve nodes in a ring, each a full 4 x 4 matrix: every join keeps 16
+    # entries, and the first is stopped at the first count over the cap, 12
     dims = {f"r{k}": 4 for k in range(12)}
     full = {(i, j): ONE for i in range(4) for j in range(4)}
     nodes = [Node(f"n{k}", (f"r{k}", f"r{(k + 1) % 12}"), dict(full)) for k in range(12)]
     start = time.perf_counter()
-    with pytest.raises(ResourceExceeded, match=r"needs 16 entries in a contraction intermediate \(cap 10\)"):
+    with pytest.raises(ResourceExceeded, match=r"^needs 12 or more entries in a contraction intermediate \(cap 10\)$"):
         contract_network(nodes, dims, cap=10)
     assert time.perf_counter() - start < 0.1
-    assert planned(nodes, dims, 10) == planned(nodes, dims, 10, rescanning=True)
+    assert planned(nodes, dims) == planned(nodes, dims, rescanning=True)
+
+
+# ---------------------------------------------------------------------------
+# the planner against the planner that knew the cap, ranking a pair over it last
+
+
+def _parent_plan_component(wires: tuple, dims: tuple, est: tuple, cap, scored: list) -> tuple[tuple, int, tuple]:
+    """The greedy order of one connected component, as the planner that knew the cap found it.
+
+    It ranks a pair whose dense size is over ``cap`` after every other, and
+    refuses a step when every pair left is over; ``scored`` gets the dense
+    size of every pair it scores.  The rest is ``contraction._plan_component``.
+    """
+    count = len(wires)
+    wires, est = list(wires), list(est)
+    # how many of the live operands carry each wire; a wire is summed when
+    # the last two that carry it are joined
+    carriers = [0] * len(dims)
+    for wk in wires:
+        for w in wk:
+            carriers[w] += 1
+    # the live operands on each wire, and every pair of them that shares a
+    # wire, scored once: a join changes no other pair's score
+    on: list[list[int]] = [[] for _ in dims]
+    heap: list[tuple] = []
+    alive = set(range(count))
+    steps: list[tuple] = []
+    # each operand's join tree, spelled out: node k as (k,), and the join of
+    # a and b as ( a * b ) with the brackets and the star as -3, -2 and -1;
+    # no two live operands share a node, so no two spellings are equal
+    spelling = [(k,) for k in range(count)]
+
+    def add(k: int) -> None:
+        # operands come in order, the nodes and then each joined one as it is
+        # made, so k comes after every live operand; a pair ranks first by
+        # whether its dense size is over the cap, then by its estimated
+        # entries less those of its operands, its dense size, the spelling of
+        # its earlier operand and that of its later one
+        wk, ek = wires[k], est[k]
+        full = contraction._dense_size(wk, dims)
+        for p in {p: None for w in wk for p in on[w]}:
+            # one pass over p's wires: the dims p keeps, and those it shares with k
+            kept = shared = 1
+            for w in wires[p]:
+                if w in wk:
+                    shared *= dims[w]
+                    if carriers[w] > 2:
+                        kept *= dims[w]
+                else:
+                    kept *= dims[w]
+            dense = kept * full // shared
+            ep = est[p]
+            # at least 1 and at most dense, which is at least 1
+            size = ep * ek // shared or 1
+            if size > dense:
+                size = dense
+            heappush(heap, (dense > cap, size - ep - ek, dense, spelling[p], spelling[k], p, k, size))
+            scored.append(dense)
+        for w in wk:
+            on[w].append(k)
+
+    for k in range(count):
+        add(k)
+    out = 0
+    for _ in range(count - 1):
+        # a pair whose operand was joined since it was scored is dropped here;
+        # a pair over the cap comes out only when every pair left is
+        over, _, dense, _, _, a, b, size = heappop(heap)
+        while a not in alive or b not in alive:
+            over, _, dense, _, _, a, b, size = heappop(heap)
+        if over:
+            raise ResourceExceeded(dense, cap)
+        wb = wires[b]
+        summed = []
+        for w in wires[a]:
+            on[w].remove(a)
+            if w in wb:
+                carriers[w] -= 1
+                if carriers[w] == 1:
+                    summed.append(w)
+        for w in wb:
+            on[w].remove(b)
+        alive -= {a, b}
+        out = contraction._plan_step(a, b, summed, size, wires, est, steps)
+        spelling.append((-3, *spelling[a], -1, *spelling[b], -2))
+        alive.add(out)
+        add(out)
+    return tuple(steps), out, wires[out]
+
+
+def _parent_plan(nodes, dims, cap, open_wires):
+    """The plan of the planner that knew the cap (``None`` where it refused a step), and whether it scored a pair over it."""
+    scored = []
+    with planner(lambda wires, dims_, est: _parent_plan_component(wires, dims_, est, cap, scored)):
+        try:
+            plan = plan_network(nodes, dims, open_wires)
+        except ResourceExceeded:
+            plan = None
+    return plan, max(scored, default=0) > cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([planner_network, sparse_network]),
+       st.sampled_from([2, 4, 8, 16, 64, 4096]))
+def test_plans_and_values_are_those_of_the_planner_that_knew_the_cap(seed, network, cap):
+    nodes, dims, open_wires = network(random.Random(seed))
+    parent, over = _parent_plan(nodes, dims, cap, open_wires)
+    plan = planned(nodes, dims, open_wires)
+    if not over:
+        # the cap tier ranked no pair: the same estimates, so the same plan
+        assert plan == parent
+    # that planner's network also refused open wires over the cap in dense size
+    if parent is not None and contraction._dense_size(open_wires, dims) <= cap:
+        data = [n.data for n in nodes]
+        # every step of an accepted plan was at most the cap in dense size, so it keeps at most the cap
+        want = execute_plan(parent, data, cap)
+        try:
+            got = execute_plan(plan, data, cap)
+        except ResourceExceeded:
+            assert over
+        else:
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
 # the plan cache against planning every component afresh
 
 
-class _Forgetful(dict):
-    """A plan cache that keeps nothing, so that every component is planned afresh."""
-
-    def __setitem__(self, key, value) -> None:
-        pass
-
-
 @contextmanager
 def uncached():
-    """``contraction`` with a plan cache that keeps nothing."""
-    kept = contraction._PLANS
-    contraction._PLANS = _Forgetful()
+    """``contraction`` with its planner outside the plan cache, so that every component is planned afresh."""
+    kept = contraction._plan_component
+    contraction._plan_component = kept.__wrapped__
     try:
         yield
     finally:
-        contraction._PLANS = kept
+        contraction._plan_component = kept
 
 
 def _prefixed(nodes, dims, open_wires, prefix: str):
@@ -579,29 +688,28 @@ def _thinned(nodes):
        st.sampled_from([16, 64, 4096, DEFAULT_CAP]))
 def test_a_plan_from_the_cache_is_the_plan_a_miss_builds(seed, network, cap):
     nodes, dims, open_wires = network(random.Random(seed))
+    cache = contraction._plan_component
     with uncached():
-        fresh = plan_or_refusal(nodes, dims, cap, open_wires)
+        fresh = plan_network(nodes, dims, open_wires)
         want = _value_or_refusal(nodes, dims, cap, open_wires)
-        # the same wires under every other cap, and with other entry counts
-        others = [(nodes, other) for other in (16, 64, 4096, DEFAULT_CAP) if other != cap] + [(_thinned(nodes), cap)]
-        others = [(other_nodes, other, plan_or_refusal(other_nodes, dims, other, open_wires))
-                  for other_nodes, other in others]
+        # the same wires with other entry counts
+        thinned = _thinned(nodes)
+        thinned_fresh = plan_network(thinned, dims, open_wires)
     # warm: the cache as earlier examples left it, then as this network left it
-    assert plan_or_refusal(nodes, dims, cap, open_wires) == fresh
-    for other_nodes, other, other_fresh in others:
-        assert plan_or_refusal(other_nodes, dims, other, open_wires) == other_fresh
-    shapes = len(contraction._PLANS)
-    assert plan_or_refusal(nodes, dims, cap, open_wires) == fresh
-    assert len(contraction._PLANS) == shapes
+    assert plan_network(nodes, dims, open_wires) == fresh
+    assert plan_network(thinned, dims, open_wires) == thinned_fresh
+    misses = cache.cache_info().misses
+    assert plan_network(nodes, dims, open_wires) == fresh
+    assert cache.cache_info().misses == misses
     # a network renamed in the same order has the same shapes: it hits them, and from a cold cache plans them alike
     renamed = _prefixed(nodes, dims, open_wires, "z.")
-    assert plan_or_refusal(*renamed[:2], cap, renamed[2]) == fresh
-    assert len(contraction._PLANS) == shapes
-    contraction._PLANS.clear()
-    assert plan_or_refusal(*renamed[:2], cap, renamed[2]) == fresh
+    assert plan_network(*renamed) == fresh
+    assert cache.cache_info().misses == misses
+    cache.cache_clear()
+    assert plan_network(*renamed) == fresh
     # values with the cache cleared before every call
     for net in ((nodes, dims, open_wires), renamed):
-        contraction._PLANS.clear()
+        cache.cache_clear()
         assert _value_or_refusal(net[0], net[1], cap, net[2]) == want
     assert _value_or_refusal(nodes, dims, cap, open_wires) == want
 
@@ -616,7 +724,7 @@ def test_float_brackets_of_walks_are_those_of_a_cold_cache(seed, n):
         _, d = moves.random_move(d, rng)
         with uncached():
             fresh = repr(bracket.trisection_bracket(d, cfg))
-        contraction._PLANS.clear()
+        contraction._plan_component.cache_clear()
         assert repr(bracket.trisection_bracket(d, cfg)) == fresh
         assert repr(bracket.trisection_bracket(d, cfg)) == fresh
 
@@ -624,29 +732,37 @@ def test_float_brackets_of_walks_are_those_of_a_cold_cache(seed, n):
 def test_the_plan_cache_never_holds_more_than_its_bound():
     # one shape per dim of the shared wire: more shapes than the cache keeps
     nodes = [Node("u", ("a",), {(0,): ONE}), Node("v", ("a",), {(0,): ONE})]
-    bound = contraction.PLAN_CACHE_SIZE
-    contraction._PLANS.clear()
+    cache = contraction._plan_component
+    bound = cache.cache_info().maxsize
+
+    def hits(dim: int) -> bool:
+        """Plan the shape of ``dim``; whether the cache held it."""
+        before = cache.cache_info().hits
+        assert plan_network(nodes, {"a": dim}) == contraction.Plan(((0, 1, (0,), (), (0,), ()),), 2, ())
+        assert cache.cache_info().currsize <= bound
+        return cache.cache_info().hits > before
+
+    cache.cache_clear()
     try:
-        for dim in range(1, bound + 101):
-            assert plan_network(nodes, {"a": dim}) == contraction.Plan(((0, 1, (0,), (), (0,), ()),), 2, ())
-            assert len(contraction._PLANS) <= bound
-        assert len(contraction._PLANS) == bound
-        # the oldest shapes went first
-        dims_kept = sorted(shape[1][0] for shape in contraction._PLANS)
-        assert dims_kept == list(range(101, bound + 101))
+        assert not any(hits(dim) for dim in range(1, bound + 101))
+        assert cache.cache_info().currsize == bound
+        # the least recently used went first: dims 1 to 100 are gone, every later one is kept
+        assert all(hits(dim) for dim in range(101, bound + 101))
+        # a hit makes a shape the most recently used: dim 102 outlives 103, though it came first
+        assert [hits(dim) for dim in (1, 102, 2, 102, 103)] == [False, True, False, True, False]
     finally:
-        contraction._PLANS.clear()
+        cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # the join memo of shared tensors against the engine that joins every pair afresh
 
 
-def _unmemoized_execute_plan(plan: contraction.Plan, data) -> dict:
+def _unmemoized_execute_plan(plan: contraction.Plan, data, cap) -> dict:
     """``contraction.execute_plan`` as it was before the join memo: every step runs ``_contract_pair``."""
     ops = list(data)
     for a, b, *pos in plan.steps:
-        out = contraction._contract_pair(ops[a], ops[b], *pos)
+        out = contraction._contract_pair(ops[a], ops[b], *pos, cap)
         ops[a] = ops[b] = None
         ops.append(out)
     if plan.result is None:
@@ -713,10 +829,11 @@ def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
     cases = []
     for _ in range(3):
         nodes, dims, open_wires = memo_network(rng, tensors, kind)
-        plan = plan_or_refusal(nodes, dims, 4096, open_wires)
-        if isinstance(plan, contraction.Plan):
-            data = [n.data for n in nodes]
-            cases.append((plan, data, list(_unmemoized_execute_plan(plan, data).items())))
+        plan, data = plan_network(nodes, dims, open_wires), [n.data for n in nodes]
+        try:
+            cases.append((plan, data, list(_unmemoized_execute_plan(plan, data, 4096).items())))
+        except ResourceExceeded:
+            pass
     # cold (a step is marked), warm (its result is kept), warm (the result becomes a
     # Tensor), warm (that Tensor is reused), and twice after the memo is cleared
     for rounds in range(6):
@@ -725,7 +842,7 @@ def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
                 t._joins.clear()
         for plan, data, want in cases:
             # the same keys and values in the same order: every sum is taken in the same order
-            assert list(execute_plan(plan, data).items()) == want
+            assert list(execute_plan(plan, data, 4096).items()) == want
 
 
 def test_the_caller_owns_every_result():
@@ -747,6 +864,21 @@ def test_the_caller_owns_every_result():
             got.clear()
             got[(9,) * len(open_wires)] = ONE
             assert contract_network(nodes, dims, open_wires=open_wires) == want
+
+
+def test_a_memoized_join_is_refused_under_a_smaller_cap():
+    # associativity's left side over C[Z/3], a self-join of 27 entries, kept
+    # as a Tensor under the default cap and then served under a smaller one
+    m = Tensor({(i, j, (i + j) % 3): ONE for i in range(3) for j in range(3)})
+    nodes = [Node("m0", ("i", "j", "t"), m), Node("m1", ("t", "k", "o"), m)]
+    dims, wires = dict.fromkeys("ijtko", 3), ("i", "j", "k", "o")
+    want = contract_network(nodes, dims, open_wires=wires)
+    for _ in range(2):
+        assert contract_network(nodes, dims, open_wires=wires) == want
+    assert [len(kept) for _, kept in m._joins.values()] == [27]
+    with pytest.raises(ResourceExceeded, match=r"^needs 27 or more entries in a contraction intermediate \(cap 26\)$"):
+        contract_network(nodes, dims, cap=26, open_wires=wires)
+    assert contract_network(nodes, dims, cap=27, open_wires=wires) == want
 
 
 def test_the_memo_keeps_no_tensor_alive():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from trisect import hopf
-from trisect.contraction import Node, Tensor, accumulate, contract_network, plan_network
-from trisect.errors import NonSemisimple, TrisectError
+from trisect.contraction import Node, Tensor, accumulate, contract_network, execute_plan, plan_network
+from trisect.errors import NonSemisimple, ResourceExceeded, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc, to_complex
 
@@ -21,9 +21,19 @@ def test_group_and_function_algebra_axioms(g):
 
 
 def test_axioms_of_a_large_algebra_are_not_capped():
-    # associativity has four open wires: 64^4 exceeds the contraction's default cap
+    # associativity's largest step keeps 64^3 = 262,144 entries, under the default cap
     rep = hopf.check_hopf_axioms(hopf.group_algebra(cyclic(64)))
     assert list(rep.values()) == [0.0] * 8, rep
+
+
+def test_the_cap_bounds_the_steps_of_an_identity_check():
+    # associativity's left side over C[Z/64] keeps 64^3 = 262,144 entries in its one step
+    tensors = {name: (Tensor(data), shape) for name, (data, shape) in hopf._tensors(hopf.group_algebra(cyclic(64))).items()}
+    nodes, dims = hopf._network(tensors, "M i j t, M t k o")
+    plan, data = plan_network(nodes, dims, "i j k o".split()), [n.data for n in nodes]
+    with pytest.raises(ResourceExceeded, match=r"\(cap 262143\)$"):
+        execute_plan(plan, data, cap=262_143)
+    assert len(execute_plan(plan, data, cap=262_144)) == 262_144
 
 
 def _set_row(table, head, row):
