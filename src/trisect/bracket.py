@@ -15,8 +15,8 @@ builds them on first use and keeps them: the curve-node builder with its
 resolved integrals and coproduct tensors (or the representation modules),
 the six crossing tensors, which every crossing node shares, and the standard
 S^4 bracket that ``invariant`` divides by.  They are ``contraction.Tensor``s,
-so each pairwise step looks up the entries that meet its smaller operand
-through an index instead of scanning the whole tensor.
+so their level-1 integer entries multiply as ``int`` and a join of two of
+them that recurs is kept.
 """
 
 from __future__ import annotations

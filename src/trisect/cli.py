@@ -120,6 +120,13 @@ def _criteria(text: str) -> set[int]:
     return {int(p) for p in parts}
 
 
+def _cap(text: str) -> int:
+    """The ``--cap`` value, a count of entries; a negative number or a non-integer is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a count of entries")
+    return int(text)
+
+
 def _scalar_json(x):
     z = to_complex(x)
     out = {"approx": [z.real, z.imag]}
@@ -161,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         q.add_argument("--triplet", required=True)
         q.add_argument("--backend", choices=("exact", "float"), default="exact")
         q.add_argument("--evaluator", choices=("element", "rep"), default="element")
-        q.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
+        q.add_argument("--cap", type=_cap, default=DEFAULT_CAP, help=cap_help)
         if what == "invariant":
             q.add_argument("--all-roots", action="store_true")
     q = ev.add_parser("count", parents=[flags])
@@ -186,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("diagram")
     p.add_argument("--triplet", required=True)
     p.add_argument("--backend", choices=("exact", "float"), default="exact")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help=cap_help)
+    p.add_argument("--cap", type=_cap, default=DEFAULT_CAP, help=cap_help)
 
     p = sub.add_parser("selftest", parents=[flags], help="run the acceptance criteria")
     p.add_argument("--only", type=_criteria, default=None, help="comma-separated criterion numbers")

@@ -13,7 +13,7 @@ a pair at the product of its operands' estimates over the dense size of the
 wires they share, at least 1 and at most the result's dense size (the
 product of the remaining wire dimensions, open wires included, and shared
 wires that a third node still carries).  Ties fall to the dense size, then
-to the operands' join trees (see below).  Each pair that shares a wire is
+to the operands' ranks (see below).  Each pair that shares a wire is
 scored once, and the scores are kept in a heap between steps: an operand's
 estimate never changes once it is made, and a join lowers a carrier count
 only on a wire that both joined nodes carry, so any other pair on that wire
@@ -42,29 +42,27 @@ numbered by first appearance, the dims of those numbers, and each node's
 entry count.  Node names, wire names and the data are not part of it.
 The planner numbers the operands of a component locally, the nodes in that
 order and then each joined operand as it is made, and ties between pairs
-fall to these numbers, never to a name: each operand is spelled out as its
-join tree, node ``k`` as ``(k,)`` and the join of ``a`` and ``b`` as ``( a *
-b )``, so a joined operand ranks before every node and two joined operands
-rank as their first operands do, then their second.  The cached plan is kept
-in the local numbers and relocated to the network's own on each use, so a
-hit gives exactly the plan a miss would build.  The cache is the
-``lru_cache`` of ``_plan_component``: it keeps at most 4,096 plans, and when
-it is full, the least recently used goes.
+fall to these numbers, never to a name: each operand ranks by the depth of
+its join tree's left spine, deeper first, then by its leftmost node.  Node
+``k`` ranks as ``(0, k)``, and the join of ``a`` and ``b`` one deeper than
+``a``.  Two live operands share no node, so no two of them rank alike.  The
+cached plan is kept in the local numbers and relocated to the network's own
+on each use, so a hit gives exactly the plan a miss would build.  The cache
+is the ``lru_cache`` of ``_plan_component``: it keeps at most 4,096 plans,
+and when it is full, the least recently used goes.
+
+A pairwise step buckets the smaller operand by its shared positions and
+scans the larger one.  It builds its key projections once, before it reads
+an entry: a getter (``operator.itemgetter``) for the shared and for the kept
+positions of each operand.
 
 Node data that many nodes share, such as a structure tensor of an algebra,
-is best given as a ``Tensor``: a pairwise step whose larger operand is a
-``Tensor`` looks its keys up through an index on one wire position instead
-of scanning every entry.  The steps, and the order in which they add up
-each product, stay those of the scan.  Each step builds its key projections
-once, before it reads an entry: a getter (``operator.itemgetter``) for the
-shared and for the kept positions of each operand.
-
-A ``Tensor`` stores each entry that is a level-1 integer ``Cyc`` as a plain
-``int``, whose products and sums cost a fraction of a ``Cyc``'s; a ``Cyc``
-or ``complex`` operand takes an ``int`` through its own arithmetic.
-``execute_plan`` leaves such an ``int`` as it is; ``contract_network`` coerces
-each one back to ``Cyc``, so each of its results is a ``Cyc`` (or a
-``complex`` on the float backend).
+is best given as a ``Tensor``.  A ``Tensor`` stores each entry that is a
+level-1 integer ``Cyc`` as a plain ``int``, whose products and sums cost a
+fraction of a ``Cyc``'s; a ``Cyc`` or ``complex`` operand takes an ``int``
+through its own arithmetic.  ``execute_plan`` leaves such an ``int`` as it
+is; ``contract_network`` coerces each one back to ``Cyc``, so each of its
+results is a ``Cyc`` (or a ``complex`` on the float backend).
 
 A step that joins two ``Tensor``s of node data, such as two structure tensors
 that every bracket of one configuration shares, gives the same result each
@@ -76,12 +74,12 @@ when the second goes, so a self-join makes no cycle and no entry outlives
 either ``Tensor``.  A result costs memory only once it recurs: the first time
 a step is seen, its entry holds no result, so a join made once, such as one
 of the tensors that an identity check builds for a single call, is freed
-after its use; the second time, the entry keeps the plain dict the step
-made; the third time, that dict becomes a ``Tensor``, so that later steps
-index it.  The memo holds only products the step would make anyway, summed
-in the same order, so every value stays exactly that of the step.  A kept
-result may have been made under a larger cap, so ``execute_plan`` counts its
-entries against the cap at hand.  Node data and memo entries are shared, so
+after its use; from the second time on, the entry keeps the dict the step
+made, its level-1 integers stored as ``int`` as a ``Tensor``'s are.  The
+memo holds only products the step would make anyway, summed in the same
+order, so every value stays exactly that of the step.  A kept result may
+have been made under a larger cap, so ``execute_plan`` counts its entries
+against the cap at hand.  Node data and memo entries are shared, so
 ``execute_plan`` returns a copy when the network ends in one of them: the
 caller owns every result.
 """
@@ -89,12 +87,10 @@ caller owns every result.
 from __future__ import annotations
 
 import weakref
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
-from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -105,44 +101,33 @@ from .scalars import Cyc
 DEFAULT_CAP = 10_000_000
 
 
-class Tensor(dict):
-    """Sparse node data shared by many nodes, with an index on each wire position.
+def _stored_as_int(data: dict) -> dict:
+    """``data``, with each entry that is a level-1 integer ``Cyc`` replaced by that ``int``."""
+    for key, val in data.items():
+        if type(val) is Cyc and val.level == 1 and val.den == 1:
+            data[key] = val.num[0]
+    return data
 
-    The index from the value at one key position to the keys that have it is
-    built on first use, once per position, and kept, as are the results of
-    its joins with other ``Tensor``s (see the module docstring); a ``Tensor``
-    must not change once it has been contracted, or both would go stale.
+
+class Tensor(dict):
+    """Sparse node data shared by many nodes, with its level-1 integers stored as ``int``.
+
+    It keeps the results of its joins with other ``Tensor``s (see the module
+    docstring); a ``Tensor`` must not change once it has been contracted, or
+    they would go stale.
     """
 
     def __init__(self, data=()) -> None:
         super().__init__(data)
-        for key, val in self.items():
-            if type(val) is Cyc and val.level == 1 and val.den == 1:
-                self[key] = val.num[0]
-        self._keys: list[tuple[int, ...]] | None = None
-        # position -> value -> ordinals of its keys, in arrays: no int object per entry
-        self._index: dict[int, dict[int, array]] = {}
+        _stored_as_int(self)
         # (id of the other Tensor, positions) -> [weak reference to it, result or None]
         self._joins: dict[tuple, list] = {}
 
-    def items_at(self, pos: int, values) -> list[tuple[tuple[int, ...], object]]:
-        """The items whose key has one of ``values`` at ``pos``, in the dict's order."""
-        if self._keys is None:
-            self._keys = list(self)
-        keys = self._keys
-        by_value = self._index.get(pos)
-        if by_value is None:
-            by_value = self._index[pos] = {}
-            for n, key in enumerate(keys):
-                by_value.setdefault(key[pos], array("i")).append(n)
-        rows = [by_value[v] for v in values if v in by_value]
-        order = rows[0] if len(rows) == 1 else sorted(chain.from_iterable(rows))
-        return [(keys[n], self[keys[n]]) for n in order]
-
     def joined(self, other: Tensor, pos, cap: float) -> dict:
-        """``_contract_pair(self, other, *pos, cap)``, kept from the second call on, as a ``Tensor`` from the third.
+        """``_contract_pair(self, other, *pos, cap)``, kept from the second call on.
 
-        A result is kept while both live, and served whatever the cap it was made under.
+        A result is kept, its level-1 integers stored as ``int``, while both
+        live, and served whatever the cap it was made under.
         """
         key = (id(other), *pos)
         entry = self._joins.get(key)
@@ -158,9 +143,7 @@ class Tensor(dict):
             self._joins[key] = [weakref.ref(other, gone), None]
             return _contract_pair(self, other, *pos, cap)
         if entry[1] is None:
-            entry[1] = _contract_pair(self, other, *pos, cap)
-        elif type(entry[1]) is not Tensor:
-            entry[1] = Tensor(entry[1])
+            entry[1] = _stored_as_int(_contract_pair(self, other, *pos, cap))
         return entry[1]
 
 
@@ -223,13 +206,9 @@ def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b, cap: float) -> 
     for key, val in small.items():
         buckets.setdefault(sh_s(key), []).append((keep_s(key), val))
 
-    items = large.items()
-    if pos_sh_l and isinstance(large, Tensor):
-        # only keys whose first shared value meets the smaller operand can hit
-        items = large.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
     out: dict[tuple[int, ...], object] = {}
     # ``accumulate``, inlined in the hot loop
-    for key, val in items:
+    for key, val in large.items():
         hits = buckets.get(sh_l(key))
         if not hits:
             continue
@@ -381,16 +360,15 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
     heap: list[tuple] = []
     alive = set(range(count))
     steps: list[tuple] = []
-    # each operand's join tree, spelled out: node k as (k,), and the join of
-    # a and b as ( a * b ) with the brackets and the star as -3, -2 and -1;
-    # no two live operands share a node, so no two spellings are equal
-    spelling = [(k,) for k in range(count)]
+    # each operand's rank: minus the depth of its join tree's left spine, then
+    # its leftmost node; node k is (0, k), and a join ranks one deeper than its first operand
+    rank = [(0, k) for k in range(count)]
 
     def add(k: int) -> None:
         # operands come in order, the nodes and then each joined one as it is
         # made, so k comes after every live operand; a pair ranks by its
         # estimated entries less those of its operands, then by its dense
-        # size, the spelling of its earlier operand and that of its later one
+        # size, the rank of its earlier operand and that of its later one
         wk, ek = wires[k], est[k]
         full = _dense_size(wk, dims)
         for p in {p: None for w in wk for p in on[w]}:
@@ -409,7 +387,7 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
             size = ep * ek // shared or 1
             if size > dense:
                 size = dense
-            heappush(heap, (size - ep - ek, dense, spelling[p], spelling[k], p, k, size))
+            heappush(heap, (size - ep - ek, dense, rank[p], rank[k], p, k, size))
         for w in wk:
             on[w].append(k)
 
@@ -433,7 +411,7 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
             on[w].remove(b)
         alive -= {a, b}
         out = _plan_step(a, b, summed, size, wires, est, steps)
-        spelling.append((-3, *spelling[a], -1, *spelling[b], -2))
+        rank.append((rank[a][0] - 1, rank[a][1]))
         alive.add(out)
         add(out)
     return tuple(steps), out, wires[out]

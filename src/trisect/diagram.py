@@ -421,6 +421,13 @@ def parse(text: str, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagra
     return from_json(data, strict)
 
 
+def _listed(value, key: str) -> list:
+    """``value``, which must be a list: a string would iterate as its characters, visits "xz" as x and z."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, not {type(value).__name__}")
+    return value
+
+
 def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram:
     """The diagram a decoded JSON object describes, as ``serialize`` writes it."""
     if not isinstance(data, dict):
@@ -443,7 +450,7 @@ def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram
     curves = []
     for i, c in enumerate(need("curves", list)):
         try:
-            curves.append(Curve(str(c["id"]), str(c["color"]), tuple(str(v) for v in c["visits"])))
+            curves.append(Curve(str(c["id"]), str(c["color"]), tuple(str(v) for v in _listed(c["visits"], "visits"))))
         except (KeyError, TypeError) as exc:
             raise DiagramParseError(f"bad curve entry: {exc}", where=f"curves[{i}]") from exc
     crossings = []
@@ -464,10 +471,10 @@ def from_json(data, strict: bool = False) -> TrisectionDiagram | EmbeddedDiagram
         return base
     regions = tuple(str(r) for r in need("regions", list))
     try:
-        sides = {
-            str(cid): tuple((str(l), str(r)) for l, r in pairs)
-            for cid, pairs in need("segment_sides", dict).items()
-        }
+        sides = {}
+        for cid, pairs in need("segment_sides", dict).items():
+            pairs = [_listed(pair, "segment_sides") for pair in _listed(pairs, "segment_sides")]
+            sides[str(cid)] = tuple((str(l), str(r)) for l, r in pairs)
     except (TypeError, ValueError) as exc:
         raise DiagramParseError(f"bad embedding data: {exc}", where="segment_sides") from exc
     boundary = data.get("boundary_region")

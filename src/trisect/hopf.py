@@ -35,8 +35,9 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from . import contraction
 from .contraction import Node, Tensor, accumulate, contract_network, execute_plan, plan_network
-from .errors import MissingIrreps, NonSemisimple, TrisectError
+from .errors import MissingIrreps, NonSemisimple, ResourceExceeded, TrisectError
 from .groups import GSet, Group, WeakConfig, cyclic, opposite, point_gset
 from .scalars import Cyc, approx_eq, to_complex
 
@@ -188,8 +189,7 @@ def _residuals(tensors: Tensors, identities) -> dict[str, float]:
     """Residual by key; a key's residual is the largest over its network pairs.
 
     Every network reads the tensors as a ``Tensor``, built here once for all
-    of them, so a step looks up only the keys that can match and multiplies
-    level-1 integer entries as ``int``.
+    of them, so a step multiplies level-1 integer entries as ``int``.
     """
     tensors = {name: (Tensor(data), shape) for name, (data, shape) in tensors.items()}
     return {key: max(_residual(tensors, *pair) for pair in pairs) for key, pairs in identities}
@@ -456,6 +456,12 @@ def kashaev_triplet(n: int) -> HopfTriplet:
     """Function and group algebras of Z/n with the quadratic root-of-unity pairing."""
     if n < 2:
         raise TrisectError("kashaev triplet needs n >= 2")
+    # the C-A pairing holds n^2 values of phi(n) coordinates; n^2 alone refuses a huge n at no cost
+    cap, size = contraction.DEFAULT_CAP, n * n
+    if size <= cap:
+        size *= sum(1 for k in range(n) if math.gcd(k, n) == 1)
+    if size > cap:
+        raise ResourceExceeded(size, cap, "or more coordinates in the C-A pairing")
     g = cyclic(n)
     a = function_algebra(g)
     b = group_algebra(g)

@@ -17,7 +17,10 @@ from trisect.groups import symmetric
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -57,6 +60,16 @@ def _float_s3_json(s00) -> str:
     return json.dumps(data)
 
 
+def _visits_as_a_string(data) -> None:
+    # cp2 with its crossings renamed x, y and z, and curve a's visits ["x", "z"] written as the string "xz"
+    names = {"p_ab": "x", "p_bc": "y", "p_ca": "z"}
+    for x in data["crossings"]:
+        x["id"] = names[x["id"]]
+    for c in data["curves"]:
+        c["visits"] = [names[v] for v in c["visits"]]
+    data["curves"][0]["visits"] = "xz"
+
+
 # The input files of the command-line contract below, written into the working directory of every row.
 _FILES = {
     # cp2 after two two-point inserts: the largest step of S4 x S3 keeps 3,456 entries, though an order by
@@ -85,6 +98,9 @@ _FILES = {
     "b-red.json": _catalog_json(change=lambda d: d["curves"][1].update(color="red")),
     "b-purple.json": _catalog_json(change=lambda d: d["curves"][1].update(color="purple")),
     "null-id.json": _catalog_json(change=lambda d: d["crossings"][0].update(id=None)),
+    # a string where a list is expected would read as its characters
+    "visits-string.json": _catalog_json(change=_visits_as_a_string),
+    "side-pair-string.json": _catalog_json(change=lambda d: d["segment_sides"].update(a=["SU", ["D", "S"]])),
     # float C[S3] whose S^2 misses the identity at (0, 0) by 2.2e-15, inside approx_eq's rule
     "s3-float-near.json": _float_s3_json(1 + 1e-15),
     "list-triplet.json": "[]",
@@ -157,6 +173,11 @@ CONTRACT = [
     _row("cap-2-refuses", "eval invariant --triplet kashaev:n=3 --cap 2 cp2",
          code=1, err=re.escape("error: needs 3 or more entries in a contraction intermediate (cap 2)")),
     _row("cap-3-suffices", "eval invariant --triplet kashaev:n=3 --cap 3 cp2", out=r"^invariant = 0\.57735026919i"),
+    _row("cap-negative", "eval invariant --triplet kashaev:n=3 --cap -5 cp2",
+         code=2, err=re.escape("error: argument --cap: '-5' is not a count of entries")),
+    # 3000^2 values of phi(3000) = 800 coordinates each, refused before the triplet is built
+    _row("kashaev-3000-refused", "eval invariant --triplet kashaev:n=3000 cp2", code=1,
+         err=re.escape("error: needs 7200000000 or more coordinates in the C-A pairing (cap 10000000)")),
     # an order by dense size refused this diagram (a step of dense size 241,864,704); its largest step keeps 5,184
     _row("invariant-s4xs3-entangled", "moves apply cp2 --moves entangled-moves.json --out e.json",
          "eval invariant --triplet group:C=S4,B=S3 e.json", out=r"^invariant = 0\.190785707092 "),
@@ -176,6 +197,12 @@ CONTRACT = [
          err=re.escape("error: invalid diagram: [same-colour-intersection] 'g' and 'g2' share a colour (at gg)")),
     _row("sides-not-an-object", "validate sides-list.json", code=1,
          err=re.escape("error: key 'segment_sides' has wrong type (at segment_sides)")),
+    _row("visits-not-a-list", "validate --strict visits-string.json", code=1,
+         err=re.escape("error: bad curve entry: 'visits' must be a list, not str (at curves[0])")),
+    _row("visits-not-a-list-invariant", "eval invariant --triplet kashaev:n=3 visits-string.json", code=1,
+         err=re.escape("error: bad curve entry: 'visits' must be a list, not str (at curves[0])")),
+    _row("side-pair-not-a-list", "validate --strict side-pair-string.json", code=1,
+         err=re.escape("error: bad embedding data: 'segment_sides' must be a list, not str (at segment_sides)")),
     _row("boundary-not-a-string", "validate boundary-list.json", code=1,
          err=re.escape("error: key 'boundary_region' must be a string (at boundary_region)")),
     _row("validate-red-b", "validate b-red.json", code=1,

@@ -68,7 +68,7 @@ def test_open_wire_contraction_matches_brute_force(seed):
     # two networks on disjoint wires: at least two connected components
     nodes_p, dims_p = random_network(rng, "p")
     nodes_q, dims_q = random_network(rng, "q")
-    # about half the nodes as a Tensor: indexed lookups and int entries, coerced back to Cyc
+    # about half the nodes as a Tensor: int storage of integer entries, coerced back to Cyc
     nodes = [Node(n.name, n.wires, Tensor(n.data)) if rng.random() < 0.5 else n for n in nodes_p + nodes_q]
     dims = {**dims_p, **dims_q}
     ends = [w for n in nodes for w in n.wires]
@@ -267,11 +267,8 @@ def _scanning_contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dic
         sh = tuple([key[p] for p in pos_sh_s])
         buckets.setdefault(sh, []).append((tuple([key[p] for p in pos_keep_s]), val))
 
-    items = large.items()
-    if pos_sh_l and isinstance(large, Tensor):
-        items = large.items_at(pos_sh_l[0], {sh[0] for sh in buckets})
     out: dict[tuple[int, ...], object] = {}
-    for key, val in items:
+    for key, val in large.items():
         hits = buckets.get(tuple([key[p] for p in pos_sh_l]))
         if not hits:
             continue
@@ -834,8 +831,8 @@ def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
             cases.append((plan, data, list(_unmemoized_execute_plan(plan, data, 4096).items())))
         except ResourceExceeded:
             pass
-    # cold (a step is marked), warm (its result is kept), warm (the result becomes a
-    # Tensor), warm (that Tensor is reused), and twice after the memo is cleared
+    # cold (a step is marked), warm (its result is kept), warm twice more (the
+    # result is served), and twice after the memo is cleared
     for rounds in range(6):
         if rounds == 4:
             for _, t in tensors:
@@ -858,7 +855,7 @@ def test_the_caller_owns_every_result():
     ]
     for nodes, open_wires in networks:
         want = contract_network(nodes, dims, open_wires=open_wires)
-        # four times: a step only marked, its result kept as a plain dict, as a Tensor, and that Tensor again
+        # four times: a step only marked, its result kept, and that result served twice more
         for _ in range(4):
             got = execute_plan(plan_network(nodes, dims, open_wires=open_wires), [n.data for n in nodes])
             got.clear()
@@ -868,7 +865,7 @@ def test_the_caller_owns_every_result():
 
 def test_a_memoized_join_is_refused_under_a_smaller_cap():
     # associativity's left side over C[Z/3], a self-join of 27 entries, kept
-    # as a Tensor under the default cap and then served under a smaller one
+    # under the default cap and then served under a smaller one
     m = Tensor({(i, j, (i + j) % 3): ONE for i in range(3) for j in range(3)})
     nodes = [Node("m0", ("i", "j", "t"), m), Node("m1", ("t", "k", "o"), m)]
     dims, wires = dict.fromkeys("ijtko", 3), ("i", "j", "k", "o")
@@ -881,6 +878,19 @@ def test_a_memoized_join_is_refused_under_a_smaller_cap():
     assert contract_network(nodes, dims, cap=27, open_wires=wires) == want
 
 
+def test_a_kept_join_stores_its_integers_as_int():
+    # a Tensor keeps 1/2 as a Cyc, so 1/2 * 2 is the Cyc 1 until the join that made it is kept
+    v = Tensor({(0,): Cyc.rational(Fraction(1, 2)), (1,): Cyc.rational(2)})
+    nodes = [Node("u", ("i",), v), Node("w", ("j",), v)]
+    dims, wires = {"i": 2, "j": 2}, ("i", "j")
+    want = {(0, 0): Cyc.rational(Fraction(1, 4)), (0, 1): ONE, (1, 0): ONE, (1, 1): Cyc.rational(4)}
+    for _ in range(3):
+        got = contract_network(nodes, dims, open_wires=wires)
+        assert got == want and all(type(x) is Cyc for x in got.values())
+    (_, kept), = v._joins.values()
+    assert {k: type(x) for k, x in kept.items()} == {(0, 0): Cyc, (0, 1): int, (1, 0): int, (1, 1): int}
+
+
 def test_the_memo_keeps_no_tensor_alive():
     gc.disable()
     try:
@@ -891,7 +901,8 @@ def test_the_memo_keeps_no_tensor_alive():
         want = contract_network(nodes, dims, open_wires=("i", "j", "k", "o"))
         for _ in range(3):
             assert contract_network(nodes, dims, open_wires=("i", "j", "k", "o")) == want
-        assert len(m._joins) == 1 and type(next(iter(m._joins.values()))[1]) is Tensor
+        # the kept entry is the plain dict the step made
+        assert len(m._joins) == 1 and type(next(iter(m._joins.values()))[1]) is dict
         gone = weakref.ref(m)
         del m, nodes
         assert gone() is None

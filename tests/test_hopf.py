@@ -1,9 +1,10 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from trisect import hopf
+from trisect import contraction, hopf
 from trisect.contraction import Node, Tensor, accumulate, contract_network, execute_plan, plan_network
 from trisect.errors import NonSemisimple, ResourceExceeded, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
@@ -305,6 +306,23 @@ def test_kashaev_pairing_values():
     # counit rows: sum over the second slot equals the counit
     rowsum = sum((t.tau_CA[(0, j)] for j in range(4)), ONE * 0)
     assert rowsum == 1  # eps of delta_0 in the function algebra
+
+
+def test_kashaev_triplets_are_capped(monkeypatch):
+    # the C-A pairing holds n^2 values of phi(n) coordinates: with the engine's cap at 100,
+    # n=5 (25 * 4) and n=6 (36 * 2) are built, n=7 (49 * 6) is not, and n=11 is refused by n^2 = 121 alone
+    monkeypatch.setattr(contraction, "DEFAULT_CAP", 100)
+    assert [hopf.kashaev_triplet(n).C.dim for n in (5, 6)] == [5, 6]
+    for n, size in ((7, 294), (11, 121)):
+        with pytest.raises(ResourceExceeded, match=rf"^needs {size} or more coordinates in the C-A pairing \(cap 100\)$"):
+            hopf.kashaev_triplet(n)
+    monkeypatch.undo()
+    # under the default, 3000^2 values of 800 coordinates; a huge n costs nothing
+    for n in (3000, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(ResourceExceeded):
+            hopf.kashaev_triplet(n)
+        assert time.perf_counter() - start < 0.5
 
 
 def test_convolution_inverse_of_kashaev_pairing():
