@@ -14,9 +14,9 @@ Nothing in the structure tensors depends on the diagram.  A ``BracketConfig``
 builds them on first use and keeps them: the curve-node builder with its
 resolved integrals and coproduct tensors (or the representation modules),
 the six crossing tensors, which every crossing node shares, and the standard
-S^4 bracket that ``invariant`` divides by.  They are ``contraction.Tensor``s,
-so their level-1 integer entries multiply as ``int`` and a join of two of
-them that recurs is kept.
+S^4 bracket that ``invariant`` divides by.  Their level-1 integers are stored
+as ``int`` (``contraction.int_entries``), and the config's ``joins`` keeps
+each join of two of them for later brackets; the memo goes with the config.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .contraction import DEFAULT_CAP, Node, Tensor, contract_network
+from .contraction import DEFAULT_CAP, Node, contract_network, int_entries
 from .diagram import BLUE, GREEN, RED, TrisectionDiagram, connected_sum, ends_in_pair_order, standard_s4, validate
 from .errors import MissingIrreps, StabilizationObstruction, TrisectError
 from .hopf import HopfTriplet, compute_integral, convolution_inverse
@@ -43,8 +43,8 @@ class BracketConfig:
 
     Nothing in the curve-node builder, the crossing tensors or the standard
     S^4 bracket depends on the diagram, so each is built on first use and
-    kept on the config; reuse one config for many diagrams.  A config is
-    frozen: ``dataclasses.replace`` makes a new one, with its own cache.
+    kept on the config, as are their joins; reuse one config for many
+    diagrams.  Frozen: ``dataclasses.replace`` makes a new one, with its own cache.
     """
 
     triplet: HopfTriplet
@@ -71,15 +71,20 @@ class BracketConfig:
         return _CURVE_NODES[self.evaluator](self)
 
     @cached_property
-    def crossing_tensors(self) -> dict[tuple[str, str, int], Tensor]:
+    def crossing_tensors(self) -> dict[tuple[str, str, int], dict]:
         """The pairing matrix of each slot pair by sign, its convolution inverse at -1."""
         t = self.triplet
         mats = {}
         for slots in (("A", "B"), ("B", "C"), ("C", "A")):
             tau = t.pairing(slots)
-            mats[(slots[0], slots[1], 1)] = Tensor(tau)
-            mats[(slots[0], slots[1], -1)] = Tensor(convolution_inverse(tau, t.algebra(slots[0])))
+            mats[(slots[0], slots[1], 1)] = int_entries(tau)
+            mats[(slots[0], slots[1], -1)] = int_entries(convolution_inverse(tau, t.algebra(slots[0])))
         return mats
+
+    @cached_property
+    def joins(self) -> dict:
+        """The memo of ``contraction.execute_plan``: the joins of the config's tensors, kept for every bracket."""
+        return {}
 
     @cached_property
     def s4_bracket(self):
@@ -117,7 +122,7 @@ def trisection_bracket(d: TrisectionDiagram, cfg: BracketConfig):
         nodes.append(Node(f"x:{x.id}", (w1, w2), mats[(sl1, sl2, x.sign)]))
     if not nodes:
         return total
-    return total * contract_network(nodes, dims, cfg.contraction_cap)
+    return total * contract_network(nodes, dims, cfg.contraction_cap, joins=cfg.joins)
 
 
 def _element_curves(cfg: BracketConfig):
@@ -127,7 +132,7 @@ def _element_curves(cfg: BracketConfig):
     slots = {}
     for slot in "ABC":
         alg, ell = t.algebra(slot), integrals[slot]
-        slots[slot] = (alg.dim, alg.counit_of(ell), Tensor({(i,): c for i, c in ell.items()}), Tensor(alg.comult))
+        slots[slot] = (alg.dim, alg.counit_of(ell), int_entries({(i,): c for i, c in ell.items()}), int_entries(alg.comult))
 
     def curve_nodes(curve, nodes, dims):
         dim, counit, ell, delta = slots[COLOR_SLOT[curve.color]]
@@ -172,7 +177,7 @@ def _rep_curves(cfg: BracketConfig):
             ops.update({(x, size + a, size + b): c for x, m in enumerate(r.mats) for (a, b), c in m.items()})
             weight.update({(a, a): Cyc.rational(r.dim) for a in range(size, size + r.dim)})
             size += r.dim
-        modules[slot] = (Tensor(ops), Tensor(weight), size, sum(r.dim * r.dim for r in irreps))
+        modules[slot] = (int_entries(ops), int_entries(weight), size, sum(r.dim * r.dim for r in irreps))
     # the builder is kept on the config, so it holds no reference back to it
     scale = cfg.integral_scale
 

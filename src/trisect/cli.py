@@ -39,6 +39,14 @@ def _read_json(path) -> object:
         raise TrisectError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``; a file that cannot be written is a domain error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise TrisectError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _base(d):
     return d.base if isinstance(d, diagram.EmbeddedDiagram) else d
 
@@ -46,14 +54,16 @@ def _base(d):
 def _spec_params(spec: str, prefix: str, sep: str, **defaults: str | None) -> dict[str, str]:
     """The ``key=value`` parameters of ``spec`` after ``prefix``, split at ``sep``.
 
-    Only the keys of ``defaults`` may appear, and those whose default is
-    ``None`` must; anything else is a domain error.
+    Only the keys of ``defaults`` may appear, each at most once, and those
+    whose default is ``None`` must; anything else is a domain error.
     """
     params = {}
     for part in spec[len(prefix):].split(sep):
         key, eq, value = part.partition("=")
         if not eq or key not in defaults:
             raise TrisectError(f"bad parameter {part!r} in {spec!r}; use {sep.join(k + '=...' for k in defaults)}")
+        if key in params:
+            raise TrisectError(f"the parameter {key} is given twice in {spec!r}")
         params[key] = value
     for key, default in defaults.items():
         if params.setdefault(key, default) is None:
@@ -255,7 +265,7 @@ def _dispatch(args) -> int:
             base = moves.apply_move(base, moves.MoveSpec.from_json(entry))
         out = diagram.serialize(base)
         if args.out:
-            Path(args.out).write_text(out)
+            _write_text(args.out, out)
             _emit(args, {"written": args.out, "genus": base.genus}, f"wrote {args.out} (genus {base.genus})")
         elif args.json:
             print(json.dumps(json.loads(out), sort_keys=True))

@@ -1,6 +1,6 @@
 """Sparse tensor-network contraction with a greedy pairwise order.
 
-Tensors are dicts from index tuples to scalars.  A wire that appears on two
+Node data are dicts from index tuples to scalars.  A wire that appears on two
 or more nodes is summed over, once, like an index shared by several factors
 of an einsum; a wire on exactly one node is open and must be listed in
 ``open_wires``.  The network factorizes over the connected components that
@@ -16,7 +16,7 @@ wires that a third node still carries).  Ties fall to the dense size, then
 to the operands' ranks (see below).  Each pair that shares a wire is
 scored once, and the scores are kept in a heap between steps: an operand's
 estimate never changes once it is made, and a join lowers a carrier count
-only on a wire that both joined nodes carry, so any other pair on that wire
+only on a wire that both of its operands carry, so any other pair on that wire
 still has a third carrier and keeps its score, and only the new node's pairs
 are scored.  The components' results are then multiplied together as an
 outer product over the open wires.  Only exact zeros are dropped from the
@@ -41,7 +41,7 @@ the plan cache, is: the component's nodes in name order, each node's wires
 numbered by first appearance, the dims of those numbers, and each node's
 entry count.  Node names, wire names and the data are not part of it.
 The planner numbers the operands of a component locally, the nodes in that
-order and then each joined operand as it is made, and ties between pairs
+order and then each join's result as it is made, and ties between pairs
 fall to these numbers, never to a name: each operand ranks by the depth of
 its join tree's left spine, deeper first, then by its leftmost node.  Node
 ``k`` ranks as ``(0, k)``, and the join of ``a`` and ``b`` one deeper than
@@ -56,37 +56,30 @@ scans the larger one.  It builds its key projections once, before it reads
 an entry: a getter (``operator.itemgetter``) for the shared and for the kept
 positions of each operand.
 
-Node data that many nodes share, such as a structure tensor of an algebra,
-is best given as a ``Tensor``.  A ``Tensor`` stores each entry that is a
-level-1 integer ``Cyc`` as a plain ``int``, whose products and sums cost a
-fraction of a ``Cyc``'s; a ``Cyc`` or ``complex`` operand takes an ``int``
-through its own arithmetic.  ``execute_plan`` leaves such an ``int`` as it
-is; ``contract_network`` coerces each one back to ``Cyc``, so each of its
-results is a ``Cyc`` (or a ``complex`` on the float backend).
+Node data that many networks share, such as a structure tensor of an
+algebra, is best given through ``int_entries``, which stores each level-1
+integer ``Cyc`` as a plain ``int``, whose products and sums cost a fraction
+of a ``Cyc``'s.  ``execute_plan`` leaves such an ``int`` as it is;
+``contract_network`` coerces each one back to ``Cyc``, so each of its results
+is a ``Cyc`` (or a ``complex`` on the float backend).
 
-A step that joins two ``Tensor``s of node data, such as two structure tensors
-that every bracket of one configuration shares, gives the same result each
-time, so ``execute_plan`` keeps it, as opt_einsum's ``contract_expression``
-computes a sub-contraction of constants once.  The memo lives on the first
-``Tensor``, keyed by the second's ``id`` and the step's positions.  It holds
-the second only through a weak reference, whose callback drops the entry
-when the second goes, so a self-join makes no cycle and no entry outlives
-either ``Tensor``.  A result costs memory only once it recurs: the first time
-a step is seen, its entry holds no result, so a join made once, such as one
-of the tensors that an identity check builds for a single call, is freed
-after its use; from the second time on, the entry keeps the dict the step
-made, its level-1 integers stored as ``int`` as a ``Tensor``'s are.  The
-memo holds only products the step would make anyway, summed in the same
-order, so every value stays exactly that of the step.  A kept result may
-have been made under a larger cap, so ``execute_plan`` counts its entries
-against the cap at hand.  Node data and memo entries are shared, so
-``execute_plan`` returns a copy when the network ends in one of them: the
-caller owns every result.
+A step that joins two nodes' data gives the same result whenever it meets
+the same data, so a caller that contracts many networks over the same
+long-lived data, as every bracket of one configuration does, may hand over a
+dict, ``joins``, that keeps those results, as opt_einsum's
+``contract_expression`` computes a sub-contraction of constants once.  An
+entry is keyed by the two operands' ``id``s and the step's positions, and
+holds both operands with the result, its level-1 integers as ``int``, so
+neither ``id`` is reused while it lives.  The memo holds only products the
+step would make anyway, summed in the same order, so every value stays
+exactly that of the step.  A kept result may have been made under a larger
+cap, so it is counted against the cap at hand.  Node data and memo entries
+are shared, so ``execute_plan`` returns a copy of a result that may be one
+of them: the caller owns every result.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -101,50 +94,10 @@ from .scalars import Cyc
 DEFAULT_CAP = 10_000_000
 
 
-def _stored_as_int(data: dict) -> dict:
-    """``data``, with each entry that is a level-1 integer ``Cyc`` replaced by that ``int``."""
-    for key, val in data.items():
-        if type(val) is Cyc and val.level == 1 and val.den == 1:
-            data[key] = val.num[0]
-    return data
-
-
-class Tensor(dict):
-    """Sparse node data shared by many nodes, with its level-1 integers stored as ``int``.
-
-    It keeps the results of its joins with other ``Tensor``s (see the module
-    docstring); a ``Tensor`` must not change once it has been contracted, or
-    they would go stale.
-    """
-
-    def __init__(self, data=()) -> None:
-        super().__init__(data)
-        _stored_as_int(self)
-        # (id of the other Tensor, positions) -> [weak reference to it, result or None]
-        self._joins: dict[tuple, list] = {}
-
-    def joined(self, other: Tensor, pos, cap: float) -> dict:
-        """``_contract_pair(self, other, *pos, cap)``, kept from the second call on.
-
-        A result is kept, its level-1 integers stored as ``int``, while both
-        live, and served whatever the cap it was made under.
-        """
-        key = (id(other), *pos)
-        entry = self._joins.get(key)
-        if entry is None:
-
-            def gone(_, me=weakref.ref(self)) -> None:
-                # ``other`` went; ``self`` is held weakly too, so a self-join makes no cycle
-                t = me()
-                if t is not None:
-                    t._joins.pop(key, None)
-
-            # the first time only marks the pair: a result made once is not held
-            self._joins[key] = [weakref.ref(other, gone), None]
-            return _contract_pair(self, other, *pos, cap)
-        if entry[1] is None:
-            entry[1] = _stored_as_int(_contract_pair(self, other, *pos, cap))
-        return entry[1]
+def int_entries(data: dict) -> dict:
+    """A copy of ``data`` with each entry that is a level-1 integer ``Cyc`` as that ``int``."""
+    return {key: val.num[0] if type(val) is Cyc and val.level == 1 and val.den == 1 else val
+            for key, val in data.items()}
 
 
 @dataclass
@@ -240,7 +193,7 @@ def _contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b, cap: float) -> 
 
 
 def connected(wire_lists: Sequence[Sequence[str]]) -> list[list[int]]:
-    """The positions of ``wire_lists`` in connected components, two positions joined when they share a wire.
+    """The positions of ``wire_lists`` in connected components, two positions together when they share a wire.
 
     Components come in the order of their first position, and the positions
     in each component are increasing.
@@ -349,7 +302,7 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
     count = len(wires)
     wires, est = list(wires), list(est)
     # how many of the live operands carry each wire; a wire is summed when
-    # the last two that carry it are joined
+    # the last two that carry it are paired
     carriers = [0] * len(dims)
     for wk in wires:
         for w in wk:
@@ -365,7 +318,7 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
     rank = [(0, k) for k in range(count)]
 
     def add(k: int) -> None:
-        # operands come in order, the nodes and then each joined one as it is
+        # operands come in order, the nodes and then each join's result as it is
         # made, so k comes after every live operand; a pair ranks by its
         # estimated entries less those of its operands, then by its dense
         # size, the rank of its earlier operand and that of its later one
@@ -395,7 +348,7 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
         add(k)
     out = 0
     for _ in range(count - 1):
-        # a pair whose operand was joined since it was scored is dropped here
+        # a pair whose operand was consumed since it was scored is dropped here
         _, _, _, _, a, b, size = heappop(heap)
         while a not in alive or b not in alive:
             _, _, _, _, a, b, size = heappop(heap)
@@ -417,27 +370,29 @@ def _plan_component(wires: tuple, dims: tuple, est: tuple) -> tuple[tuple, int, 
     return tuple(steps), out, wires[out]
 
 
-def execute_plan(plan: Plan, data: Sequence[dict], cap: float = DEFAULT_CAP) -> dict:
+def execute_plan(plan: Plan, data: Sequence[dict], cap: float = DEFAULT_CAP, joins: dict | None = None) -> dict:
     """Run ``plan`` on the nodes' ``data``; return the result keyed in the order of the open wires.
 
-    The entries of a ``Tensor`` may still be ``int``.  A network without open
-    wires gives ``{(): value}``, or ``{}`` when the value is 0; one without
-    nodes gives ``{(): 1}``.  The result is the caller's own to change.
-    Raises ``ResourceExceeded`` once a step keeps more than ``cap`` entries.
+    The entries of ``data`` may be ``int``.  A network without open wires
+    gives ``{(): value}``, or ``{}`` when the value is 0; one without nodes
+    gives ``{(): 1}``.  The result is the caller's own to change.  Raises
+    ``ResourceExceeded`` once a step keeps more than ``cap`` entries.
+    ``joins``, the memo of the module docstring, keeps every operand it
+    joins alive: hand it only long-lived data that does not change.
     """
     ops, leaves = list(data), len(data)
-    # the operands that the memo may hold
-    memo = set()
     for a, b, *pos in plan.steps:
         x, y = ops[a], ops[b]
-        if a < leaves and b < leaves and type(x) is Tensor and type(y) is Tensor:
-            memo.add(len(ops))
-            out = x.joined(y, pos, cap)
+        if joins is None or a >= leaves or b >= leaves:
+            out = _contract_pair(x, y, *pos, cap)
+        else:
+            key = (id(x), id(y), *pos)
+            if key not in joins:
+                joins[key] = (x, y, int_entries(_contract_pair(x, y, *pos, cap)))
+            out = joins[key][2]
             # the memo may have kept it under a larger cap
             if len(out) > cap:
                 raise ResourceExceeded(len(out), cap)
-        else:
-            out = _contract_pair(x, y, *pos, cap)
         # each operand feeds one step only: drop it, so no intermediate outlives its use
         ops[a] = ops[b] = None
         ops.append(out)
@@ -446,19 +401,19 @@ def execute_plan(plan: Plan, data: Sequence[dict], cap: float = DEFAULT_CAP) -> 
     out, perm = ops[plan.result], plan.perm
     if perm == tuple(range(len(perm))):
         # node data and memo entries are shared: the caller gets a copy of its own
-        return dict(out) if plan.result < leaves or plan.result in memo else out
+        return dict(out) if plan.result < leaves or joins is not None else out
     order = _projection(perm)
     return {order(key): val for key, val in out.items()}
 
 
 def contract_network(nodes: list[Node], dims: dict[str, int], cap: float = DEFAULT_CAP,
-                     open_wires: Sequence[str] = ()):
+                     open_wires: Sequence[str] = (), joins: dict | None = None):
     """Contract to a scalar, or to a tensor over ``open_wires`` when some are given.
 
     The tensor is a sparse dict keyed by index tuples in the order of
-    ``open_wires``.  It is ``plan_network`` followed by ``execute_plan``, which ``cap`` bounds.
+    ``open_wires``.  It is ``plan_network``, then ``execute_plan`` with ``cap`` and ``joins``.
     """
-    out = execute_plan(plan_network(nodes, dims, open_wires), [n.data for n in nodes], cap)
+    out = execute_plan(plan_network(nodes, dims, open_wires), [n.data for n in nodes], cap, joins)
     if not open_wires:
         return _exact(out.get((), 0))
     return {key: _exact(val) for key, val in out.items()}

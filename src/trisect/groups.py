@@ -308,9 +308,9 @@ def coset_gset(k: Group, subgroup_members: list[int]) -> GSet:
 def gset_from_json(k: Group, data) -> GSet:
     """The K-set of a G-set file: ``{"set": [point, ...], "action": {label: [image, ...]}}``.
 
-    ``action`` maps the label of every element of K to the images of the
-    points of ``set``, in order.  Points are compared by their string form.
-    A file of any other shape is a ``TrisectError``.
+    ``action`` maps the label of every element of K, and nothing else, to
+    the images of the points of ``set``, in order.  Points are compared by
+    their string form.  A file of any other shape is a ``TrisectError``.
     """
     if not isinstance(data, dict) or not isinstance(data.get("set"), list) or not isinstance(data.get("action"), dict):
         raise TrisectError("gset file needs an object with a list 'set' and an object 'action'")
@@ -328,6 +328,9 @@ def gset_from_json(k: Group, data) -> GSet:
         if not isinstance(row, list) or len(row) != len(points) or any(str(m) not in pos for m in row):
             raise TrisectError(f"the action of {lab!r} must be a list of {len(points)} points of 'set'")
         act.append(tuple(pos[str(m)] for m in row))
+    unknown = sorted(data["action"].keys() - set(k.labels))
+    if unknown:
+        raise TrisectError(f"action names {unknown[0]!r}, which is no element of {k.name}")
     return GSet(k, tuple(points), tuple(act))
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import contraction
-from .contraction import Node, Tensor, accumulate, contract_network, execute_plan, plan_network
+from .contraction import Node, accumulate, contract_network, execute_plan, int_entries, plan_network
 from .errors import MissingIrreps, NonSemisimple, ResourceExceeded, TrisectError
 from .groups import GSet, Group, WeakConfig, cyclic, opposite, point_gset
 from .scalars import Cyc, approx_eq, to_complex
@@ -157,9 +157,9 @@ def _network(tensors: Tensors, spec: str) -> tuple[list[Node], dict[str, int]]:
 def _pairs(tensors: Tensors, out: str, lhs: str, rhs: str):
     """(lhs, rhs) at every index of the open wires ``out`` where either side is nonzero.
 
-    Each side is contracted once, as a whole, and kept as ``execute_plan``
-    leaves it, with a ``Tensor``'s integer entries still ``int``, under the
-    engine's one cap on the entries of each step.
+    Each side is contracted once, as a whole, with no memo of joins (the
+    tensors live for one check), and kept as ``execute_plan`` leaves it,
+    integers still ``int``, under the engine's one cap on each step.
     """
     wires = out.split()
     sides = []
@@ -188,10 +188,10 @@ def _residual(tensors: Tensors, out: str, lhs: str, rhs: str) -> float:
 def _residuals(tensors: Tensors, identities) -> dict[str, float]:
     """Residual by key; a key's residual is the largest over its network pairs.
 
-    Every network reads the tensors as a ``Tensor``, built here once for all
-    of them, so a step multiplies level-1 integer entries as ``int``.
+    Every network reads the tensors through ``int_entries``, applied here
+    once for all of them, so a step multiplies level-1 integer entries as ``int``.
     """
-    tensors = {name: (Tensor(data), shape) for name, (data, shape) in tensors.items()}
+    tensors = {name: (int_entries(data), shape) for name, (data, shape) in tensors.items()}
     return {key: max(_residual(tensors, *pair) for pair in pairs) for key, pairs in identities}
 
 

@@ -1,17 +1,19 @@
 import dataclasses
 import gc
+import importlib
 import itertools
 import math
 import random
 import re
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trisect import bracket, hopf, moves
+from trisect import bracket, cli, contraction, hopf, moves
 from trisect.bracket import BracketConfig, InvariantValue, cross_check, invariant, trisection_bracket
 from trisect.contraction import Node, contract_network
 from trisect.diagram import Crossing, Curve, TrisectionDiagram, connected_sum, cp2, standard_s4
@@ -407,6 +409,43 @@ def test_a_dropped_config_frees_its_cache_at_once():
             assert dropped() is None
     finally:
         gc.enable()
+
+
+class Data(dict):
+    """Node data that a weak reference can watch: a plain dict cannot be one's referent."""
+
+
+def test_a_dropped_config_frees_its_memo_and_tensors_at_once(monkeypatch):
+    # the memo holds the config's tensors and nothing holds the memo but the config
+    monkeypatch.setattr(bracket, "int_entries", lambda data: Data(contraction.int_entries(data)))
+    gc.disable()
+    try:
+        for evaluator in ("element", "rep"):
+            cfg = BracketConfig(hopf.kashaev_triplet(3), evaluator=evaluator)
+            rng, d = random.Random(0), moves.stabilize(cp2())
+            for _ in range(4):
+                _, d = moves.random_move(d, rng, max_visits=3)
+                invariant(d, cfg)
+            assert cfg.joins and all(type(t) is Data for t in cfg.crossing_tensors.values())
+            dropped = [weakref.ref(cfg)] + [weakref.ref(t) for t in cfg.crossing_tensors.values()]
+            del cfg
+            assert all(r() is None for r in dropped)
+    finally:
+        gc.enable()
+
+
+def test_the_memo_of_a_config_stops_growing(monkeypatch):
+    # the configs of the ladder-exact workload at seed 1: every pass makes the same joins
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    cfgs = [BracketConfig(cli.parse_triplet(spec)) for spec in workloads.STRONG_SPECS]
+    plan = workloads.ladder_plan(1)
+    for _ in range(3):
+        for d in workloads.ladder_diagrams(plan):
+            for cfg in cfgs:
+                invariant(d, cfg)
+        assert sum(len(cfg.joins) for cfg in cfgs) == 72
+        assert sum(len(kept) for cfg in cfgs for *_, kept in cfg.joins.values()) == 2422
 
 
 def test_config_fields_cannot_be_assigned():

@@ -162,6 +162,11 @@ CONTRACT = [
     _row("moves-bad-parameter", "moves apply cp2 --moves bad.json", code=1, err=_ERROR),
     _row("moves-not-a-list", "moves apply cp2 --moves not-a-list.json",
          code=1, err="^error: the moves file must contain a JSON list$"),
+    # an --out that cannot be written is one error line, not a traceback
+    _row("moves-out-missing-directory", "moves apply cp2 --moves m.json --out missing/x.json", code=1,
+         err=r"\Aerror: cannot write missing/x\.json: No such file or directory\n\Z"),
+    _row("moves-out-is-a-directory", "moves apply cp2 --moves m.json --out .", code=1,
+         err=r"\Aerror: cannot write \.: Is a directory\n\Z"),
     _row("axioms-corrupted-file", "axioms --algebra file:bad-alg.json", code=1, out=r"^  comultiplicativity: 2\.0$"),
     _row("axioms-right-side-residual", "axioms --algebra file:zero-e1.json", code=1, out=r"^  unit_counit_compat: 1\.0$"),
     _row("axioms-float-antipode-near-one", "axioms --algebra file:s3-float-near.json",
@@ -182,6 +187,13 @@ CONTRACT = [
     _row("invariant-s4xs3-entangled", "moves apply cp2 --moves entangled-moves.json --out e.json",
          "eval invariant --triplet group:C=S4,B=S3 e.json", out=r"^invariant = 0\.190785707092 "),
     _row("malformed-spec", "eval bracket --triplet kashaev:n=abc cp2", code=1, err=_ERROR),
+    # a repeated parameter used to keep its last value
+    _row("kashaev-repeated-parameter", "eval invariant --triplet kashaev:n=3,n=4 cp2", code=1,
+         err=re.escape("error: the parameter n is given twice in 'kashaev:n=3,n=4'")),
+    _row("group-repeated-parameter", "eval invariant --triplet group:C=Z/2,B=Z/3,C=S3 cp2", code=1,
+         err=re.escape("error: the parameter C is given twice in 'group:C=Z/2,B=Z/3,C=S3'")),
+    _row("weak-repeated-parameter", "axioms --algebra weak:C=Z/2;B=Z/2;M=regular;M=point", code=1,
+         err=re.escape("error: the parameter M is given twice in 'weak:C=Z/2;B=Z/2;M=regular;M=point'")),
     _row("gset-file-bad-point", "eval count --C Z/2 --B Z/2 --M gset.json cp2", code=1, err=_ERROR),
     _row("gset-file-empty-count", "eval count --C Z/2 --B Z/2 --M empty.json cp2", code=1, err=_ERROR),
     _row("gset-file-empty-invariant", "eval invariant --triplet weak:C=Z/2;B=Z/2;M=empty.json cp2", code=1, err=_ERROR),
@@ -471,6 +483,8 @@ def test_gset_file_reads_like_its_cosets_spec(capsys, tmp_path):
     ({"set": ["x", "x"], "action": _GSET["action"]}, "not distinct"),
     ({"set": ["x", "y"], "action": {"(0,0)": ["x", "y"]}}, "missing group element '(0,1)'"),
     ({"set": [], "action": {"(0,0)": [], "(1,0)": [], "(0,1)": [], "(1,1)": []}}, "'set' is empty"),
+    # a label that is no element of K used to be ignored
+    ({**_GSET, "action": {**_GSET["action"], "bogus": ["a", "b"]}}, "action names 'bogus', which is no element of"),
 ])
 def test_malformed_gset_files_are_domain_errors(capsys, tmp_path, data, message):
     # a point outside "set" and a top level that is not an object used to end in tracebacks

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisect import bracket, contraction, hopf, moves
-from trisect.contraction import DEFAULT_CAP, Node, Tensor, contract_network, execute_plan, plan_network
+from trisect.contraction import DEFAULT_CAP, Node, contract_network, execute_plan, int_entries, plan_network
 from trisect.diagram import cp2
 from trisect.errors import ResourceExceeded
 from trisect.groups import symmetric
@@ -68,8 +68,8 @@ def test_open_wire_contraction_matches_brute_force(seed):
     # two networks on disjoint wires: at least two connected components
     nodes_p, dims_p = random_network(rng, "p")
     nodes_q, dims_q = random_network(rng, "q")
-    # about half the nodes as a Tensor: int storage of integer entries, coerced back to Cyc
-    nodes = [Node(n.name, n.wires, Tensor(n.data)) if rng.random() < 0.5 else n for n in nodes_p + nodes_q]
+    # about half the nodes through int_entries: int storage of integer entries, coerced back to Cyc
+    nodes = [Node(n.name, n.wires, int_entries(n.data)) if rng.random() < 0.5 else n for n in nodes_p + nodes_q]
     dims = {**dims_p, **dims_q}
     ends = [w for n in nodes for w in n.wires]
     open_wires = [w for w in sorted(dims) if ends.count(w) == 1]
@@ -216,35 +216,39 @@ def shared_tensor_network(rng: random.Random, kind: str):
 def test_shared_tensor_contracts_exactly_as_plain_data(seed, kind):
     rng = random.Random(seed)
     spec, dims, open_wires = shared_tensor_network(rng, kind)
-    shared = Tensor(spec[0][2])
+    shared = int_entries(spec[0][2])
     fast = [Node(name, wires, shared if data is spec[0][2] else data) for name, wires, data in spec]
     slow = [Node(name, wires, dict(data)) for name, wires, data in spec]
-    got = contract_network(fast, dims, open_wires=open_wires)
     want = contract_network(slow, dims, open_wires=open_wires)
-    if open_wires:
-        # the same items in the same order: every sum is taken in the same order
-        assert list(got.items()) == list(want.items())
-    else:
-        assert got == want
+    # twice through one memo: a join of two nodes' data is kept, then served
+    joins: dict = {}
+    for _ in range(2):
+        got = contract_network(fast, dims, open_wires=open_wires, joins=joins)
+        if open_wires:
+            # the same items in the same order: every sum is taken in the same order
+            assert list(got.items()) == list(want.items())
+        else:
+            assert got == want
 
 
 def test_results_of_integer_tensors_are_cyc():
-    # a Tensor keeps level-1 integer entries as int; every result is coerced back to Cyc
-    m = Tensor({(0, 1): ONE, (1, 0): Cyc.rational(2)})
-    v = Tensor({(0,): ONE, (1,): Cyc.rational(3)})
-    dims = {"a": 2, "b": 2}
-    scalar = contract_network([Node("m", ("a", "b"), m), Node("u", ("a",), v), Node("w", ("b",), v)], dims)
-    assert type(scalar) is Cyc and scalar == 9
-    vector = contract_network([Node("m", ("a", "b"), m), Node("v", ("b",), v)], dims, open_wires=("a",))
-    assert vector == {(0,): 3, (1,): 2} and all(type(x) is Cyc for x in vector.values())
-    zero = contract_network([Node("m", ("a", "b"), m), Node("u", ("a",), v), Node("z", ("b",), Tensor())], dims)
-    assert type(zero) is Cyc and not zero
+    # int_entries keeps level-1 integer entries as int; every result, served by the memo or not, is coerced back to Cyc
+    m = int_entries({(0, 1): ONE, (1, 0): Cyc.rational(2)})
+    v = int_entries({(0,): ONE, (1,): Cyc.rational(3)})
+    dims, joins, empty = {"a": 2, "b": 2}, {}, {}
+    for memo in (None, joins, joins):
+        scalar = contract_network([Node("m", ("a", "b"), m), Node("u", ("a",), v), Node("w", ("b",), v)], dims, joins=memo)
+        assert type(scalar) is Cyc and scalar == 9
+        vector = contract_network([Node("m", ("a", "b"), m), Node("v", ("b",), v)], dims, open_wires=("a",), joins=memo)
+        assert vector == {(0,): 3, (1,): 2} and all(type(x) is Cyc for x in vector.values())
+        zero = contract_network([Node("m", ("a", "b"), m), Node("u", ("a",), v), Node("z", ("b",), empty)], dims, joins=memo)
+        assert type(zero) is Cyc and not zero
     assert type(contract_network([], {})) is Cyc
 
 
 def test_tensor_leaves_the_callers_dict_untouched():
     data = {(0,): ONE, (1,): Cyc.zeta(3), (2,): Cyc.rational(Fraction(1, 2)), (3,): 0.5j}
-    t = Tensor(data)
+    t = int_entries(data)
     assert all(type(x) is Cyc for k, x in data.items() if k != (3,))
     assert type(t[(0,)]) is int and t[(0,)] == 1
     assert t == data and [type(t[k]) for k in ((1,), (2,), (3,))] == [Cyc, Cyc, complex]
@@ -283,7 +287,7 @@ def _scanning_contract_pair(a: dict, b: dict, sh_a, keep_a, sh_b, keep_b) -> dic
 
 def _pair_value(kind: str, rng: random.Random, name: str):
     if kind == "exact":
-        # a level-1 integer Cyc, which a Tensor stores as int, a plain int, or another Cyc
+        # a level-1 integer Cyc, which int_entries stores as int, a plain int, or another Cyc
         return rng.choice(VALUES + [-1, 2])
     return _value(kind, rng, name)
 
@@ -313,7 +317,7 @@ def test_pair_step_is_the_scanning_step(seed, shared, kept_a, kept_b, kind, tens
         keys = [key for key in keys if rng.random() < density]
         rng.shuffle(keys)
         data = {key: _pair_value(kind, rng, f"{name}{key}") for key in keys}
-        return Tensor(data) if tensor else data
+        return int_entries(data) if tensor else data
 
     a, b = operand(wires_a, "a", tensor_a), operand(wires_b, "b", tensor_b)
     for args in ((a, b, sh_a, keep_a, sh_b, keep_b), (b, a, sh_b, keep_b, sh_a, keep_a)):
@@ -445,7 +449,7 @@ def test_plans_are_those_of_the_rescanning_planner(seed):
 def test_bracket_plans_are_those_of_the_rescanning_planner(monkeypatch, triplet):
     # every network of seeded random-move walks on cp2 stabilized to genus 7
     networks = []
-    monkeypatch.setattr(bracket, "contract_network", lambda nodes, dims, cap: networks.append((nodes, dims)) or 1)
+    monkeypatch.setattr(bracket, "contract_network", lambda nodes, dims, cap, joins: networks.append((nodes, dims)) or 1)
     if triplet == "S4xS3":
         cfg = bracket.BracketConfig(hopf.group_triplet(symmetric(4), symmetric(3)))
     else:
@@ -464,7 +468,7 @@ def test_bracket_plans_are_those_of_the_rescanning_planner(monkeypatch, triplet)
 
 
 def sparse_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list[str]]:
-    """Three to seven nodes of exact entries at mixed densities, about half of them ``Tensor``s.
+    """Three to seven nodes of exact entries at mixed densities, about half of them through ``int_entries``.
 
     A wire sits on one node (open) up to three; the open wires come in a
     random order.
@@ -481,7 +485,7 @@ def sparse_network(rng: random.Random) -> tuple[list[Node], dict[str, int], list
         density = rng.choice((0.1, 0.3, 0.7, 1.0))
         keys = itertools.product(*(range(dims[w]) for w in wires))
         data = {key: rng.choice(VALUES) for key in keys if rng.random() < density}
-        nodes.append(Node(f"n{k}", tuple(wires), Tensor(data) if rng.random() < 0.5 else data))
+        nodes.append(Node(f"n{k}", tuple(wires), int_entries(data) if rng.random() < 0.5 else data))
     ends = [w for n in nodes for w in n.wires]
     open_wires = [w for w in dims if ends.count(w) == 1]
     rng.shuffle(open_wires)
@@ -771,7 +775,7 @@ def _unmemoized_execute_plan(plan: contraction.Plan, data, cap) -> dict:
     return {order(key): val for key, val in out.items()}
 
 
-def memo_network(rng: random.Random, tensors: list[tuple[tuple[int, ...], Tensor]], kind: str):
+def memo_network(rng: random.Random, tensors: list[tuple[tuple[int, ...], dict]], kind: str):
     """Two to six nodes, most of them copies of the shared ``tensors``, each given as (shape, data).
 
     The first two nodes are copies of the first tensor that share a wire, a
@@ -812,8 +816,8 @@ def memo_network(rng: random.Random, tensors: list[tuple[tuple[int, ...], Tensor
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["exact", "complex", "word"]))
 def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
-    # three networks over the same one or two shared tensors, so that later
-    # networks meet the memo entries of earlier ones, at the same positions or others
+    # three networks over the same one or two shared tensors, through one memo,
+    # so that later networks meet the entries of earlier ones, at the same positions or others
     rng = random.Random(seed)
     tensors = []
     for t in range(rng.randint(1, 2)):
@@ -822,7 +826,7 @@ def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
         shape = tuple(shape + [shape[0]] if len(shape) == 1 and t == 0 else shape)
         keys = [key for key in itertools.product(*map(range, shape)) if rng.random() < 0.7]
         rng.shuffle(keys)
-        tensors.append((shape, Tensor({key: _pair_value(kind, rng, f"t{t}{key}") for key in keys})))
+        tensors.append((shape, int_entries({key: _pair_value(kind, rng, f"t{t}{key}") for key in keys})))
     cases = []
     for _ in range(3):
         nodes, dims, open_wires = memo_network(rng, tensors, kind)
@@ -831,91 +835,101 @@ def test_memoized_joins_are_the_joins_made_afresh(seed, kind):
             cases.append((plan, data, list(_unmemoized_execute_plan(plan, data, 4096).items())))
         except ResourceExceeded:
             pass
-    # cold (a step is marked), warm (its result is kept), warm twice more (the
-    # result is served), and twice after the memo is cleared
+    # cold (a step's result is kept), warm three times (it is served), and
+    # twice after the memo is cleared
+    joins: dict = {}
     for rounds in range(6):
         if rounds == 4:
-            for _, t in tensors:
-                t._joins.clear()
+            joins.clear()
         for plan, data, want in cases:
             # the same keys and values in the same order: every sum is taken in the same order
-            assert list(execute_plan(plan, data, 4096).items()) == want
+            assert list(execute_plan(plan, data, 4096, joins).items()) == want
 
 
 def test_the_caller_owns_every_result():
-    m = Tensor({(0, 1): ONE, (1, 0): Cyc.rational(2), (1, 1): Cyc.zeta(3)})
+    m = int_entries({(0, 1): ONE, (1, 0): Cyc.rational(2), (1, 1): Cyc.zeta(3)})
     v = {(0,): ONE, (1,): Cyc.rational(3)}
-    dims = {"i": 2, "j": 2, "k": 2}
+    dims, joins = {"i": 2, "j": 2, "k": 2}, {}
     networks = [
-        # one node and no step, as ``hopf._pairs`` contracts ``I i o``: a Tensor, then plain data
+        # one node and no step, as ``hopf._pairs`` contracts ``I i o``: int entries, then plain data
         ([Node("m", ("i", "j"), m)], ("i", "j")),
         ([Node("v", ("i",), v)], ("i",)),
-        # a join of two shared tensors, a self-join, whose result is a memo entry
+        # a join of two nodes' data, a self-join, whose result is a memo entry
         ([Node("m0", ("i", "j"), m), Node("m1", ("j", "k"), m)], ("i", "k")),
     ]
     for nodes, open_wires in networks:
         want = contract_network(nodes, dims, open_wires=open_wires)
-        # four times: a step only marked, its result kept, and that result served twice more
-        for _ in range(4):
-            got = execute_plan(plan_network(nodes, dims, open_wires=open_wires), [n.data for n in nodes])
+        # four times, with and without the memo: a step's result kept, and served three times more
+        for memo in (None, joins, joins, joins):
+            got = execute_plan(plan_network(nodes, dims, open_wires=open_wires), [n.data for n in nodes], joins=memo)
             got.clear()
             got[(9,) * len(open_wires)] = ONE
-            assert contract_network(nodes, dims, open_wires=open_wires) == want
+            assert contract_network(nodes, dims, open_wires=open_wires, joins=joins) == want
 
 
 def test_a_memoized_join_is_refused_under_a_smaller_cap():
     # associativity's left side over C[Z/3], a self-join of 27 entries, kept
     # under the default cap and then served under a smaller one
-    m = Tensor({(i, j, (i + j) % 3): ONE for i in range(3) for j in range(3)})
+    m = int_entries({(i, j, (i + j) % 3): ONE for i in range(3) for j in range(3)})
     nodes = [Node("m0", ("i", "j", "t"), m), Node("m1", ("t", "k", "o"), m)]
-    dims, wires = dict.fromkeys("ijtko", 3), ("i", "j", "k", "o")
+    dims, wires, joins = dict.fromkeys("ijtko", 3), ("i", "j", "k", "o"), {}
     want = contract_network(nodes, dims, open_wires=wires)
     for _ in range(2):
-        assert contract_network(nodes, dims, open_wires=wires) == want
-    assert [len(kept) for _, kept in m._joins.values()] == [27]
+        assert contract_network(nodes, dims, open_wires=wires, joins=joins) == want
+    assert [len(kept) for *_, kept in joins.values()] == [27]
     with pytest.raises(ResourceExceeded, match=r"^needs 27 or more entries in a contraction intermediate \(cap 26\)$"):
-        contract_network(nodes, dims, cap=26, open_wires=wires)
-    assert contract_network(nodes, dims, cap=27, open_wires=wires) == want
+        contract_network(nodes, dims, cap=26, open_wires=wires, joins=joins)
+    assert contract_network(nodes, dims, cap=27, open_wires=wires, joins=joins) == want
 
 
 def test_a_kept_join_stores_its_integers_as_int():
-    # a Tensor keeps 1/2 as a Cyc, so 1/2 * 2 is the Cyc 1 until the join that made it is kept
-    v = Tensor({(0,): Cyc.rational(Fraction(1, 2)), (1,): Cyc.rational(2)})
+    # int_entries keeps 1/2 as a Cyc, so 1/2 * 2 is the Cyc 1, which the memo stores as int
+    v = int_entries({(0,): Cyc.rational(Fraction(1, 2)), (1,): Cyc.rational(2)})
     nodes = [Node("u", ("i",), v), Node("w", ("j",), v)]
-    dims, wires = {"i": 2, "j": 2}, ("i", "j")
+    dims, wires, joins = {"i": 2, "j": 2}, ("i", "j"), {}
     want = {(0, 0): Cyc.rational(Fraction(1, 4)), (0, 1): ONE, (1, 0): ONE, (1, 1): Cyc.rational(4)}
     for _ in range(3):
-        got = contract_network(nodes, dims, open_wires=wires)
+        got = contract_network(nodes, dims, open_wires=wires, joins=joins)
         assert got == want and all(type(x) is Cyc for x in got.values())
-    (_, kept), = v._joins.values()
+    (x, y, kept), = joins.values()
+    assert x is v and y is v
     assert {k: type(x) for k, x in kept.items()} == {(0, 0): Cyc, (0, 1): int, (1, 0): int, (1, 1): int}
+
+
+class Data(dict):
+    """Node data that a weak reference can watch: a plain dict cannot be one's referent."""
 
 
 def test_the_memo_keeps_no_tensor_alive():
     gc.disable()
     try:
-        m = Tensor({(i, j, (i + j) % 2): Cyc.rational(i + 1) for i in range(2) for j in range(2)})
-        dims = dict.fromkeys("ijtko", 2)
+        m = Data(int_entries({(i, j, (i + j) % 2): Cyc.rational(i + 1) for i in range(2) for j in range(2)}))
+        dims, joins = dict.fromkeys("ijtko", 2), {}
         # associativity's left side, a self-join
         nodes = [Node("m0", ("i", "j", "t"), m), Node("m1", ("t", "k", "o"), m)]
         want = contract_network(nodes, dims, open_wires=("i", "j", "k", "o"))
         for _ in range(3):
-            assert contract_network(nodes, dims, open_wires=("i", "j", "k", "o")) == want
+            assert contract_network(nodes, dims, open_wires=("i", "j", "k", "o"), joins=joins) == want
         # the kept entry is the plain dict the step made
-        assert len(m._joins) == 1 and type(next(iter(m._joins.values()))[1]) is dict
+        assert len(joins) == 1 and type(next(iter(joins.values()))[2]) is dict
         gone = weakref.ref(m)
         del m, nodes
+        # the memo keeps what it joined, and nothing else does
+        assert gone() is not None
+        del joins
         assert gone() is None
-
-        # one long-lived tensor joined with short-lived ones in turn: each entry goes with its partner
-        keep = Tensor({(0, 0): ONE, (1, 0): Cyc.rational(2)})
-        for n in range(1, 1001):
-            other = Tensor({(0,): Cyc.rational(n), (1,): ONE})
-            nodes = [Node("a", ("i", "j"), keep), Node("b", ("j",), other)]
-            for _ in range(2):
-                assert contract_network(nodes, dims, open_wires=("i",)) == {(0,): Cyc.rational(n), (1,): Cyc.rational(2 * n)}
-            assert len(keep._joins) == 1
-            del nodes, other
-            assert not keep._joins
     finally:
         gc.enable()
+
+
+def test_an_id_in_the_memo_is_never_reused():
+    # one long-lived tensor joined in turn with 1,000 short-lived ones through one memo:
+    # an entry that did not hold its operands would be served to a later tensor at the same address
+    keep = int_entries({(0, 0): ONE, (1, 0): Cyc.rational(2)})
+    dims, joins = {"i": 2, "j": 2}, {}
+    for n in range(1, 1001):
+        nodes = [Node("a", ("i", "j"), keep), Node("b", ("j",), int_entries({(0,): Cyc.rational(n), (1,): ONE}))]
+        for _ in range(2):
+            assert contract_network(nodes, dims, open_wires=("i",), joins=joins) == {(0,): Cyc.rational(n), (1,): Cyc.rational(2 * n)}
+        del nodes
+    assert len(joins) == 1000

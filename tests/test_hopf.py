@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from trisect import contraction, hopf
-from trisect.contraction import Node, Tensor, accumulate, contract_network, execute_plan, plan_network
+from trisect.contraction import Node, accumulate, contract_network, execute_plan, int_entries, plan_network
 from trisect.errors import NonSemisimple, ResourceExceeded, TrisectError
 from trisect.groups import coset_gset, cyclic, opposite, product, symmetric
 from trisect.scalars import Cyc, to_complex
@@ -29,7 +29,7 @@ def test_axioms_of_a_large_algebra_are_not_capped():
 
 def test_the_cap_bounds_the_steps_of_an_identity_check():
     # associativity's left side over C[Z/64] keeps 64^3 = 262,144 entries in its one step
-    tensors = {name: (Tensor(data), shape) for name, (data, shape) in hopf._tensors(hopf.group_algebra(cyclic(64))).items()}
+    tensors = {name: (int_entries(data), shape) for name, (data, shape) in hopf._tensors(hopf.group_algebra(cyclic(64))).items()}
     nodes, dims = hopf._network(tensors, "M i j t, M t k o")
     plan, data = plan_network(nodes, dims, "i j k o".split()), [n.data for n in nodes]
     with pytest.raises(ResourceExceeded, match=r"\(cap 262143\)$"):
@@ -244,15 +244,15 @@ def test_residual_reads_each_side_in_its_own_plan_order():
     # one network in two term orders, the second over a copy N of M: the two
     # plans key their results in different wire orders
     h = hopf.group_algebra(cyclic(3))
-    tensors = {name: (Tensor(data), shape) for name, (data, shape) in hopf._tensors(h).items()}
-    tensors["N"] = (Tensor(h.mult), (3, 3, 3))
+    tensors = {name: (int_entries(data), shape) for name, (data, shape) in hopf._tensors(h).items()}
+    tensors["N"] = (int_entries(h.mult), (3, 3, 3))
     out, lhs, rhs = "i j k o", "M i j t, M t k o", "N t k o, N i j t"
     perms = [plan_network(*hopf._network(tensors, spec), open_wires=out.split()).perm for spec in (lhs, rhs)]
     assert perms[0] != perms[1]
     assert hopf._residual(tensors, out, lhs, rhs) == 0.0
     raised = dict(h.mult)
     raised[(1, 2, 0)] += 2
-    tensors["N"] = (Tensor(raised), (3, 3, 3))
+    tensors["N"] = (int_entries(raised), (3, 3, 3))
     assert hopf._residual(tensors, out, lhs, rhs) == 2.0
 
 
